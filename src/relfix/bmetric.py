@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import gt, truediv
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 
@@ -29,6 +30,11 @@ class BMetricSpace:
     never computed from finite data.  ``grid_sample`` marks spaces sampled
     from a continuum, which disables the discrete-space arguments
     (see relation.check_bd_self_closed).
+
+    Construction materialises the n x n distance matrix that every
+    distance read goes through.  Every distance must be a finite float.  The
+    matrix is a plain instance attribute, so equality, hashing and ``fields``
+    see only the declared fields.
     """
 
     points: tuple[Point, ...]
@@ -63,6 +69,22 @@ class BMetricSpace:
                         raise ValueError("metric table entries must be finite and nonnegative")
         elif self.metric not in FORMULA_METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
+        try:
+            d = self._distance_matrix()
+        except OverflowError:
+            d = None
+        # finite values can still be too far apart for a float distance
+        if d is None or not math.isfinite(max(map(max, d))):
+            raise ValueError("point values too far apart: a distance is not a finite float")
+        object.__setattr__(self, "_d", d)
+
+    def _distance_matrix(self) -> tuple:
+        vals = [p.value for p in self.points]
+        if self.metric == "squared-difference":
+            return tuple(tuple((va - vb) ** 2 for vb in vals) for va in vals)
+        if self.metric == "absolute-difference":
+            return tuple(tuple(abs(va - vb) for vb in vals) for va in vals)
+        return tuple(tuple(row) for row in self.table)
 
     @classmethod
     def from_values(cls, values, **kw) -> "BMetricSpace":
@@ -82,12 +104,8 @@ class BMetricSpace:
 
     def min_nonzero_distance(self) -> float:
         """Smallest positive pairwise distance; +inf on a single-point space."""
-        best = math.inf
-        for a, b in itertools.combinations(self.points, 2):
-            d = distance(self, a, b)
-            if 0 < d < best:
-                best = d
-        return best
+        return min((v for i, row in enumerate(self._d) for v in row[i + 1:] if v > 0),
+                   default=math.inf)
 
     def __len__(self):
         return len(self.points)
@@ -98,14 +116,15 @@ def _pid(p) -> int:
 
 
 def distance(space: BMetricSpace, a, b) -> float:
-    """d(a, b) under the space's metric definition."""
+    """d(a, b), read from the space's distance matrix."""
     ia, ib = _pid(a), _pid(b)
-    pa, pb = space.point(ia), space.point(ib)
-    if space.metric == "squared-difference":
-        return (pa.value - pb.value) ** 2
-    if space.metric == "absolute-difference":
-        return abs(pa.value - pb.value)
-    return space.table[ia][ib]
+    d = space._d
+    # a negative id would wrap around in the lookup
+    if not 0 <= ia < len(d):
+        raise UnknownPointError(ia)
+    if not 0 <= ib < len(d):
+        raise UnknownPointError(ib)
+    return d[ia][ib]
 
 
 def default_axiom_tol(space: BMetricSpace) -> float:
@@ -143,28 +162,40 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         tol = default_axiom_tol(space)
     rep = AxiomReport(True, True, True, 1.0, space.s, tol)
 
-    pts = space.points
-    for a in pts:
-        if distance(space, a, a) > tol:
+    pts, d, s = space.points, space._d, space.s
+    n = len(d)
+    for a in range(n):
+        if d[a][a] > tol:
             rep.identity_ok = False
-            rep.identity_witnesses.append((a.value, a.value))
-    for a, b in itertools.combinations(pts, 2):
-        dab, dba = distance(space, a, b), distance(space, b, a)
-        if dab <= tol:
-            rep.identity_ok = False
-            rep.identity_witnesses.append((a.value, b.value))
-        if abs(dab - dba) > tol:
-            rep.symmetry_ok = False
-            rep.symmetry_witnesses.append((a.value, b.value))
+            rep.identity_witnesses.append((pts[a].value, pts[a].value))
+    for a in range(n):
+        for b in range(a + 1, n):
+            dab, dba = d[a][b], d[b][a]
+            if dab <= tol:
+                rep.identity_ok = False
+                rep.identity_witnesses.append((pts[a].value, pts[b].value))
+            if abs(dab - dba) > tol:
+                rep.symmetry_ok = False
+                rep.symmetry_witnesses.append((pts[a].value, pts[b].value))
 
+    # row-wise over w for each (a, b): lhs = d[a][w], rhs = d[a][b] + d[b][w]
     worst = 0.0
-    for a, b, w in itertools.product(pts, repeat=3):
-        lhs = distance(space, a, w)
-        rhs = distance(space, a, b) + distance(space, b, w)
-        if rhs > 0:
-            worst = max(worst, lhs / rhs)
-        if lhs > space.s * rhs + tol:
-            rep.triangle_ok = False
-            rep.triangle_witnesses.append((a.value, w.value, b.value))
-    rep.min_feasible_s = max(worst, 1.0) if len(pts) > 1 else 1.0
+    witnesses = rep.triangle_witnesses
+    for a in range(n):
+        row_a = d[a]
+        for b in range(n):
+            dab = row_a[b]
+            rhs = [dab + x for x in d[b]]
+            if dab > 0:
+                # every rhs is positive and every lhs finite, so no ratio is NaN
+                # and float max does not depend on order
+                worst = max(worst, max(map(truediv, row_a, rhs)))
+            else:
+                for lhs, r in zip(row_a, rhs):
+                    if r > 0:
+                        worst = max(worst, lhs / r)
+            for w in compress(range(n), map(gt, row_a, [s * r + tol for r in rhs])):
+                witnesses.append((pts[a].value, pts[w].value, pts[b].value))
+    rep.triangle_ok = not witnesses
+    rep.min_feasible_s = max(worst, 1.0) if n > 1 else 1.0
     return rep

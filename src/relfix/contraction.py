@@ -13,9 +13,9 @@ proof's telescoping step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bmetric import BMetricSpace, FORMULA_METRICS, Point, _pid, distance
+from .bmetric import BMetricSpace, FORMULA_METRICS, _pid, distance
 from .relation import (
     BinaryRelation,
     check_bd_self_closed,

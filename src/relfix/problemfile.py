@@ -10,7 +10,7 @@ how fixtures are written and diffed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 from .bmetric import BMetricSpace
 from .relation import BinaryRelation, symmetric_closure, transitive_closure

@@ -1,7 +1,9 @@
 """Binary relations over a finite b-metric space and the relational hypotheses.
 
-Relations are stored as frozen sets of ordered point-id pairs; every query
-here is a pure read-only function, so concurrent use is safe.
+Relations are stored as frozen sets of ordered point-id pairs, with a sorted
+successor index built at construction.  Every query here is a read-only
+function; the one memo (``is_transitive``) stores an immutable result that
+is the same whichever caller computes it, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .bmetric import BMetricSpace, Point, _pid
+from .bmetric import BMetricSpace, _pid
 
 
 @dataclass(frozen=True)
@@ -19,6 +21,11 @@ class BinaryRelation:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", frozenset((int(a), int(b)) for a, b in self.pairs))
+        succ = {}
+        for a, b in sorted(self.pairs):
+            succ.setdefault(a, []).append(b)
+        # a plain attribute, not a field: equality and hashing see only pairs
+        object.__setattr__(self, "_succ", {a: tuple(bs) for a, bs in succ.items()})
 
     @classmethod
     def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
@@ -34,8 +41,7 @@ class BinaryRelation:
         return sorted((space.point(a).value, space.point(b).value) for a, b in self.pairs)
 
     def successors(self, a) -> list:
-        ia = _pid(a)
-        return sorted(b for (x, b) in self.pairs if x == ia)
+        return list(self._succ.get(_pid(a), ()))
 
     def __len__(self):
         return len(self.pairs)
@@ -54,29 +60,48 @@ def symmetric_closure(R: BinaryRelation) -> BinaryRelation:
 
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
-    """Smallest transitive superset of R (Warshall on the pair set); idempotent."""
-    pairs = set(R.pairs)
-    nodes = sorted({x for p in pairs for x in p})
-    for k in nodes:
-        for i in nodes:
-            if (i, k) in pairs:
-                for j in nodes:
-                    if (k, j) in pairs:
-                        pairs.add((i, j))
-    return BinaryRelation(frozenset(pairs))
+    """Smallest transitive superset of R (Warshall on successor sets); idempotent."""
+    succ = {a: set(bs) for a, bs in R._succ.items()}
+    pred = {}
+    for a, b in R.pairs:
+        pred.setdefault(b, set()).add(a)
+    # after pivot k, every i -> k gains all of k's successors
+    for k in succ.keys() & pred.keys():
+        out = succ[k]
+        for i in tuple(pred[k]):
+            new = out - succ[i]
+            if new:
+                succ[i] |= new
+                for j in new:
+                    pred[j].add(i)
+    return BinaryRelation(frozenset((a, b) for a, bs in succ.items() for b in bs))
+
+
+def _transitivity_witnesses(R: BinaryRelation) -> tuple:
+    """Every (a, b, c) with (a, b), (b, c) in R but (a, c) not, in sorted order."""
+    succ = R._succ
+    succ_sets = {a: set(bs) for a, bs in succ.items()}
+    witnesses = []
+    for a, bs in sorted(succ.items()):
+        reach = succ_sets[a]
+        for b in bs:
+            onward = succ.get(b, ())
+            if not reach.issuperset(onward):
+                witnesses.extend((a, b, c) for c in onward if c not in reach)
+    return tuple(witnesses)
 
 
 def is_transitive(R: BinaryRelation):
-    """True iff (a,b),(b,c) in R implies (a,c) in R; witnesses are failing triples."""
-    succ = {}
-    for a, b in R.pairs:
-        succ.setdefault(a, set()).add(b)
-    witnesses = []
-    for a, b in sorted(R.pairs):
-        for c in sorted(succ.get(b, ())):
-            if c not in succ.get(a, ()):
-                witnesses.append((a, b, c))
-    return (not witnesses), witnesses
+    """True iff (a,b),(b,c) in R implies (a,c) in R; witnesses are failing triples.
+
+    The scan runs once per relation object; later calls return a fresh copy
+    of the stored witness list.
+    """
+    witnesses = getattr(R, "_transitivity", None)
+    if witnesses is None:
+        witnesses = _transitivity_witnesses(R)
+        object.__setattr__(R, "_transitivity", witnesses)
+    return (not witnesses), list(witnesses)
 
 
 def is_complete(R: BinaryRelation, space: BMetricSpace):

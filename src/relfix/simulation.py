@@ -7,7 +7,6 @@ origin condition is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 DEFAULT_GRID = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)

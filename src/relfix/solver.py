@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .bmetric import BMetricSpace, Point, _pid, distance
+from .bmetric import BMetricSpace, _pid, distance
 from .contraction import ContractionProblem, SelfMap, compute_mfr, verify_contraction, verify_uniqueness_condition
 
 

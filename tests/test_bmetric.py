@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relfix.bmetric import (
+    AxiomReport,
     BMetricSpace,
     Point,
     UnknownPointError,
@@ -119,3 +121,153 @@ def test_triangle_monotone_in_s(values, s_big):
 def test_min_nonzero_distance():
     assert example_space().min_nonzero_distance() == 1.0
     assert BMetricSpace.from_values([5]).min_nonzero_distance() == math.inf
+
+
+# -- equivalence with the per-triple scan the distance matrix replaced ----------
+
+def formula_distance(space, a, b):
+    # d(a, b) evaluated from the space's definition on every call
+    if space.metric == "squared-difference":
+        return (space.points[a].value - space.points[b].value) ** 2
+    if space.metric == "absolute-difference":
+        return abs(space.points[a].value - space.points[b].value)
+    return space.table[a][b]
+
+
+def reference_axioms(space, tol=None):
+    """Per-triple reference scan: itertools.product order, formula distances."""
+    if tol is None:
+        tol = 1e-12 if space.metric != "table" else 0.0
+    rep = AxiomReport(True, True, True, 1.0, space.s, tol)
+    pts = space.points
+
+    def d(a, b):
+        return formula_distance(space, a.id, b.id)
+
+    for a in pts:
+        if d(a, a) > tol:
+            rep.identity_ok = False
+            rep.identity_witnesses.append((a.value, a.value))
+    for a, b in itertools.combinations(pts, 2):
+        dab, dba = d(a, b), d(b, a)
+        if dab <= tol:
+            rep.identity_ok = False
+            rep.identity_witnesses.append((a.value, b.value))
+        if abs(dab - dba) > tol:
+            rep.symmetry_ok = False
+            rep.symmetry_witnesses.append((a.value, b.value))
+    worst = 0.0
+    for a, b, w in itertools.product(pts, repeat=3):
+        lhs = d(a, w)
+        rhs = d(a, b) + d(b, w)
+        if rhs > 0:
+            worst = max(worst, lhs / rhs)
+        if lhs > space.s * rhs + tol:
+            rep.triangle_ok = False
+            rep.triangle_witnesses.append((a.value, w.value, b.value))
+    rep.min_feasible_s = max(worst, 1.0) if len(pts) > 1 else 1.0
+    return rep
+
+
+s_coeffs = st.one_of(st.integers(1, 4).map(float), st.floats(min_value=1.0, max_value=4.0))
+
+
+@st.composite
+def formula_spaces(draw):
+    # repeated values give zero off-diagonal distances
+    values = draw(st.lists(st.one_of(st.integers(-30, 30).map(float),
+                                     st.floats(min_value=-1e3, max_value=1e3)),
+                           min_size=1, max_size=7))
+    metric = draw(st.sampled_from(["squared-difference", "absolute-difference"]))
+    return BMetricSpace.from_values(values, metric=metric, s=draw(s_coeffs))
+
+
+@st.composite
+def extreme_formula_spaces(draw):
+    # distances stay finite but d(a, b) + d(b, w) may overflow to inf
+    metric = draw(st.sampled_from(["squared-difference", "absolute-difference"]))
+    bound = 6e153 if metric == "squared-difference" else 8e307
+    values = draw(st.lists(st.one_of(st.sampled_from([-bound, 0.0, bound]),
+                                     st.floats(min_value=-bound, max_value=bound)),
+                           min_size=1, max_size=6))
+    return BMetricSpace.from_values(values, metric=metric, s=draw(s_coeffs))
+
+
+@st.composite
+def table_spaces(draw):
+    # asymmetric, zero off-diagonal, nonzero diagonal and integer entries all occur
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, 5), st.floats(min_value=0.0, max_value=10.0))
+    table = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    return BMetricSpace.from_values(range(n), metric="table", table=table, s=draw(s_coeffs))
+
+
+@settings(max_examples=200)
+@given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces()),
+       st.sampled_from([None, 0.0, 0.5, -0.5]))
+def test_axiom_scan_matches_per_triple_reference(space, tol):
+    n = len(space)
+    for a in range(n):
+        for b in range(n):
+            assert distance(space, a, b) == formula_distance(space, a, b)
+    got, want = verify_bmetric_axioms(space, tol), reference_axioms(space, tol)
+    assert got == want
+    assert got.min_feasible_s == want.min_feasible_s
+    assert got.triangle_witnesses == want.triangle_witnesses
+
+
+@given(formula_spaces())
+def test_min_nonzero_distance_matches_pair_scan(space):
+    best = math.inf
+    for a, b in itertools.combinations(range(len(space)), 2):
+        if 0 < formula_distance(space, a, b) < best:
+            best = formula_distance(space, a, b)
+    assert space.min_nonzero_distance() == best
+
+
+# -- what a lookup table could silently change ----------------------------------
+
+def test_out_of_range_ids_still_raise():
+    space = example_space()
+    for a, b in ((-1, 0), (0, -1), (4, 0), (0, 4), (-5, -5)):
+        with pytest.raises(UnknownPointError):
+            distance(space, a, b)
+
+
+@pytest.mark.parametrize("metric, values", [
+    ("absolute-difference", [-1e308, 1e308]),
+    ("squared-difference", [-1e154, 1e154]),
+    ("squared-difference", [0.0, 1e200]),
+])
+def test_non_finite_distances_rejected(metric, values):
+    with pytest.raises(ValueError, match="not a finite float"):
+        BMetricSpace.from_values(values, metric=metric)
+
+
+def test_point_by_value_keeps_its_tolerance():
+    space = BMetricSpace.from_values([1.0, 2.0, 3.0])
+    assert space.point_by_value(2.0 + 5e-13).id == 1
+    assert space.point_by_value(2).id == 1
+    with pytest.raises(UnknownPointError):
+        space.point_by_value(2.0 + 1e-9)
+    with pytest.raises(UnknownPointError):
+        space.point_by_value(2.0, atol=-1.0)
+
+
+def test_point_by_value_near_duplicates_resolve_to_first_id():
+    space = BMetricSpace.from_values([5.0, 1.0, 1.0 + 5e-13, 1.0])
+    # both 1.0 and 1.0 + 5e-13 lie within atol of each other: id order wins
+    assert space.point_by_value(1.0 + 5e-13).id == 1
+    assert space.point_by_value(1.0).id == 1
+    # with a tolerance below the gap the exact value is the only match
+    assert space.point_by_value(1.0 + 5e-13, atol=0.0).id == 2
+
+
+def test_caches_are_not_fields():
+    a = BMetricSpace.from_values([1, 2, 3], s=2.0)
+    b = BMetricSpace.from_values([1, 2, 3], s=2.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != BMetricSpace.from_values([1, 2, 4], s=2.0)
+    assert [f.name for f in dataclasses.fields(BMetricSpace)] == [
+        "points", "metric", "table", "s", "complete", "grid_sample"]
+    assert "_d" not in repr(a)

@@ -1,0 +1,115 @@
+"""Byte-identity gate: header-stripped JSON reports against committed goldens.
+
+``tests/golden/`` holds the ``--json`` report of every fixture under
+``report``, ``axioms --s 1``, ``verify`` and ``certify`` with the header
+removed, plus one SHA-256 digest per seeded sweep of acceptance criteria 7
+and 8.  A change to how a quantity is computed (distance matrix, relation
+index, scan order) must leave all of them byte-identical.  Regenerate only
+when a report is meant to change, from the root of a checkout:
+
+    PYTHONPATH=src:tests python3 tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import random
+
+import pytest
+
+from relfix.bmetric import BMetricSpace
+from relfix.cli import main
+from relfix.problemfile import ProblemBundle, SolverBlock
+from relfix.relation import build_relation_report, symmetric_closure, transitive_closure
+from relfix.report import _plain, run_command
+from relfix.solver import RelationBroken, StartNotAdmissible
+
+from conftest import FIXTURES
+from instance_gen import random_problem, random_relation_and_map
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+COMMANDS = {
+    "report": ["report"],
+    "axioms-s1": ["axioms", "--s", "1"],
+    "verify": ["verify"],
+    "certify": ["certify"],
+}
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.problem"))
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def fixture_report(stem: str, command: str) -> str:
+    """The CLI's --json report for one fixture and command, header removed."""
+    argv = COMMANDS[command][:1] + [str(FIXTURES / f"{stem}.problem")] + COMMANDS[command][1:]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv + ["--json"])
+    doc = json.loads(out.getvalue())
+    del doc["header"]
+    return _dump(doc)
+
+
+def _command_doc(command: str, bundle: ProblemBundle) -> dict:
+    try:
+        doc, _ = run_command(command, bundle)
+    except (StartNotAdmissible, RelationBroken, ValueError) as exc:
+        return {"command": command, "error": str(exc)}
+    del doc["header"]
+    return doc
+
+
+def sweep_7_digest() -> str:
+    """Axioms, verify and certify reports over criterion 7's seeded sweep."""
+    rng = random.Random(20260823)
+    docs = []
+    for _ in range(200):
+        bundle = ProblemBundle(problem=random_problem(rng), solver=SolverBlock(), file=None)
+        docs.append([_command_doc(c, bundle) for c in ("axioms", "verify", "certify")])
+    return hashlib.sha256(_dump(docs).encode()).hexdigest()
+
+
+def sweep_8_digest() -> str:
+    """Relation reports, closures and successor lists over criterion 8's seeded sweep."""
+    rng = random.Random(7)
+    docs = []
+    for _ in range(200):
+        R, mapping = random_relation_and_map(rng)
+        n = len(mapping)
+        space = BMetricSpace.from_values(range(n))
+        sym = symmetric_closure(R)
+        docs.append({
+            "relation": _plain(build_relation_report(space, R, mapping)),
+            "symmetric": _plain(build_relation_report(space, sym, mapping)),
+            "transitive_closure": transitive_closure(R).sorted_pairs(),
+            "successors": [R.successors(a) for a in range(n)],
+        })
+    return hashlib.sha256(_dump(docs).encode()).hexdigest()
+
+
+SWEEPS = {"criterion_7": sweep_7_digest, "criterion_8": sweep_8_digest}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("stem", FIXTURE_NAMES)
+def test_fixture_report_is_byte_identical(stem, command):
+    expected = (GOLDEN / f"{stem}.{command}.json").read_text()
+    assert fixture_report(stem, command) == expected
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+def test_sweep_digest_is_unchanged(sweep):
+    expected = json.loads((GOLDEN / "sweeps.json").read_text())[sweep]
+    assert SWEEPS[sweep]() == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for stem in FIXTURE_NAMES:
+        for command in COMMANDS:
+            (GOLDEN / f"{stem}.{command}.json").write_text(fixture_report(stem, command))
+    (GOLDEN / "sweeps.json").write_text(_dump({name: fn() for name, fn in SWEEPS.items()}))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -193,3 +194,56 @@ def test_symmetric_closure_preserves_f_closedness(seed):
     R, mapping = random_relation_and_map(random.Random(seed))
     assert is_f_closed(R, mapping)[0]
     assert is_f_closed(symmetric_closure(R), mapping)[0]
+
+
+# -- equivalence with the pair-set scans the successor index replaced -----------
+
+def reference_closure(R):
+    # Warshall on the pair set, testing every (i, k), (k, j) membership
+    pairs = set(R.pairs)
+    nodes = sorted({x for p in pairs for x in p})
+    for k in nodes:
+        for i in nodes:
+            if (i, k) in pairs:
+                for j in nodes:
+                    if (k, j) in pairs:
+                        pairs.add((i, j))
+    return frozenset(pairs)
+
+
+def reference_transitivity_witnesses(R):
+    succ = {}
+    for a, b in R.pairs:
+        succ.setdefault(a, set()).add(b)
+    return [(a, b, c) for a, b in sorted(R.pairs) for c in sorted(succ.get(b, ()))
+            if c not in succ.get(a, ())]
+
+
+@settings(max_examples=200)
+@given(relations)
+def test_index_queries_match_pair_scans(R):
+    assert transitive_closure(R).pairs == reference_closure(R)
+    witnesses = reference_transitivity_witnesses(R)
+    assert is_transitive(R) == (not witnesses, witnesses)
+    for a in range(-1, 7):
+        assert R.successors(a) == sorted(b for (x, b) in R.pairs if x == a)
+
+
+def test_returned_lists_do_not_alias_the_caches():
+    R = BinaryRelation({(0, 1), (1, 2)})
+    ok, w = is_transitive(R)
+    w.append((9, 9, 9))
+    w.clear()
+    assert is_transitive(R) == (False, [(0, 1, 2)])
+    succ = R.successors(0)
+    succ.append(5)
+    assert R.successors(0) == [1]
+    assert find_path(R, 0, 2).nodes == (0, 1, 2)
+
+
+def test_relation_caches_are_not_fields():
+    a, b = BinaryRelation({(0, 1), (1, 2)}), BinaryRelation({(1, 2), (0, 1)})
+    is_transitive(a)
+    assert a == b and hash(a) == hash(b)
+    assert [f.name for f in dataclasses.fields(BinaryRelation)] == ["pairs"]
+    assert "_succ" not in repr(a) and "_transitivity" not in repr(a)

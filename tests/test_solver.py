@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from relfix.bmetric import BMetricSpace
@@ -193,3 +195,38 @@ def test_synthetic_chain_exercises_asymptotics():
     assert diag.telescoping_ok
     assert 0 < diag.rho < 1
     assert diag.geometric_decay_ok
+
+
+def test_certify_scans_transitivity_once_per_relation(monkeypatch):
+    # fixed-points shape: complete relation, every even point fixed, so all
+    # 15 pairs of the 6 fixed points are connected and checked for uniqueness
+    from relfix import relation
+
+    n = 12
+    space = BMetricSpace.from_values(range(n), s=2.0)
+    problem = ContractionProblem(
+        space=space,
+        relation=BinaryRelation({(a, b) for a in range(n) for b in range(n)}),
+        map=SelfMap({k: k - k % 2 for k in range(n)}),
+        potential=Potential({k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+    scans = Counter()
+    scan = relation._transitivity_witnesses
+
+    def counting_scan(R):
+        scans[id(R)] += 1
+        return scan(R)
+
+    monkeypatch.setattr(relation, "_transitivity_witnesses", counting_scan)
+    cert = certify(problem, picard_iterate(problem, 0))
+    assert len(cert.fixed_points) == 6
+    assert len(cert.contradictions) == 15
+    assert scans == {id(problem.relation): 1}
+
+
+def test_readme_library_example():
+    problem = load_fixture("example-3-1.problem").problem
+    trace = picard_iterate(problem, start=3.0)
+    assert trace.orbit == [3.0, 2.0, 1.0, 1.0]
+    assert certify(problem, trace).unique
