@@ -10,7 +10,6 @@ from .relation import (
     find_path,
     is_complete,
     is_f_closed,
-    is_r_directed,
     is_transitive,
     related,
     relation_diagnostics,

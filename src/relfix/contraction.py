@@ -180,24 +180,20 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
     return ContractionVerdict(ok=ok, rows=rows, tol=tol)
 
 
-def linear_lambda_threshold(problem: ContractionProblem) -> float:
-    """Smallest lambda for which the linear family passes verify_contraction.
+def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
+    """Bound on lambda from the linear family's row constraints lambda * s_arg >= t.
 
-    Computed from the per-pair constraints lambda * s_arg >= t; returns
-    +inf when some active pair cannot pass for any lambda (s_arg <= 0 with
-    t > 0).  A finite result >= 1 means the linear family is infeasible.
+    The max of t / s_arg over the verdict's active rows with s_arg > 0, or
+    +inf when an active row has s_arg <= 0 < t, which no lambda passes.  A
+    finite result >= 1 means the linear family is infeasible.  The rows' t
+    and s_arg do not depend on zeta or the tolerance, so any verdict of the
+    problem serves.
     """
-    space, R, F, phi = problem.space, problem.relation, problem.map, problem.potential
     lo = 0.0
-    for a, b in R.sorted_pairs():
-        pa, pb = space.point(a), space.point(b)
-        if distance(space, pa, F(pa)) <= 0:
-            continue
-        t = space.s * distance(space, F(pa), F(pb))
-        s_arg = (phi(pa) - phi(F(pa))) * distance(space, pa, pb)
-        if s_arg > 0:
-            lo = max(lo, t / s_arg)
-        elif t > 0:
+    for row in verdict.active_rows:
+        if row.s_arg > 0:
+            lo = max(lo, row.t / row.s_arg)
+        elif row.t > 0:
             return math.inf
     return lo
 

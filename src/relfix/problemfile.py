@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bmetric import BMetricSpace
+from .bmetric import BMetricSpace, UnknownPointError
 from .relation import BinaryRelation, symmetric_closure, transitive_closure
 from .contraction import ContractionProblem, SelfMap, Potential
 from .simulation import SimulationFunction
@@ -269,9 +269,10 @@ def _parse_solver(items) -> SolverBlock:
             if tol < 0:
                 raise ProblemFileError("tol must be nonnegative", line)
         elif key == "max-iter":
-            max_iter = int(_num(value, line))
-            if max_iter < 1:
-                raise ProblemFileError("max-iter must be positive", line)
+            count = _num(value, line)
+            if not (count.is_integer() and count >= 1):  # False on inf and nan too
+                raise ProblemFileError("max-iter must be a positive integer", line)
+            max_iter = int(count)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [solver]", line)
     return SolverBlock(start=start, tol=tol, max_iter=max_iter)
@@ -298,31 +299,35 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
         grid_sample=sb.grid_sample,
     )
 
+    # one handler for every point-valued field; `where` names the field read
+    where = "relation endpoint"
     try:
         relation = BinaryRelation.from_value_pairs(space, pf.relation.pairs)
-    except KeyError as exc:
-        raise ProblemFileError(f"relation endpoint {exc.args[0]} is not a point of the space")
+
+        where = "map value"
+        mapping = {}
+        if pf.map.pieces:
+            for p in space.points:
+                piece = next((pc for pc in pf.map.pieces if pc.contains(p.value)), None)
+                if piece is None:
+                    raise ProblemFileError(f"map not total: no piece covers point {p.value}")
+                mapping[p.id] = space.point_by_value(piece.image).id
+        else:
+            for src, img in pf.map.entries:
+                mapping[space.point_by_value(src).id] = space.point_by_value(img).id
+
+        where = "potential key"
+        if pf.potential.linear_coeff is not None:
+            values = {p.id: pf.potential.linear_coeff * p.value for p in space.points}
+        else:
+            values = {space.point_by_value(v).id: x for v, x in pf.potential.entries}
+    except UnknownPointError as exc:
+        raise ProblemFileError(f"{where} {exc.args[0]} is not a point of the space") from None
     if pf.relation.symmetric_closure:
         relation = symmetric_closure(relation)
     if pf.relation.transitive_closure:
         relation = transitive_closure(relation)
-
-    mapping = {}
-    if pf.map.pieces:
-        for p in space.points:
-            piece = next((pc for pc in pf.map.pieces if pc.contains(p.value)), None)
-            if piece is None:
-                raise ProblemFileError(f"map not total: no piece covers point {p.value}")
-            mapping[p.id] = space.point_by_value(piece.image).id
-    else:
-        for src, img in pf.map.entries:
-            mapping[space.point_by_value(src).id] = space.point_by_value(img).id
     fmap = SelfMap(mapping=mapping, r_continuous=pf.map.r_continuous)
-
-    if pf.potential.linear_coeff is not None:
-        values = {p.id: pf.potential.linear_coeff * p.value for p in space.points}
-    else:
-        values = {space.point_by_value(v).id: x for v, x in pf.potential.entries}
     potential = Potential(values=values)
 
     zb = pf.zeta

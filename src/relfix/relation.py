@@ -37,9 +37,6 @@ class BinaryRelation:
     def sorted_pairs(self) -> list:
         return sorted(self.pairs)
 
-    def value_pairs(self, space: BMetricSpace) -> list:
-        return sorted((space.point(a).value, space.point(b).value) for a, b in self.pairs)
-
     def successors(self, a) -> list:
         return list(self._succ.get(_pid(a), ()))
 
@@ -125,18 +122,6 @@ def is_f_closed(R: BinaryRelation, mapping: dict):
     for a, b in sorted(R.pairs):
         if (mapping[a], mapping[b]) not in R.pairs:
             witnesses.append((a, b))
-    return (not witnesses), witnesses
-
-
-def is_r_directed(D, R: BinaryRelation, space: BMetricSpace):
-    """Every pair in D (equal pairs included) has a common R-successor in the space."""
-    ids = sorted(_pid(p) for p in D)
-    witnesses = []
-    n = len(space)
-    for i, a in enumerate(ids):
-        for b in ids[i:]:
-            if not any((a, e) in R.pairs and (b, e) in R.pairs for e in range(n)):
-                witnesses.append((a, b))
     return (not witnesses), witnesses
 
 

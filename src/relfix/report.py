@@ -7,18 +7,12 @@ import hashlib
 from datetime import datetime, timezone
 
 from . import __version__
-from .bmetric import verify_bmetric_axioms
-from .contraction import linear_lambda_threshold, verify_all_hypotheses
+from .bmetric import UnknownPointError, verify_bmetric_axioms
+from .contraction import ContractionVerdict, compute_mfr, linear_lambda_threshold, verify_all_hypotheses
 from .problemfile import ProblemBundle
 from .relation import build_relation_report
 from .simulation import check_zeta_axioms
-from .solver import (
-    CertificationError,
-    certify,
-    compute_mfr,
-    picard_iterate,
-    ratio_diagnostics,
-)
+from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +51,7 @@ def axioms_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[di
     return {"bmetric_axioms": _plain(axiom_report), "zeta_axioms": _plain(zeta_report)}, ok
 
 
-def verify_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[dict, bool]:
+def verify_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[dict, bool, ContractionVerdict]:
     problem = bundle.problem
     hyp = verify_all_hypotheses(problem, tol)
     rel = build_relation_report(problem.space, problem.relation, problem.map.mapping)
@@ -66,8 +60,8 @@ def verify_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[di
         "hypotheses": _plain(hyp),
     }
     if problem.zeta.family == "linear":
-        frag["linear_lambda_threshold"] = linear_lambda_threshold(problem)
-    return frag, hyp.all_hypotheses_ok
+        frag["linear_lambda_threshold"] = linear_lambda_threshold(hyp.contraction)
+    return frag, hyp.all_hypotheses_ok, hyp.contraction
 
 
 def _default_start(problem):
@@ -81,7 +75,13 @@ def _solve(bundle: ProblemBundle, start=None, tol=None, max_iter=None):
     problem = bundle.problem
     if start is None:
         start = bundle.solver.start
-    point = _default_start(problem) if start is None else problem.space.point_by_value(float(start))
+    if start is None:
+        point = _default_start(problem)
+    else:
+        try:
+            point = problem.space.point_by_value(float(start))
+        except UnknownPointError:
+            raise ValueError(f"start {float(start)!r} is not a point of the space") from None
     trace = picard_iterate(
         problem,
         point,
@@ -99,13 +99,14 @@ def solve_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None) -
     return frag, ok
 
 
-def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None) -> tuple[dict, bool]:
+def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None,
+                     verdict: ContractionVerdict | None = None) -> tuple[dict, bool]:
+    """Solve and certify; ``verdict`` is the ledger the certificate is judged on."""
     frag, solved, trace = _solve(bundle, start=start, tol=tol, max_iter=max_iter)
     if not solved:
         return frag, False
-    problem = bundle.problem
     try:
-        cert = certify(problem, trace)
+        cert = certify(bundle.problem, trace, verdict)
     except CertificationError as exc:
         frag["certificate_error"] = str(exc)
         return frag, False
@@ -124,12 +125,13 @@ def run_command(
     """Dispatch one CLI command; returns (report, pass) with pass driving the exit code."""
     report = {"header": header(input_bytes), "command": command}
     ok = True
+    verdict = None  # report reuses the hypotheses' ledger for its certificate
     if command in ("axioms", "report"):
         frag, frag_ok = axioms_fragment(bundle, tol)
         report.update(frag)
         ok = ok and frag_ok
     if command in ("verify", "report"):
-        frag, frag_ok = verify_fragment(bundle, tol)
+        frag, frag_ok, verdict = verify_fragment(bundle, tol)
         report.update(frag)
         ok = ok and frag_ok
     if command == "solve":
@@ -137,7 +139,8 @@ def run_command(
         report.update(frag)
         ok = ok and frag_ok
     if command in ("certify", "report"):
-        frag, frag_ok = certify_fragment(bundle, start=start, tol=tol, max_iter=max_iter)
+        frag, frag_ok = certify_fragment(bundle, start=start, tol=tol, max_iter=max_iter,
+                                         verdict=verdict)
         report.update(frag)
         ok = ok and frag_ok
     if command not in ("axioms", "verify", "solve", "certify", "report"):

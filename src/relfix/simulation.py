@@ -40,13 +40,6 @@ class SimulationFunction:
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
-    def describe(self) -> str:
-        if self.family == "linear":
-            return f"linear lambda={self.lam:g}"
-        if self.family == "scaled":
-            return f"scaled lambda={self.lam:g} mu={self.mu:g}"
-        return f"custom-table ({len(self.table)} entries)"
-
 
 def evaluate(zeta: SimulationFunction, t: float, s_arg: float) -> float:
     if t < 0 or s_arg < 0:

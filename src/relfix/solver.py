@@ -5,7 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bmetric import BMetricSpace, _pid, distance
-from .contraction import ContractionProblem, SelfMap, compute_mfr, verify_contraction, verify_uniqueness_condition
+from .contraction import (
+    ContractionProblem,
+    ContractionVerdict,
+    SelfMap,
+    verify_contraction,
+    verify_uniqueness_condition,
+)
 
 
 class StartNotAdmissible(ValueError):
@@ -201,20 +207,27 @@ class FixedPointCertificate:
     unconnected_pairs: list = field(default_factory=list)
 
 
-def certify(problem: ContractionProblem, trace: IterationTrace, tol: float | None = None) -> FixedPointCertificate:
+def certify(
+    problem: ContractionProblem,
+    trace: IterationTrace,
+    verdict: ContractionVerdict | None = None,
+) -> FixedPointCertificate:
     """Cross-check a terminated trace against the exhaustive fixed-point oracle.
 
     With several fixed points, a pair joined by a relation path in either
     direction is listed as a contradiction when the contraction verdict holds
     on at least one active pair; a pair with no path either way is listed as
-    unconnected.  No verified hypothesis relates two fixed points: the
-    contraction premise d(sigma, F sigma) > 0 fails at a fixed point, and a
-    transitive R collapses any path between fixed points to a pair starting
-    at one.  So when every ledger row passes without help from the tolerance,
-    a listed pair is a counterexample to the paper's uniqueness clause; only
-    a tolerance that hides a failing row makes it a data inconsistency.  A
-    wholly vacuous verdict (no related pair has d(sigma, F sigma) > 0) claims
-    nothing either way and lists no contradiction.
+    unconnected.  ``verdict`` is the contraction verdict of this problem to
+    judge by, e.g. the one a hypothesis report printed; None builds it at the
+    problem's default tolerance.  No verified hypothesis relates two fixed
+    points: the contraction premise d(sigma, F sigma) > 0 fails at a fixed
+    point, and a transitive R collapses any path between fixed points to a
+    pair starting at one.  So when every ledger row passes without help from
+    the tolerance, a listed pair is a counterexample to the paper's
+    uniqueness clause; only a tolerance that hides a failing row makes it a
+    data inconsistency.  A wholly vacuous verdict (no related pair has
+    d(sigma, F sigma) > 0) claims nothing either way and lists no
+    contradiction.
     """
     if trace.terminated_by == "max-iterations":
         raise ValueError("trace did not terminate; cannot certify")
@@ -237,7 +250,8 @@ def certify(problem: ContractionProblem, trace: IterationTrace, tol: float | Non
         unique=len(fps) == 1,
     )
     if len(fps) >= 2:
-        verdict = verify_contraction(problem, tol)
+        if verdict is None:
+            verdict = verify_contraction(problem)
         contraction_ok = verdict.ok and bool(verdict.active_rows)
         ids = sorted(fp_ids)
         for i, a in enumerate(ids):

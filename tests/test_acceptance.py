@@ -72,7 +72,7 @@ def test_criterion_2_ledger_sharpness():
             if s_arg > 0:
                 bound = max(bound, space.s * distance(space, F(pa), F(pb)) / s_arg)
     assert bound == 2 / 3
-    assert linear_lambda_threshold(problem) == 2 / 3
+    assert linear_lambda_threshold(verify_contraction(problem)) == 2 / 3
     assert time.perf_counter() - started < 1.0
     _stamp(2, started)
 

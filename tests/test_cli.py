@@ -119,3 +119,50 @@ def test_default_start_is_smallest_admissible(capsys):
         assert json.loads(out)["trace"]["orbit"][0] == 1.0
     finally:
         os.unlink(path)
+
+
+def two_point_problem(map_lines, potential_lines):
+    return (
+        "[space]\npoints = 1 2\n[relation]\npairs = (1,1) (2,1)\n"
+        f"[map]\n{map_lines}\n[potential]\n{potential_lines}\n"
+        "[zeta]\nfamily = linear\nlambda = 0.5\n"
+    )
+
+
+@pytest.mark.parametrize("text", [
+    two_point_problem("1 = 1\n2 = 7", "formula = linear 1"),
+    two_point_problem("1 = 1\n7 = 1", "formula = linear 1"),
+    two_point_problem("piece = [1,2] -> 7", "formula = linear 1"),
+    two_point_problem("1 = 1\n2 = 1", "1 = 0\n2 = 1\n7 = 1"),
+], ids=["map-image", "map-source", "piece-image", "potential-key"])
+def test_unknown_point_value_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "unknown.problem"
+    path.write_text(text)
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert "7.0 is not a point of the space" in err
+
+
+def test_unknown_start_is_input_error(capsys):
+    code, _, err = run(capsys, "solve", EX, "--start", "99")
+    assert code == 2
+    assert "99.0 is not a point of the space" in err
+
+
+def test_report_certifies_on_the_printed_verdict(tmp_path, capsys):
+    # two connected fixed points 0 and 1; the row (2,1) has
+    # zeta = 0.5*1 - 1 = -0.5, which --tol 1 lets pass
+    path = tmp_path / "tampered.problem"
+    path.write_text(
+        "[space]\npoints = 0 1 2\nmetric = absolute-difference\ns = 1\n"
+        "[relation]\npairs = (0,0) (0,1) (2,0) (2,1)\n"
+        "[map]\n0 = 0\n1 = 1\n2 = 0\n"
+        "[potential]\n0 = 0\n1 = 0\n2 = 1\n"
+        "[zeta]\nfamily = linear\nlambda = 0.5\n"
+    )
+    code, out, _ = run(capsys, "report", str(path), "--tol", "1", "--json")
+    doc = json.loads(out)
+    assert doc["hypotheses"]["contraction"]["ok"] is True
+    assert doc["hypotheses"]["contraction"]["tol"] == 1.0
+    assert [c["pair"] for c in doc["certificate"]["contradictions"]] == [[0.0, 1.0]]
+    assert code == 1

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from relfix.contraction import (
 from relfix.simulation import SimulationFunction
 
 from conftest import example_map, example_potential, example_problem, example_relation, example_space
+from instance_gen import random_problem
 
 
 def brute_force_ledger(problem):
@@ -101,7 +104,44 @@ def test_lambda_threshold_is_two_thirds(problem):
     # independent reproduction: max over active pairs of t / s_arg
     oracle = max(t / s for t, s in brute_force_ledger(problem).values() if s > 0)
     assert oracle == pytest.approx(2 / 3)
-    assert linear_lambda_threshold(problem) == pytest.approx(2 / 3)
+    assert linear_lambda_threshold(verify_contraction(problem)) == pytest.approx(2 / 3)
+
+
+def threshold_by_pair_walk(problem):
+    """Oracle: the walk over R that computed the threshold before it read the ledger."""
+    space, R, F, phi = problem.space, problem.relation, problem.map, problem.potential
+    lo = 0.0
+    for a, b in R.sorted_pairs():
+        pa, pb = space.point(a), space.point(b)
+        if distance(space, pa, F(pa)) <= 0:
+            continue
+        t = space.s * distance(space, F(pa), F(pb))
+        s_arg = (phi(pa) - phi(F(pa))) * distance(space, pa, pb)
+        if s_arg > 0:
+            lo = max(lo, t / s_arg)
+        elif t > 0:
+            return math.inf
+    return lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_threshold_from_ledger_matches_pair_walk(seed, flat, data):
+    problem = random_problem(random.Random(seed))
+    if flat:
+        # a constant potential zeroes every s_arg: any active row with t > 0 gives inf
+        flat_phi = Potential({i: 1.0 for i in range(len(problem.space))})
+        problem = dataclasses.replace(problem, potential=flat_phi)
+    threshold = linear_lambda_threshold(verify_contraction(problem))
+    assert threshold == threshold_by_pair_walk(problem)
+    if threshold < 1:
+        lam = data.draw(st.floats(threshold, 1, exclude_min=True, exclude_max=True))
+        zeta = SimulationFunction(family="linear", lam=lam)
+        verdict = verify_contraction(dataclasses.replace(problem, zeta=zeta), tol=0.0)
+        # above the threshold only rows with a negative potential drop fail:
+        # their second argument leaves zeta's domain, and the threshold,
+        # which bounds lambda only through s_arg > 0, does not see them
+        assert all(r.s_arg < 0 for r in verdict.failing_rows)
 
 
 @given(st.floats(min_value=2 / 3 + 1e-9, max_value=1 - 1e-9))
@@ -166,7 +206,7 @@ def test_definition_sensitive_flagging():
     assert row33.s_arg == 0 and row33.t > 0
     assert row33.definition_sensitive
     assert not row33.ok
-    assert linear_lambda_threshold(problem) == math.inf
+    assert linear_lambda_threshold(verdict) == math.inf
 
 
 def test_verify_all_hypotheses_example(problem):

@@ -105,3 +105,16 @@ def test_duplicate_points_rejected():
     with pytest.raises(ProblemFileError, match="duplicate point"):
         parse_problem("[space]\npoints = 1 1\n[relation]\n[map]\n1 = 1\n"
                       "[potential]\n1 = 0\n[zeta]\nfamily = linear\nlambda = 0.5\n")
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "2.5", "0"])
+def test_max_iter_must_be_a_positive_integer(value):
+    text = read("example-3-1.problem") + f"max-iter = {value}\n"
+    with pytest.raises(ProblemFileError, match="max-iter must be a positive integer") as exc:
+        parse_problem(text)
+    assert exc.value.line == len(text.splitlines())
+
+
+def test_integral_max_iter_accepted():
+    pf = parse_problem(read("example-3-1.problem") + "max-iter = 3.0\n")
+    assert pf.solver.max_iter == 3 and isinstance(pf.solver.max_iter, int)

@@ -11,7 +11,6 @@ from relfix.relation import (
     find_path,
     is_complete,
     is_f_closed,
-    is_r_directed,
     is_transitive,
     related,
     relation_diagnostics,
@@ -90,15 +89,6 @@ def test_is_f_closed(ex):
     ok, w = is_f_closed(small, fmap)
     assert not ok
     assert w == [(space.point_by_value(3).id, space.point_by_value(4).id)]
-
-
-def test_is_r_directed(ex):
-    space, R = ex
-    D = [space.point_by_value(1), space.point_by_value(2)]
-    assert is_r_directed(D, R, space)[0]  # common successor 3: (1,3),(2,3) in R
-    assert is_r_directed([space.point_by_value(1)], R, space)[0]
-    ok, _ = is_r_directed(D, BinaryRelation(frozenset()), space)
-    assert not ok
 
 
 def test_find_path(ex):

@@ -4,7 +4,7 @@ import pytest
 
 from relfix.bmetric import BMetricSpace
 from relfix.relation import BinaryRelation
-from relfix.contraction import ContractionProblem, Potential, SelfMap
+from relfix.contraction import ContractionProblem, Potential, SelfMap, verify_contraction
 from relfix.simulation import SimulationFunction
 from relfix.solver import (
     CertificationError,
@@ -159,9 +159,9 @@ def test_certify_contradiction_on_tampered_instance():
         potential=Potential({0: 0.0, 1: 0.0, 2: 1.0}),
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
-    assert not certify(problem, picard_iterate(problem, 2), tol=0.0).contradictions
+    assert not certify(problem, picard_iterate(problem, 2), verify_contraction(problem, tol=0.0)).contradictions
     trace = picard_iterate(problem, 2)
-    cert = certify(problem, trace, tol=1.0)
+    cert = certify(problem, trace, verify_contraction(problem, tol=1.0))
     assert cert.contradictions
     assert cert.contradictions[0]["pair"] == (0.0, 1.0)
 
