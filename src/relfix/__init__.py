@@ -38,4 +38,4 @@ from .solver import (
     picard_iterate,
     ratio_diagnostics,
 )
-from .problemfile import build_problem, parse_problem, serialize_problem
+from .problemfile import build_problem, parse_problem

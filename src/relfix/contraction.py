@@ -253,16 +253,9 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None)
 class UniquenessCheck:
     path_exists: bool
     path: Path | None
-    collapsed_pair_in_relation: bool | None  # transitivity collapses the path to a direct pair
 
 
 def verify_uniqueness_condition(problem: ContractionProblem, a, b) -> UniquenessCheck:
     """Path-existence hypothesis of the uniqueness theorem, between a and b."""
-    R = problem.relation
-    path = find_path(R, a, b, max_len=len(problem.space))
-    if path is None:
-        return UniquenessCheck(False, None, None)
-    collapsed = None
-    if is_transitive(R)[0]:
-        collapsed = (path.nodes[0], path.nodes[-1]) in R.pairs
-    return UniquenessCheck(True, path, collapsed)
+    path = find_path(problem.relation, a, b)
+    return UniquenessCheck(path is not None, path)

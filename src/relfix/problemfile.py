@@ -1,4 +1,4 @@
-"""Line-oriented problem files: parsing, validation, serialization, assembly.
+"""Line-oriented problem files: parsing, validation, assembly.
 
 A problem file is a sequence of ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment.  Sections: space, relation, map, potential,
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .bmetric import BMetricSpace, UnknownPointError
 from .relation import BinaryRelation, symmetric_closure, transitive_closure
 from .contraction import ContractionProblem, SelfMap, Potential
-from .simulation import SimulationFunction
+from .simulation import FAMILIES, SimulationFunction
 
 
 class ProblemFileError(ValueError):
@@ -249,6 +249,9 @@ def _parse_zeta(items) -> ZetaBlock:
     family, lam, mu = "linear", None, None
     for key, value, line in items:
         if key == "family":
+            if value not in FAMILIES:
+                expected = " or ".join(FAMILIES)
+                raise ProblemFileError(f"unknown zeta family {value!r}, expected {expected}", line)
             family = value
         elif key == "lambda":
             lam = _num(value, line)
@@ -284,7 +287,6 @@ class ProblemBundle:
 
     problem: ContractionProblem
     solver: SolverBlock
-    file: ProblemFile
 
 
 def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBundle:
@@ -331,70 +333,11 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
     potential = Potential(values=values)
 
     zb = pf.zeta
-    if zb.family == "linear":
-        zeta = SimulationFunction(family="linear", lam=zb.lam)
-    elif zb.family == "scaled":
-        zeta = SimulationFunction(family="scaled", lam=zb.lam, mu=zb.mu)
-    else:
-        raise ProblemFileError(f"zeta family {zb.family!r} not available in problem files")
+    # the linear family has no mu; a stray mu line is ignored
+    mu = zb.mu if zb.family == "scaled" else None
+    zeta = SimulationFunction(family=zb.family, lam=zb.lam, mu=mu)
 
     problem = ContractionProblem(space=space, relation=relation, map=fmap,
                                  potential=potential, zeta=zeta)
-    return ProblemBundle(problem=problem, solver=pf.solver, file=pf)
+    return ProblemBundle(problem=problem, solver=pf.solver)
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def serialize_problem(pf: ProblemFile) -> str:
-    """Canonical text form; parse(serialize(pf)) == pf."""
-    out = ["[space]"]
-    out.append("points = " + " ".join(_fmt(v) for v in pf.space.points))
-    out.append(f"metric = {pf.space.metric}")
-    for row in pf.space.rows:
-        out.append("row = " + " ".join(_fmt(v) for v in row))
-    out.append(f"s = {_fmt(pf.space.s)}")
-    out.append(f"complete = {str(pf.space.complete).lower()}")
-    out.append(f"grid-sample = {str(pf.space.grid_sample).lower()}")
-
-    out.append("")
-    out.append("[relation]")
-    if pf.relation.pairs:
-        out.append("pairs = " + " ".join(f"({_fmt(a)},{_fmt(b)})" for a, b in pf.relation.pairs))
-    out.append(f"transitive-closure = {str(pf.relation.transitive_closure).lower()}")
-    out.append(f"symmetric-closure = {str(pf.relation.symmetric_closure).lower()}")
-
-    out.append("")
-    out.append("[map]")
-    for pc in pf.map.pieces:
-        lo_b = "[" if pc.lo_closed else "("
-        hi_b = "]" if pc.hi_closed else ")"
-        out.append(f"piece = {lo_b}{_fmt(pc.lo)},{_fmt(pc.hi)}{hi_b} -> {_fmt(pc.image)}")
-    for src, img in pf.map.entries:
-        out.append(f"{_fmt(src)} = {_fmt(img)}")
-    out.append(f"r-continuous = {str(pf.map.r_continuous).lower()}")
-
-    out.append("")
-    out.append("[potential]")
-    if pf.potential.linear_coeff is not None:
-        out.append(f"formula = linear {_fmt(pf.potential.linear_coeff)}")
-    for v, x in pf.potential.entries:
-        out.append(f"{_fmt(v)} = {_fmt(x)}")
-
-    out.append("")
-    out.append("[zeta]")
-    out.append(f"family = {pf.zeta.family}")
-    if pf.zeta.lam is not None:
-        out.append(f"lambda = {_fmt(pf.zeta.lam)}")
-    if pf.zeta.mu is not None:
-        out.append(f"mu = {_fmt(pf.zeta.mu)}")
-
-    out.append("")
-    out.append("[solver]")
-    if pf.solver.start is not None:
-        out.append(f"start = {_fmt(pf.solver.start)}")
-    out.append(f"tol = {_fmt(pf.solver.tol)}")
-    if pf.solver.max_iter is not None:
-        out.append(f"max-iter = {pf.solver.max_iter}")
-    return "\n".join(out) + "\n"

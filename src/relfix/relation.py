@@ -137,7 +137,7 @@ class Path:
         return [space.point(i).value for i in self.nodes]
 
 
-def find_path(R: BinaryRelation, source, target, max_len: int | None = None) -> Path | None:
+def find_path(R: BinaryRelation, source, target) -> Path | None:
     """Shortest path from source to target in R viewed as a digraph.
 
     Paths have length >= 1, so source == target needs an actual cycle.
@@ -145,8 +145,6 @@ def find_path(R: BinaryRelation, source, target, max_len: int | None = None) -> 
     the smallest intermediate ids deterministically.
     """
     src, dst = _pid(source), _pid(target)
-    if max_len is not None and max_len < 1:
-        raise ValueError("max_len must be >= 1")
     parent = {}
     queue = deque()
     for b in R.successors(src):
@@ -154,11 +152,9 @@ def find_path(R: BinaryRelation, source, target, max_len: int | None = None) -> 
             return Path((src, dst))
         if b not in parent:
             parent[b] = src
-            queue.append((b, 1))
+            queue.append(b)
     while queue:
-        node, depth = queue.popleft()
-        if max_len is not None and depth >= max_len:
-            continue
+        node = queue.popleft()
         for b in R.successors(node):
             if b == dst:
                 nodes = [node]
@@ -169,7 +165,7 @@ def find_path(R: BinaryRelation, source, target, max_len: int | None = None) -> 
                 return Path(tuple(nodes))
             if b not in parent:
                 parent[b] = node
-                queue.append((b, depth + 1))
+                queue.append(b)
     return None
 
 

@@ -94,11 +94,6 @@ def _solve(bundle: ProblemBundle, start=None, tol=None, max_iter=None):
     return frag, trace.terminated_by != "max-iterations", trace
 
 
-def solve_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None) -> tuple[dict, bool]:
-    frag, ok, _ = _solve(bundle, start=start, tol=tol, max_iter=max_iter)
-    return frag, ok
-
-
 def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None,
                      verdict: ContractionVerdict | None = None) -> tuple[dict, bool]:
     """Solve and certify; ``verdict`` is the ledger the certificate is judged on."""
@@ -135,7 +130,7 @@ def run_command(
         report.update(frag)
         ok = ok and frag_ok
     if command == "solve":
-        frag, frag_ok = solve_fragment(bundle, start=start, tol=tol, max_iter=max_iter)
+        frag, frag_ok, _ = _solve(bundle, start=start, tol=tol, max_iter=max_iter)
         report.update(frag)
         ok = ok and frag_ok
     if command in ("certify", "report"):

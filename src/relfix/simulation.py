@@ -11,21 +11,20 @@ from dataclasses import dataclass, field
 
 DEFAULT_GRID = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
 _SEQ_INDICES = tuple(range(1, 200)) + tuple(range(200, 10001, 200))
+FAMILIES = ("linear", "scaled")
 
 
 @dataclass(frozen=True)
 class SimulationFunction:
-    """A two-argument function zeta(t, s) from one of three families.
+    """A two-argument function zeta(t, s) from one of two families.
 
     linear:       zeta(t, s) = lam*s - t          with 0 < lam < 1
     scaled:       zeta(t, s) = lam*s - mu*t       with 0 < lam < mu
-    custom-table: explicit values on a finite grid of (t, s) pairs
     """
 
     family: str
     lam: float | None = None
     mu: float | None = None
-    table: tuple | None = None  # tuple of ((t, s), value)
 
     def __post_init__(self):
         if self.family == "linear":
@@ -34,9 +33,6 @@ class SimulationFunction:
         elif self.family == "scaled":
             if self.lam is None or self.mu is None or not 0.0 < self.lam < self.mu:
                 raise ValueError("scaled family requires 0 < lambda < mu")
-        elif self.family == "custom-table":
-            if not self.table:
-                raise ValueError("custom-table requires table entries")
         else:
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -46,12 +42,7 @@ def evaluate(zeta: SimulationFunction, t: float, s_arg: float) -> float:
         raise ValueError("arguments must be nonnegative")
     if zeta.family == "linear":
         return zeta.lam * s_arg - t
-    if zeta.family == "scaled":
-        return zeta.lam * s_arg - zeta.mu * t
-    for (tt, ss), v in zeta.table:
-        if tt == t and ss == s_arg:
-            return v
-    raise KeyError(f"custom table has no entry at ({t}, {s_arg})")
+    return zeta.lam * s_arg - zeta.mu * t
 
 
 @dataclass
@@ -90,17 +81,11 @@ def check_zeta_axioms(zeta: SimulationFunction, grid=DEFAULT_GRID) -> ZetaAxiomR
         "sequence_indices": f"n in 1..{_SEQ_INDICES[-1]} (thinned tail)",
     }
 
-    try:
-        report.zeta1_ok = evaluate(zeta, 0.0, 0.0) == 0.0
-    except KeyError:
-        report.zeta1_ok = False
+    report.zeta1_ok = evaluate(zeta, 0.0, 0.0) == 0.0
 
     for t in positive:
         for s_arg in positive:
-            try:
-                v = evaluate(zeta, t, s_arg)
-            except KeyError:
-                continue
+            v = evaluate(zeta, t, s_arg)
             if not v < s_arg - t:
                 report.zeta2_ok = False
                 report.zeta2_witnesses.append((t, s_arg, v))
@@ -111,10 +96,7 @@ def check_zeta_axioms(zeta: SimulationFunction, grid=DEFAULT_GRID) -> ZetaAxiomR
             ("constant", lambda n, c=limit: c, lambda n, c=limit: c),
             ("convergent", lambda n, c=limit: c * (1 + 1 / n), lambda n, c=limit: c * (1 - 1 / (2 * n))),
         ):
-            try:
-                values = [evaluate(zeta, tseq(n), sseq(n)) for n in _SEQ_INDICES]
-            except KeyError:
-                continue
+            values = [evaluate(zeta, tseq(n), sseq(n)) for n in _SEQ_INDICES]
             limsup_est = max(values[tail_from:])
             if not limsup_est < 0:
                 report.zeta3_ok = False
@@ -149,8 +131,5 @@ def check_b_simulation_inequality(
     sign = "zero" if bound == 0 else ("negative" if bound < 0 else "positive")
     zv = None
     if zeta is not None:
-        try:
-            zv = evaluate(zeta, s_coeff * t, s_arg)
-        except KeyError:
-            zv = None
+        zv = evaluate(zeta, s_coeff * t, s_arg)
     return BSimulationCheck(bound=bound, sign=sign, zeta_value=zv)

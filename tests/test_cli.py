@@ -143,6 +143,15 @@ def test_unknown_point_value_is_input_error(tmp_path, capsys, text):
     assert "7.0 is not a point of the space" in err
 
 
+def test_unknown_zeta_family_is_line_anchored_input_error(tmp_path, capsys):
+    path = tmp_path / "table.problem"
+    text = (FIXTURES / "example-3-1.problem").read_text()
+    path.write_text(text.replace("family = linear", "family = table"))
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert "line 23: unknown zeta family 'table', expected linear or scaled" in err
+
+
 def test_unknown_start_is_input_error(capsys):
     code, _, err = run(capsys, "solve", EX, "--start", "99")
     assert code == 2

@@ -253,7 +253,6 @@ def test_uniqueness_condition(problem):
     check = verify_uniqueness_condition(problem, one, four)
     assert check.path_exists
     assert check.path.value_nodes(space) == [1.0, 4.0]
-    assert check.collapsed_pair_in_relation  # transitivity gives the direct pair
     assert not verify_uniqueness_condition(problem, four, one).path_exists
 
 

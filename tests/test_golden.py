@@ -68,7 +68,7 @@ def sweep_7_digest() -> str:
     rng = random.Random(20260823)
     docs = []
     for _ in range(200):
-        bundle = ProblemBundle(problem=random_problem(rng), solver=SolverBlock(), file=None)
+        bundle = ProblemBundle(problem=random_problem(rng), solver=SolverBlock())
         docs.append([_command_doc(c, bundle) for c in ("axioms", "verify", "certify")])
     return hashlib.sha256(_dump(docs).encode()).hexdigest()
 

@@ -4,7 +4,6 @@ from relfix.problemfile import (
     ProblemFileError,
     build_problem,
     parse_problem,
-    serialize_problem,
 )
 
 from conftest import FIXTURES
@@ -26,17 +25,6 @@ def test_example_fixture_parses():
     assert bundle.problem.map.mapping == {0: 0, 1: 0, 2: 1, 3: 2}
     phi = bundle.problem.potential
     assert [phi(i) for i in range(4)] == [3.0, 6.0, 9.0, 12.0]
-
-
-@pytest.mark.parametrize("name", [
-    "example-3-1.problem",
-    "remark-usual-metric.problem",
-    "remark-b-simulation.problem",
-    "synthetic-geometric.problem",
-])
-def test_round_trip(name):
-    pf = parse_problem(read(name))
-    assert parse_problem(serialize_problem(pf)) == pf
 
 
 def test_syntax_error_is_line_anchored():

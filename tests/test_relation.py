@@ -96,7 +96,7 @@ def test_find_path(ex):
     one, four = space.point_by_value(1), space.point_by_value(4)
     path = find_path(R, one, four)
     assert path.nodes == (one.id, four.id) and path.length == 1
-    assert find_path(R, four, one, max_len=len(space)) is None
+    assert find_path(R, four, one) is None
     loop = BinaryRelation({(2, 2)})
     assert find_path(loop, 2, 2).nodes == (2, 2)
 
@@ -105,12 +105,6 @@ def test_find_path_tie_breaking():
     # two shortest 2-step routes 0->x->3; the smaller intermediate wins
     R = BinaryRelation({(0, 2), (0, 1), (1, 3), (2, 3)})
     assert find_path(R, 0, 3).nodes == (0, 1, 3)
-
-
-def test_find_path_respects_max_len():
-    chain = BinaryRelation({(0, 1), (1, 2), (2, 3)})
-    assert find_path(chain, 0, 3, max_len=2) is None
-    assert find_path(chain, 0, 3, max_len=3).nodes == (0, 1, 2, 3)
 
 
 def test_bd_self_closed(ex):
@@ -159,7 +153,7 @@ def test_find_path_matches_reachability(R, src, dst):
     while frontier:
         frontier = {c for b in frontier for c in R.successors(b)} - reachable
         reachable |= frontier
-    path = find_path(R, src, dst, max_len=36)
+    path = find_path(R, src, dst)
     assert (path is not None) == (dst in reachable)
     if path is not None:
         assert path.nodes[0] == src and path.nodes[-1] == dst
@@ -170,7 +164,7 @@ def test_find_path_matches_reachability(R, src, dst):
 @given(relations, st.integers(0, 5), st.integers(0, 5))
 def test_transitivity_collapses_paths(R, src, dst):
     closed = transitive_closure(R)
-    path = find_path(closed, src, dst, max_len=36)
+    path = find_path(closed, src, dst)
     if path is not None:
         assert related(closed, src, dst)
 

@@ -44,20 +44,12 @@ def test_linear_axioms_all_pass():
     assert "not proof" in rep.note
 
 
-def test_custom_table_zeta2_violation():
-    z = SimulationFunction(
-        family="custom-table",
-        table=(((0.0, 0.0), 0.0), ((1.0, 1.0), 0.5)),
-    )
-    rep = check_zeta_axioms(z, grid=(1.0,))
-    assert rep.zeta1_ok
+def test_scaled_mu_below_one_violates_zeta2():
+    # lam*s - mu*t < s - t fails once t >= (1 - lam) / (1 - mu) * s
+    rep = check_zeta_axioms(SimulationFunction(family="scaled", lam=0.1, mu=0.5), grid=(1.0, 2.0))
+    assert rep.zeta1_ok and rep.zeta3_ok
     assert not rep.zeta2_ok
-    assert rep.zeta2_witnesses[0][:2] == (1.0, 1.0)
-
-
-def test_custom_table_missing_origin_fails_zeta1():
-    z = SimulationFunction(family="custom-table", table=(((1.0, 1.0), -0.5),))
-    assert not check_zeta_axioms(z, grid=(1.0,)).zeta1_ok
+    assert [w[:2] for w in rep.zeta2_witnesses] == [(2.0, 1.0)]
 
 
 @given(st.floats(min_value=0.01, max_value=0.99),

@@ -197,9 +197,10 @@ def test_synthetic_chain_exercises_asymptotics():
     assert diag.geometric_decay_ok
 
 
-def test_certify_scans_transitivity_once_per_relation(monkeypatch):
+def test_certify_does_not_scan_transitivity(monkeypatch):
     # fixed-points shape: complete relation, every even point fixed, so all
-    # 15 pairs of the 6 fixed points are connected and checked for uniqueness
+    # 15 pairs of the 6 fixed points are connected and checked for uniqueness;
+    # the uniqueness check needs path existence only
     from relfix import relation
 
     n = 12
@@ -222,7 +223,7 @@ def test_certify_scans_transitivity_once_per_relation(monkeypatch):
     cert = certify(problem, picard_iterate(problem, 0))
     assert len(cert.fixed_points) == 6
     assert len(cert.contradictions) == 15
-    assert scans == {id(problem.relation): 1}
+    assert not scans
 
 
 def test_readme_library_example():
