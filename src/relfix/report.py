@@ -8,7 +8,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .bmetric import UnknownPointError, verify_bmetric_axioms
-from .contraction import ContractionVerdict, compute_mfr, linear_lambda_threshold, verify_all_hypotheses
+from .contraction import (ContractionVerdict, compute_mfr, linear_lambda_threshold,
+                          verify_all_hypotheses, verify_contraction)
 from .problemfile import ProblemBundle
 from .relation import build_relation_report
 from .simulation import check_zeta_axioms
@@ -96,10 +97,12 @@ def _solve(bundle: ProblemBundle, start=None, tol=None, max_iter=None):
 
 def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None,
                      verdict: ContractionVerdict | None = None) -> tuple[dict, bool]:
-    """Solve and certify; ``verdict`` is the ledger the certificate is judged on."""
+    """Solve and certify on ``verdict``, the ledger to judge by; None builds it at ``tol``."""
     frag, solved, trace = _solve(bundle, start=start, tol=tol, max_iter=max_iter)
     if not solved:
         return frag, False
+    if verdict is None:
+        verdict = verify_contraction(bundle.problem, tol)
     try:
         cert = certify(bundle.problem, trace, verdict)
     except CertificationError as exc:

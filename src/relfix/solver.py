@@ -121,12 +121,9 @@ def _estimate_rho(steps):
         return None, None
     tail = ratios[len(ratios) // 2:]
     rho = max(r for _, r in tail)
-    n0 = None
-    for i, (idx, _) in enumerate(ratios):
-        if all(r <= rho for _, r in ratios[i:]):
-            n0 = idx
-            break
-    return rho, n0
+    # no tail ratio exceeds rho, so a ratio follows the last one above it
+    last_above = next((i for i in reversed(range(len(ratios))) if ratios[i][1] > rho), -1)
+    return rho, ratios[last_above + 1][0]
 
 
 @dataclass

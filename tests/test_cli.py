@@ -158,20 +158,31 @@ def test_unknown_start_is_input_error(capsys):
     assert "99.0 is not a point of the space" in err
 
 
+# two connected fixed points 0 and 1; the row (2,1) has
+# zeta = 0.5*1 - 1 = -0.5, which --tol 1 lets pass
+TAMPERED = (
+    "[space]\npoints = 0 1 2\nmetric = absolute-difference\ns = 1\n"
+    "[relation]\npairs = (0,0) (0,1) (2,0) (2,1)\n"
+    "[map]\n0 = 0\n1 = 1\n2 = 0\n"
+    "[potential]\n0 = 0\n1 = 0\n2 = 1\n"
+    "[zeta]\nfamily = linear\nlambda = 0.5\n"
+)
+
+
 def test_report_certifies_on_the_printed_verdict(tmp_path, capsys):
-    # two connected fixed points 0 and 1; the row (2,1) has
-    # zeta = 0.5*1 - 1 = -0.5, which --tol 1 lets pass
     path = tmp_path / "tampered.problem"
-    path.write_text(
-        "[space]\npoints = 0 1 2\nmetric = absolute-difference\ns = 1\n"
-        "[relation]\npairs = (0,0) (0,1) (2,0) (2,1)\n"
-        "[map]\n0 = 0\n1 = 1\n2 = 0\n"
-        "[potential]\n0 = 0\n1 = 0\n2 = 1\n"
-        "[zeta]\nfamily = linear\nlambda = 0.5\n"
-    )
+    path.write_text(TAMPERED)
     code, out, _ = run(capsys, "report", str(path), "--tol", "1", "--json")
     doc = json.loads(out)
     assert doc["hypotheses"]["contraction"]["ok"] is True
     assert doc["hypotheses"]["contraction"]["tol"] == 1.0
     assert [c["pair"] for c in doc["certificate"]["contradictions"]] == [[0.0, 1.0]]
+    assert code == 1
+
+
+def test_certify_judges_at_the_given_tol(tmp_path, capsys):
+    path = tmp_path / "tampered.problem"
+    path.write_text(TAMPERED)
+    code, out, _ = run(capsys, "certify", str(path), "--tol", "1", "--json")
+    assert [c["pair"] for c in json.loads(out)["certificate"]["contradictions"]] == [[0.0, 1.0]]
     assert code == 1

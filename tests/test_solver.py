@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from relfix.bmetric import BMetricSpace
 from relfix.relation import BinaryRelation
@@ -10,6 +11,7 @@ from relfix.solver import (
     CertificationError,
     RelationBroken,
     StartNotAdmissible,
+    _estimate_rho,
     certify,
     enumerate_fixed_points,
     picard_iterate,
@@ -195,6 +197,28 @@ def test_synthetic_chain_exercises_asymptotics():
     assert diag.telescoping_ok
     assert 0 < diag.rho < 1
     assert diag.geometric_decay_ok
+
+
+def estimate_rho_by_rescan(steps):
+    """Oracle: n0 as the first ratio index from which every later ratio is <= rho."""
+    ratios = [(n + 1, steps[n + 1] / steps[n])
+              for n in range(len(steps) - 1) if steps[n] > 0 and steps[n + 1] > 0]
+    if len(ratios) < 3:
+        return None, None
+    rho = max(r for _, r in ratios[len(ratios) // 2:])
+    for i, (idx, _) in enumerate(ratios):
+        if all(r <= rho for _, r in ratios[i:]):
+            return rho, idx
+
+
+# small integers make ratios above rho recur in the first half; floats reach
+# the extremes, where a ratio of tiny and huge steps is 0 or inf
+step = st.one_of(st.integers(0, 8).map(float), st.floats(min_value=0, allow_infinity=False))
+
+
+@given(st.lists(step, max_size=40))
+def test_estimate_rho_matches_rescan(steps):
+    assert _estimate_rho(steps) == estimate_rho_by_rescan(steps)
 
 
 def test_certify_does_not_scan_transitivity(monkeypatch):
