@@ -184,10 +184,10 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
     """Bound on lambda from the linear family's row constraints lambda * s_arg >= t.
 
     The max of t / s_arg over the verdict's active rows with s_arg > 0, or
-    +inf when an active row has s_arg <= 0 < t or s_arg < 0, which no lambda
-    passes: a negative s_arg leaves zeta's domain.  A finite result >= 1
-    means the linear family is infeasible.  The rows' t and s_arg do not
-    depend on zeta or the tolerance, so any verdict of the problem serves.
+    +inf when an active row has s_arg = 0 < t, or s_arg < 0 (outside zeta's
+    domain), which no lambda passes.  A finite result >= 1 means the linear
+    family is infeasible.  The rows' t and s_arg do not depend on zeta or
+    the tolerance, so any verdict of the problem serves.
     """
     lo = 0.0
     for row in verdict.active_rows:

@@ -340,4 +340,3 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
     problem = ContractionProblem(space=space, relation=relation, map=fmap,
                                  potential=potential, zeta=zeta)
     return ProblemBundle(problem=problem, solver=pf.solver)
-
