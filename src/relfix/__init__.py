@@ -18,7 +18,6 @@ from .relation import (
 )
 from .simulation import (
     SimulationFunction,
-    check_b_simulation_inequality,
     check_zeta_axioms,
     evaluate,
 )

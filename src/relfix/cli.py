@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        json.dump(report, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
         print()
     else:
         _human(report, sys.stdout)

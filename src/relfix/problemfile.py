@@ -246,7 +246,7 @@ def _parse_potential(items) -> PotentialBlock:
 
 
 def _parse_zeta(items) -> ZetaBlock:
-    family, lam, mu = "linear", None, None
+    family, lam, mu, mu_line = "linear", None, None, None
     for key, value, line in items:
         if key == "family":
             if value not in FAMILIES:
@@ -256,9 +256,11 @@ def _parse_zeta(items) -> ZetaBlock:
         elif key == "lambda":
             lam = _num(value, line)
         elif key == "mu":
-            mu = _num(value, line)
+            mu, mu_line = _num(value, line), line
         else:
             raise ProblemFileError(f"unknown key {key!r} in [zeta]", line)
+    if family == "linear" and mu is not None:
+        raise ProblemFileError("the linear zeta family takes no mu", mu_line)
     return ZetaBlock(family=family, lam=lam, mu=mu)
 
 
@@ -333,9 +335,7 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
     potential = Potential(values=values)
 
     zb = pf.zeta
-    # the linear family has no mu; a stray mu line is ignored
-    mu = zb.mu if zb.family == "scaled" else None
-    zeta = SimulationFunction(family=zb.family, lam=zb.lam, mu=mu)
+    zeta = SimulationFunction(family=zb.family, lam=zb.lam, mu=zb.mu)
 
     problem = ContractionProblem(space=space, relation=relation, map=fmap,
                                  potential=potential, zeta=zeta)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from datetime import datetime, timezone
 
 from . import __version__
@@ -15,7 +16,7 @@ from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _plain(obj):
@@ -61,7 +62,9 @@ def verify_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[di
         "hypotheses": _plain(hyp),
     }
     if problem.zeta.family == "linear":
-        frag["linear_lambda_threshold"] = linear_lambda_threshold(hyp.contraction)
+        threshold = linear_lambda_threshold(hyp.contraction)
+        # JSON has no infinity; null means no lambda passes
+        frag["linear_lambda_threshold"] = threshold if threshold < math.inf else None
     return frag, hyp.all_hypotheses_ok, hyp.contraction
 
 

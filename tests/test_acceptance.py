@@ -19,7 +19,7 @@ from relfix.contraction import (
     verify_contraction,
 )
 from relfix.relation import BinaryRelation, relation_diagnostics
-from relfix.simulation import SimulationFunction, check_b_simulation_inequality
+from relfix.simulation import SimulationFunction
 from relfix.solver import certify, enumerate_fixed_points, picard_iterate, ratio_diagnostics
 from relfix.problemfile import build_problem, parse_problem
 
@@ -79,9 +79,13 @@ def test_criterion_2_ledger_sharpness():
 
 def test_criterion_3_b_simulation_failure():
     started = time.perf_counter()
-    res = check_b_simulation_inequality(None, t=4.0, s_arg=4.0, s_coeff=2.0)
-    assert res.bound == -4.0
-    assert res.sign == "negative"
+    # at (2,4) with s = 2: d(2,4) - s*d(F2,F4) = 4 - 2*4 = -4 rules out any
+    # b-simulation value >= 0 there
+    remark = load("remark-b-simulation.problem").problem
+    rows = verify_contraction(remark).active_rows
+    assert next(r for r in rows if (r.sigma, r.rho) == (2.0, 4.0)).b_simulation_bound == -4.0
+    for r in rows:
+        assert r.b_simulation_bound == r.d_pair - remark.space.s * r.d_image_pair
 
     bundle = load("remark-usual-metric.problem")
     space, F = bundle.problem.space, bundle.problem.map

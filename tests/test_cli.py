@@ -30,7 +30,7 @@ def test_json_report(capsys):
     assert doc["overall_pass"] is True
     assert doc["certificate"]["unique"] is True
     assert doc["trace"]["orbit"] == [3.0, 2.0, 1.0, 1.0]
-    assert doc["header"]["schema_version"] == 1
+    assert doc["header"]["schema_version"] == 2
     assert len(doc["header"]["input_digest"]) == 64
 
 
@@ -150,6 +150,43 @@ def test_unknown_zeta_family_is_line_anchored_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(path))
     assert code == 2
     assert "line 23: unknown zeta family 'table', expected linear or scaled" in err
+
+
+def with_zeta(tmp_path, zeta_lines):
+    """example-3-1 with its [zeta] body (lines 23 and 24) replaced."""
+    path = tmp_path / "zeta.problem"
+    text = (FIXTURES / "example-3-1.problem").read_text()
+    path.write_text(text.replace("family = linear\nlambda = 0.9\n", zeta_lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("lam, mu", [("0.001", "0.999"), ("1.001", "10")])
+def test_axioms_rejects_scaled_zeta_breaking_zeta2(tmp_path, capsys, lam, mu):
+    path = with_zeta(tmp_path, f"family = scaled\nlambda = {lam}\nmu = {mu}\n")
+    code, out, _ = run(capsys, "axioms", path, "--json")
+    zeta = json.loads(out)["zeta_axioms"]
+    assert code == 1
+    assert zeta["zeta1_ok"] and zeta["zeta3_ok"] and not zeta["zeta2_ok"]
+    [(t, s_arg, value)] = zeta["zeta2_witnesses"]
+    assert value >= s_arg - t
+
+
+def test_infinite_mu_is_input_error(tmp_path, capsys):
+    path = with_zeta(tmp_path, "family = scaled\nlambda = 0.5\nmu = inf\n")
+    code, _, err = run(capsys, "axioms", path)
+    assert code == 2
+    assert "0 < lambda < mu < inf" in err
+
+
+@pytest.mark.parametrize("zeta_lines, line", [
+    ("family = linear\nmu = 3\nlambda = 0.9\n", 24),
+    ("mu = 3\nfamily = linear\nlambda = 0.9\n", 23),
+    ("lambda = 0.9\nmu = 3\n", 24),
+], ids=["after-family", "before-family", "default-family"])
+def test_mu_under_linear_is_line_anchored_input_error(tmp_path, capsys, zeta_lines, line):
+    code, _, err = run(capsys, "verify", with_zeta(tmp_path, zeta_lines))
+    assert code == 2
+    assert f"line {line}: the linear zeta family takes no mu" in err
 
 
 def test_unknown_start_is_input_error(capsys):

@@ -3,7 +3,8 @@
 ``tests/golden/`` holds the ``--json`` report of every fixture under
 ``report``, ``axioms --s 1``, ``verify`` and ``certify`` with the header
 removed, plus one SHA-256 digest per seeded sweep of acceptance criteria 7
-and 8.  A change to how a quantity is computed (distance matrix, relation
+and 8.  The fixture reports and criterion 7's documents must also be strict
+JSON: no ``NaN`` or ``Infinity`` token.  A change to how a quantity is computed (distance matrix, relation
 index, scan order) must leave all of them byte-identical.  Regenerate only
 when a report is meant to change, from the root of a checkout:
 
@@ -43,13 +44,21 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def strict_loads(text: str):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def fixture_report(stem: str, command: str) -> str:
     """The CLI's --json report for one fixture and command, header removed."""
     argv = COMMANDS[command][:1] + [str(FIXTURES / f"{stem}.problem")] + COMMANDS[command][1:]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(argv + ["--json"])
-    doc = json.loads(out.getvalue())
+    doc = strict_loads(out.getvalue())
     del doc["header"]
     return _dump(doc)
 
@@ -70,7 +79,9 @@ def sweep_7_digest() -> str:
     for _ in range(200):
         bundle = ProblemBundle(problem=random_problem(rng), solver=SolverBlock())
         docs.append([_command_doc(c, bundle) for c in ("axioms", "verify", "certify")])
-    return hashlib.sha256(_dump(docs).encode()).hexdigest()
+    text = _dump(docs)
+    strict_loads(text)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def sweep_8_digest() -> str:

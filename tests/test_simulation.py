@@ -1,12 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+import math
+from fractions import Fraction
 
-from relfix.simulation import (
-    SimulationFunction,
-    check_b_simulation_inequality,
-    check_zeta_axioms,
-    evaluate,
-)
+import pytest
+from hypothesis import assume, example, given, strategies as st
+
+from relfix.simulation import SimulationFunction, check_zeta_axioms, evaluate
 
 
 def linear(lam):
@@ -40,16 +38,70 @@ def test_scaled_family():
 def test_linear_axioms_all_pass():
     rep = check_zeta_axioms(linear(0.9))
     assert rep.all_ok
-    assert rep.sample_spec["grid"]
-    assert "not proof" in rep.note
+    assert rep.zeta2_witnesses == []
 
 
 def test_scaled_mu_below_one_violates_zeta2():
-    # lam*s - mu*t < s - t fails once t >= (1 - lam) / (1 - mu) * s
-    rep = check_zeta_axioms(SimulationFunction(family="scaled", lam=0.1, mu=0.5), grid=(1.0, 2.0))
+    # lam*s - mu*t >= s - t once t >= (1 - lam) / (1 - mu) * s = 1.8 s
+    zeta = SimulationFunction(family="scaled", lam=0.1, mu=0.5)
+    rep = check_zeta_axioms(zeta)
     assert rep.zeta1_ok and rep.zeta3_ok
     assert not rep.zeta2_ok
-    assert [w[:2] for w in rep.zeta2_witnesses] == [(2.0, 1.0)]
+    assert rep.zeta2_witnesses == [(2.0, 1.0, evaluate(zeta, 2.0, 1.0))]
+
+
+HUGE = Fraction(2) ** 2200  # beyond the ratio of any two positive floats
+
+
+def zeta2_fails_exactly(lam, mu) -> bool:
+    """Oracle: lam*s - mu*t < s - t breaks for some t, s > 0 iff it breaks at s >> t or t >> s."""
+    lam, mu = Fraction(lam), Fraction(mu)
+    return any(lam * s - mu * t >= s - t for t, s in ((1, HUGE), (HUGE, 1)))
+
+
+def assert_exact_verdict(zeta, mu):
+    rep = check_zeta_axioms(zeta)
+    assert rep.zeta1_ok and rep.zeta3_ok
+    assert rep.zeta2_ok is not zeta2_fails_exactly(zeta.lam, mu)
+    if rep.zeta2_ok:
+        assert rep.zeta2_witnesses == []
+        return
+    [(t, s_arg, value)] = rep.zeta2_witnesses
+    assert 0 < t < math.inf and 0 < s_arg < math.inf
+    assert value == evaluate(zeta, t, s_arg)
+    lam, mu, t, s_arg = map(Fraction, (zeta.lam, mu, t, s_arg))
+    assert lam * s_arg - mu * t >= s_arg - t
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(positive_floats, positive_floats)
+@example(0.001, 0.999)
+@example(1.001, 10.0)
+@example(1 + 2.0 ** -52, 1e308)
+@example(0.5, 0.5 + 2.0 ** -53)
+@example(1.0, 2.0)
+def test_scaled_zeta2_verdict_is_exact(a, b):
+    lam, mu = sorted((a, b))
+    assume(lam < mu)
+    assert_exact_verdict(SimulationFunction(family="scaled", lam=lam, mu=mu), mu)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_linear_zeta_passes_every_axiom(lam):
+    assert_exact_verdict(linear(lam), 1.0)
+
+
+def test_scaled_rejects_infinite_mu():
+    # zeta(0, 0) = 0 - inf*0 would be NaN
+    with pytest.raises(ValueError):
+        SimulationFunction(family="scaled", lam=0.5, mu=math.inf)
+
+
+def test_linear_rejects_mu():
+    with pytest.raises(ValueError, match="no mu"):
+        SimulationFunction(family="linear", lam=0.5, mu=3.0)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99),
@@ -66,23 +118,3 @@ def test_linear_constant_sequence_limsup(lam, c):
     # on t_n = s_n = c the value is constantly (lam - 1) * c < 0
     assert evaluate(linear(lam), c, c) == pytest.approx((lam - 1) * c)
     assert evaluate(linear(lam), c, c) < 0
-
-
-def test_b_simulation_bound_remark_values():
-    # at the pair (2,4): d(F2,F4) = 4, d(2,4) = 4, s = 2 -> 4 - 8 = -4
-    res = check_b_simulation_inequality(linear(0.9), t=4.0, s_arg=4.0, s_coeff=2.0)
-    assert res.bound == -4.0
-    assert res.sign == "negative"
-    res0 = check_b_simulation_inequality(None, t=0.0, s_arg=0.0, s_coeff=2.0)
-    assert res0.bound == 0.0 and res0.sign == "zero"
-    assert check_b_simulation_inequality(None, 1.0, 4.0, 2.0).bound == 2.0
-
-
-@given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=50.0))
-def test_b_simulation_bound_reduces_at_s1(t, s_arg):
-    assert check_b_simulation_inequality(None, t, s_arg, 1.0).bound == s_arg - t
-
-
-def test_empty_grid_rejected():
-    with pytest.raises(ValueError):
-        check_zeta_axioms(linear(0.5), grid=())
