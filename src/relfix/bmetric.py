@@ -8,6 +8,7 @@ from itertools import compress
 from operator import gt, truediv
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
+VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
 
 
 class UnknownPointError(KeyError):
@@ -96,7 +97,7 @@ class BMetricSpace:
             raise UnknownPointError(pid)
         return self.points[pid]
 
-    def point_by_value(self, value: float, atol: float = 1e-12) -> Point:
+    def point_by_value(self, value: float, atol: float = VALUE_ATOL) -> Point:
         for p in self.points:
             if abs(p.value - value) <= atol:
                 return p

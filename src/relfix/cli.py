@@ -7,6 +7,7 @@ Exit statuses: 0 every requested verdict passed, 1 a verdict failed,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -24,7 +25,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("file", help="problem file")
-    p.add_argument("--tol", type=float, default=None, help="verification/solve tolerance override")
+    p.add_argument("--tol", type=float, default=None,
+                   help="verification tolerance override; the Picard iteration does not use it")
     p.add_argument("--start", type=float, default=None, help="starting point value for the iteration")
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap override")
     p.add_argument("--s", type=float, default=None, dest="s_override",
@@ -79,9 +81,16 @@ def main(argv=None) -> int:
         print(f"relfix: {exc}", file=sys.stderr)
         return 2
 
+    # serialise before writing anything, so a quantity that overflowed to
+    # +-inf on finite input is an input error, not a truncated report
+    encoded = io.StringIO()
+    try:
+        json.dump(report, encoded, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        print(f"relfix: {args.file}: a report quantity is not finite: {exc}", file=sys.stderr)
+        return 2
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-        print()
+        print(encoded.getvalue())
     else:
         _human(report, sys.stdout)
     return 0 if ok else 1

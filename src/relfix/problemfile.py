@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bmetric import BMetricSpace, UnknownPointError
+from .bmetric import VALUE_ATOL, BMetricSpace, UnknownPointError
 from .relation import BinaryRelation, symmetric_closure, transitive_closure
 from .contraction import ContractionProblem, SelfMap, Potential
 from .simulation import FAMILIES, SimulationFunction
@@ -81,7 +81,6 @@ class ZetaBlock:
 @dataclass(frozen=True)
 class SolverBlock:
     start: float | None = None
-    tol: float = 0.0
     max_iter: int | None = None
 
 
@@ -165,6 +164,12 @@ def _parse_space(items) -> SpaceBlock:
             points = tuple(_num(v, line) for v in value.split())
             if not points:
                 raise ProblemFileError("points list is empty", line)
+            # every later section finds a point by value within VALUE_ATOL
+            ordered = sorted(points)
+            for lo, hi in zip(ordered, ordered[1:]):
+                if hi - lo <= VALUE_ATOL:
+                    raise ProblemFileError(
+                        f"duplicate point values {lo!r} and {hi!r}: at most {VALUE_ATOL!r} apart", line)
         elif key == "metric":
             metric = value
         elif key == "row":
@@ -181,8 +186,6 @@ def _parse_space(items) -> SpaceBlock:
             raise ProblemFileError(f"unknown key {key!r} in [space]", line)
     if points is None:
         raise ProblemFileError("[space] requires a points line")
-    if len(set(points)) != len(points):
-        raise ProblemFileError("duplicate point values in [space]")
     return SpaceBlock(points=points, metric=metric, rows=tuple(rows), s=s,
                       complete=complete, grid_sample=grid)
 
@@ -265,14 +268,10 @@ def _parse_zeta(items) -> ZetaBlock:
 
 
 def _parse_solver(items) -> SolverBlock:
-    start, tol, max_iter = None, 0.0, None
+    start, max_iter = None, None
     for key, value, line in items:
         if key == "start":
             start = _num(value, line)
-        elif key == "tol":
-            tol = _num(value, line)
-            if tol < 0:
-                raise ProblemFileError("tol must be nonnegative", line)
         elif key == "max-iter":
             count = _num(value, line)
             if not (count.is_integer() and count >= 1):  # False on inf and nan too
@@ -280,7 +279,7 @@ def _parse_solver(items) -> SolverBlock:
             max_iter = int(count)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [solver]", line)
-    return SolverBlock(start=start, tol=tol, max_iter=max_iter)
+    return SolverBlock(start=start, max_iter=max_iter)
 
 
 @dataclass

@@ -75,7 +75,7 @@ def _default_start(problem):
     return min(mfr, key=lambda p: p.id)
 
 
-def _solve(bundle: ProblemBundle, start=None, tol=None, max_iter=None):
+def _solve(bundle: ProblemBundle, start=None, max_iter=None):
     problem = bundle.problem
     if start is None:
         start = bundle.solver.start
@@ -89,19 +89,18 @@ def _solve(bundle: ProblemBundle, start=None, tol=None, max_iter=None):
     trace = picard_iterate(
         problem,
         point,
-        tol=bundle.solver.tol if tol is None else tol,
         max_iter=max_iter if max_iter is not None else bundle.solver.max_iter,
     )
     frag = {"trace": _plain(trace)}
     if trace.steps:
         frag["ratio_diagnostics"] = _plain(ratio_diagnostics(trace, tol=problem.default_tol()))
-    return frag, trace.terminated_by != "max-iterations", trace
+    return frag, trace.terminated_by == "exact-fixed-point", trace
 
 
 def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None,
                      verdict: ContractionVerdict | None = None) -> tuple[dict, bool]:
     """Solve and certify on ``verdict``, the ledger to judge by; None builds it at ``tol``."""
-    frag, solved, trace = _solve(bundle, start=start, tol=tol, max_iter=max_iter)
+    frag, solved, trace = _solve(bundle, start=start, max_iter=max_iter)
     if not solved:
         return frag, False
     if verdict is None:
@@ -136,7 +135,7 @@ def run_command(
         report.update(frag)
         ok = ok and frag_ok
     if command == "solve":
-        frag, frag_ok, _ = _solve(bundle, start=start, tol=tol, max_iter=max_iter)
+        frag, frag_ok, _ = _solve(bundle, start=start, max_iter=max_iter)
         report.update(frag)
         ok = ok and frag_ok
     if command in ("certify", "report"):

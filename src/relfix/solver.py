@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bmetric import BMetricSpace, _pid, distance
+from .bmetric import BMetricSpace, Point, distance
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -35,7 +35,7 @@ class IterationTrace:
     phi_values: list
     phi_limit_estimate: float
     residual: float
-    terminated_by: str          # exact-fixed-point | tolerance | max-iterations
+    terminated_by: str          # exact-fixed-point | cycle | max-iterations
     rho: float | None = None    # max ratio over the tail of positive steps
     n0: int | None = None       # first index past which ratios stay <= rho
     inadmissible_start: bool = False
@@ -51,22 +51,24 @@ class IterationTrace:
 
 def picard_iterate(
     problem: ContractionProblem,
-    start,
-    tol: float = 0.0,
+    start: Point,
     max_iter: int | None = None,
     allow_inadmissible_start: bool = False,
 ) -> IterationTrace:
     """Iterate sigma_{n+1} = F sigma_n from an admissible start, recording the trace.
 
-    Stops on exact repetition (a fixed point), on a step of size <= tol when
-    tol > 0, or at max_iter.  Every recorded consecutive pair is required to
-    lie in the relation; a violation aborts with the witness since it
-    falsifies the closedness premise the proof relies on.
+    On a finite space every orbit repeats a point within len(space) steps.
+    The iteration stops at the first repeated id, which is the last entry of
+    ``orbit_ids``: ``exact-fixed-point`` when it repeats the previous point,
+    ``cycle`` otherwise.  ``max_iter``, when given, caps the number of steps
+    (``max-iterations``).  Every recorded consecutive pair is required to lie
+    in the relation; a violation aborts with the witness since it falsifies
+    the closedness premise the proof relies on.
     """
+    if not isinstance(start, Point):
+        raise TypeError(f"start must be a Point, not {type(start).__name__}")
     space, R, F, phi = problem.space, problem.relation, problem.map, problem.potential
-    if max_iter is None:
-        max_iter = 10 * len(space)
-    sid = _pid(start) if not isinstance(start, float) else space.point_by_value(start).id
+    sid = start.id
     inadmissible = (sid, F(sid)) not in R.pairs
     if inadmissible and not allow_inadmissible_start:
         raise StartNotAdmissible(
@@ -75,22 +77,20 @@ def picard_iterate(
         )
 
     ids = [sid]
+    seen = {sid}
     steps = []
     terminated_by = "max-iterations"
-    for _ in range(max_iter):
+    while max_iter is None or len(steps) < max_iter:
         cur = ids[-1]
         nxt = F(cur)
         if (cur, nxt) not in R.pairs and not inadmissible:
             raise RelationBroken((space.point(cur).value, space.point(nxt).value))
-        c = distance(space, cur, nxt)
         ids.append(nxt)
-        steps.append(c)
-        if nxt == cur:
-            terminated_by = "exact-fixed-point"
+        steps.append(distance(space, cur, nxt))
+        if nxt in seen:
+            terminated_by = "exact-fixed-point" if nxt == cur else "cycle"
             break
-        if tol > 0 and c <= tol:
-            terminated_by = "tolerance"
-            break
+        seen.add(nxt)
 
     ratios = [steps[n + 1] / steps[n] for n in range(len(steps) - 1) if steps[n] > 0]
     rho, n0 = _estimate_rho(steps)
@@ -192,7 +192,7 @@ def enumerate_fixed_points(space: BMetricSpace, fmap: SelfMap) -> list:
 
 
 class CertificationError(RuntimeError):
-    """Solver terminal point is not a fixed point (typically tolerance misuse)."""
+    """The trace's terminal point fails a cross-check against the oracle."""
 
 
 @dataclass
@@ -226,20 +226,16 @@ def certify(
     d(sigma, F sigma) > 0) claims nothing either way and lists no
     contradiction.
     """
-    if trace.terminated_by == "max-iterations":
-        raise ValueError("trace did not terminate; cannot certify")
+    if trace.terminated_by != "exact-fixed-point":
+        raise ValueError("trace did not end at a fixed point; cannot certify")
     space = problem.space
     fps = enumerate_fixed_points(space, problem.map)
     fp_ids = {p.id for p in fps}
     terminal = trace.terminal_id
     if trace.residual == 0 and terminal not in fp_ids:
         raise CertificationError("terminal point has zero residual but is not an oracle fixed point")
-    if trace.residual > 0 and trace.terminated_by == "exact-fixed-point":
+    if trace.residual > 0:
         raise CertificationError("exact termination with positive residual")
-    if terminal not in fp_ids and trace.terminated_by == "tolerance":
-        raise CertificationError(
-            "tolerance-terminated trace did not land on a fixed point; tighten tol"
-        )
 
     cert = FixedPointCertificate(
         fixed_points=sorted(p.value for p in fps),
@@ -250,6 +246,14 @@ def certify(
         if verdict is None:
             verdict = verify_contraction(problem)
         contraction_ok = verdict.ok and bool(verdict.active_rows)
+        # a passing verdict gives every active row a zeta value; one below 0
+        # passes only by the tolerance
+        if contraction_ok and any(r.zeta_value < 0 for r in verdict.active_rows):
+            note = ("connected fixed points under a verdict that passes only by "
+                    "tolerance; data inconsistent")
+        else:
+            note = ("connected fixed points under a passing contraction verdict: "
+                    "a counterexample to the paper's uniqueness clause")
         ids = sorted(fp_ids)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
@@ -261,8 +265,7 @@ def certify(
                         {
                             "pair": (space.point(a).value, space.point(b).value),
                             "path": check.path.value_nodes(space),
-                            "note": "connected fixed points under a passing contraction "
-                            "verdict contradict the uniqueness theorem; data inconsistent",
+                            "note": note,
                         }
                     )
                 elif not check.path_exists:

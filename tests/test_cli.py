@@ -223,3 +223,61 @@ def test_certify_judges_at_the_given_tol(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", str(path), "--tol", "1", "--json")
     assert [c["pair"] for c in json.loads(out)["certificate"]["contradictions"]] == [[0.0, 1.0]]
     assert code == 1
+
+
+def write(tmp_path, text):
+    path = tmp_path / "case.problem"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cycle_report_prints_no_certificate(tmp_path, capsys):
+    # 0 -> 1 -> 2 -> 1: the orbit stops at the first repeated point
+    path = write(tmp_path, (
+        "[space]\npoints = 0 1 2\nmetric = absolute-difference\n"
+        "[relation]\npairs = (0,1) (1,2) (2,1) (1,1) (2,2)\n"
+        "[map]\n0 = 1\n1 = 2\n2 = 1\n"
+        "[potential]\nformula = linear 1\n[zeta]\nlambda = 0.5\n[solver]\nstart = 0\n"
+    ))
+    code, out, _ = run(capsys, "report", path, "--json")
+    doc = json.loads(out)
+    assert doc["trace"]["orbit"] == [0.0, 1.0, 2.0, 1.0]
+    assert doc["trace"]["terminated_by"] == "cycle"
+    assert "certificate" not in doc and doc["overall_pass"] is False
+    assert code == 1
+
+
+def test_tol_does_not_stop_the_iteration(capsys):
+    code, out, _ = run(capsys, "certify", EX, "--tol", "1", "--json")
+    doc = json.loads(out)
+    assert doc["trace"]["orbit"] == [3.0, 2.0, 1.0, 1.0]
+    assert doc["certificate"]["solver_result"] == 1.0
+    assert code == 0
+
+
+def test_solver_tol_key_is_input_error(tmp_path, capsys):
+    text = (FIXTURES / "example-3-1.problem").read_text() + "tol = 0\n"
+    code, out, err = run(capsys, "solve", write(tmp_path, text))
+    assert code == 2 and not out
+    assert f"line {len(text.splitlines())}: unknown key 'tol' in [solver]" in err
+
+
+# a chain 2e-12 -> 0 -> 1e150 whose step ratio overflows to inf
+OVERFLOWING_RATIO = (
+    "[space]\npoints = 0 2e-12 1e150\n"
+    "[relation]\npairs = (2e-12,0) (0,1e150) (1e150,1e150)\n"
+    "[map]\n0 = 1e150\n2e-12 = 0\n1e150 = 1e150\n"
+    "[potential]\nformula = linear 0\n[zeta]\nlambda = 0.5\n[solver]\nstart = 2e-12\n"
+)
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("case", ["b-simulation-s", "ratio"])
+def test_overflow_is_input_error(tmp_path, capsys, case, output):
+    if case == "ratio":
+        argv = ["solve", write(tmp_path, OVERFLOWING_RATIO)]
+    else:
+        argv = ["verify", str(FIXTURES / "remark-b-simulation.problem"), "--s", "1e308"]
+    code, out, err = run(capsys, *argv, *output)
+    assert code == 2 and not out
+    assert len(err.splitlines()) == 1 and "a report quantity is not finite" in err

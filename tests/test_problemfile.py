@@ -90,9 +90,10 @@ def test_s_override():
 
 
 def test_duplicate_points_rejected():
-    with pytest.raises(ProblemFileError, match="duplicate point"):
+    with pytest.raises(ProblemFileError, match="duplicate point") as exc:
         parse_problem("[space]\npoints = 1 1\n[relation]\n[map]\n1 = 1\n"
                       "[potential]\n1 = 0\n[zeta]\nfamily = linear\nlambda = 0.5\n")
+    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "2.5", "0"])
@@ -106,3 +107,13 @@ def test_max_iter_must_be_a_positive_integer(value):
 def test_integral_max_iter_accepted():
     pf = parse_problem(read("example-3-1.problem") + "max-iter = 3.0\n")
     assert pf.solver.max_iter == 3 and isinstance(pf.solver.max_iter, int)
+
+
+def test_point_values_within_lookup_tolerance_rejected():
+    # 1e-13 would resolve to the point 0, so (1e-13,5) would be stored as (0,5)
+    text = ("[space]\npoints = 0 1e-13 5\n[relation]\npairs = (1e-13,5)\n"
+            "[map]\npiece = [0,5] -> 0\n[potential]\nformula = linear 1\n"
+            "[zeta]\nfamily = linear\nlambda = 0.5\n")
+    with pytest.raises(ProblemFileError, match="duplicate point values 0.0 and 1e-13") as exc:
+        parse_problem(text)
+    assert exc.value.line == 2

@@ -72,6 +72,62 @@ def test_orbit_leaving_relation_aborts():
     assert exc.value.pair == (2.0, 1.0)
 
 
+def cycle_problem(mapping, relation):
+    space = BMetricSpace.from_values(range(len(mapping)), metric="absolute-difference", s=1.0)
+    return ContractionProblem(
+        space=space,
+        relation=BinaryRelation(relation),
+        map=SelfMap(mapping),
+        potential=Potential({i: 0.0 for i in mapping}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+
+
+def test_orbit_stops_at_the_first_repeat_of_a_cycle():
+    problem = cycle_problem({0: 1, 1: 2, 2: 1}, {(0, 1), (1, 2), (2, 1)})
+    trace = picard_iterate(problem, problem.space.points[0])
+    assert trace.orbit_ids == [0, 1, 2, 1]
+    assert trace.terminated_by == "cycle"
+    assert trace.steps == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="did not end at a fixed point"):
+        certify(problem, trace)
+
+
+def brute_force_orbit(mapping, start):
+    """The orbit from start up to and including its first repeated id."""
+    ids = [start]
+    while mapping[ids[-1]] not in ids:
+        ids.append(mapping[ids[-1]])
+    return ids + [mapping[ids[-1]]]
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), st.integers(0, n - 1))))
+def test_orbit_is_the_prefix_up_to_the_first_repeat(case):
+    images, start = case
+    n = len(images)
+    mapping = dict(enumerate(images))
+    problem = cycle_problem(mapping, {(a, b) for a in range(n) for b in range(n)})
+    trace = picard_iterate(problem, problem.space.points[start])
+    expected = brute_force_orbit(mapping, start)
+    assert trace.orbit_ids == expected
+    assert len(trace.steps) == len(expected) - 1 <= n
+    assert trace.terminated_by == ("exact-fixed-point" if expected[-2] == expected[-1] else "cycle")
+
+
+def test_max_iter_caps_the_steps():
+    problem = cycle_problem({0: 1, 1: 2, 2: 1}, {(0, 1), (1, 2), (2, 1)})
+    trace = picard_iterate(problem, problem.space.points[0], max_iter=2)
+    assert trace.orbit_ids == [0, 1, 2]
+    assert trace.terminated_by == "max-iterations"
+
+
+@pytest.mark.parametrize("start", [3, 3.0, "3"], ids=["int", "float", "str"])
+def test_start_must_be_a_point(problem, start):
+    with pytest.raises(TypeError, match="start must be a Point"):
+        picard_iterate(problem, start)
+
+
 def test_r_preservation_along_trace(problem):
     trace = picard_iterate(problem, problem.space.point_by_value(3))
     for a, b in zip(trace.orbit_ids, trace.orbit_ids[1:]):
@@ -161,11 +217,13 @@ def test_certify_contradiction_on_tampered_instance():
         potential=Potential({0: 0.0, 1: 0.0, 2: 1.0}),
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
-    assert not certify(problem, picard_iterate(problem, 2), verify_contraction(problem, tol=0.0)).contradictions
-    trace = picard_iterate(problem, 2)
+    two = space.point_by_value(2)
+    assert not certify(problem, picard_iterate(problem, two), verify_contraction(problem, tol=0.0)).contradictions
+    trace = picard_iterate(problem, two)
     cert = certify(problem, trace, verify_contraction(problem, tol=1.0))
     assert cert.contradictions
     assert cert.contradictions[0]["pair"] == (0.0, 1.0)
+    assert cert.contradictions[0]["note"].endswith("passes only by tolerance; data inconsistent")
 
 
 def test_certify_rejects_unterminated(problem):
@@ -175,13 +233,20 @@ def test_certify_rejects_unterminated(problem):
         certify(problem, trace)
 
 
-def test_certify_flags_tolerance_misuse():
-    bundle = load_fixture("synthetic-geometric.problem")
-    problem = bundle.problem
-    # generous tolerance stops the orbit short of the fixed point
-    trace = picard_iterate(problem, problem.space.points[0], tol=0.3)
-    assert trace.terminated_by == "tolerance"
-    with pytest.raises(CertificationError):
+def test_certify_rejects_a_positive_residual():
+    # a table metric with d(x, x) > 0: the orbit stops exactly at a fixed
+    # point whose residual is still positive
+    space = BMetricSpace.from_values([0, 1], metric="table", table=((1.0, 1.0), (1.0, 0.0)), s=1.0)
+    problem = ContractionProblem(
+        space=space,
+        relation=BinaryRelation({(0, 0)}),
+        map=SelfMap({0: 0, 1: 1}),
+        potential=Potential({0: 0.0, 1: 0.0}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+    trace = picard_iterate(problem, space.points[0])
+    assert trace.terminated_by == "exact-fixed-point" and trace.residual == 1.0
+    with pytest.raises(CertificationError, match="positive residual"):
         certify(problem, trace)
 
 
@@ -244,14 +309,16 @@ def test_certify_does_not_scan_transitivity(monkeypatch):
         return scan(R)
 
     monkeypatch.setattr(relation, "_transitivity_witnesses", counting_scan)
-    cert = certify(problem, picard_iterate(problem, 0))
+    cert = certify(problem, picard_iterate(problem, space.points[0]))
     assert len(cert.fixed_points) == 6
     assert len(cert.contradictions) == 15
+    assert all(c["note"].endswith("a counterexample to the paper's uniqueness clause")
+               for c in cert.contradictions)
     assert not scans
 
 
 def test_readme_library_example():
     problem = load_fixture("example-3-1.problem").problem
-    trace = picard_iterate(problem, start=3.0)
+    trace = picard_iterate(problem, problem.space.point_by_value(3.0))
     assert trace.orbit == [3.0, 2.0, 1.0, 1.0]
     assert certify(problem, trace).unique
