@@ -7,12 +7,11 @@ Exit statuses: 0 every requested verdict passed, 1 a verdict failed,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
 from .problemfile import ProblemFileError, build_problem, parse_problem
-from .report import run_command
+from .report import _plain, run_command
 from .solver import RelationBroken, StartNotAdmissible
 
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
@@ -54,6 +53,9 @@ def _human(report: dict, out):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.max_iter is not None and args.max_iter < 1:
+        print("relfix: --max-iter: max-iter must be a positive integer", file=sys.stderr)
+        return 2
     try:
         with open(args.file, "rb") as fh:
             raw = fh.read()
@@ -83,16 +85,16 @@ def main(argv=None) -> int:
 
     # serialise before writing anything, so a quantity that overflowed to
     # +-inf on finite input is an input error, not a truncated report
-    encoded = io.StringIO()
     try:
-        json.dump(report, encoded, indent=2, sort_keys=True, allow_nan=False)
+        encoded = json.dumps(report, default=_plain, sort_keys=args.json, allow_nan=False)
     except ValueError as exc:
         print(f"relfix: {args.file}: a report quantity is not finite: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(encoded.getvalue())
+        print(encoded)
     else:
-        _human(report, sys.stdout)
+        # parsed back unsorted: fields keep their order and tuples print as lists
+        _human(json.loads(encoded), sys.stdout)
     return 0 if ok else 1
 
 

@@ -1,8 +1,10 @@
-"""Structured report assembly: plain dicts with stable ordering, JSON-ready."""
+"""Structured report assembly: a dict of the result dataclasses in a stable
+order, encoded once with ``json.dumps(report, default=_plain)``."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from datetime import datetime, timezone
@@ -19,19 +21,14 @@ from .solver import CertificationError, certify, picard_iterate, ratio_diagnosti
 SCHEMA_VERSION = 2
 
 
-def _plain(obj):
-    """Recursively convert dataclasses/sets/tuples into JSON-serializable values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_plain(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON
-        return None
-    return obj
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))  # TypeError unless a dataclass
+
+
+def _plain(obj) -> dict:
+    """``json.dumps(default=)`` hook: one report dataclass as a dict of its fields."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def header(input_bytes: bytes) -> dict:
@@ -50,17 +47,14 @@ def axioms_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[di
     axiom_report = verify_bmetric_axioms(problem.space, tol)
     zeta_report = check_zeta_axioms(problem.zeta)
     ok = axiom_report.all_ok and zeta_report.all_ok
-    return {"bmetric_axioms": _plain(axiom_report), "zeta_axioms": _plain(zeta_report)}, ok
+    return {"bmetric_axioms": axiom_report, "zeta_axioms": zeta_report}, ok
 
 
 def verify_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[dict, bool, ContractionVerdict]:
     problem = bundle.problem
     hyp = verify_all_hypotheses(problem, tol)
     rel = build_relation_report(problem.space, problem.relation, problem.map.mapping)
-    frag = {
-        "relation": _plain(rel),
-        "hypotheses": _plain(hyp),
-    }
+    frag = {"relation": rel, "hypotheses": hyp}
     if problem.zeta.family == "linear":
         threshold = linear_lambda_threshold(hyp.contraction)
         # JSON has no infinity; null means no lambda passes
@@ -91,9 +85,9 @@ def _solve(bundle: ProblemBundle, start=None, max_iter=None):
         point,
         max_iter=max_iter if max_iter is not None else bundle.solver.max_iter,
     )
-    frag = {"trace": _plain(trace)}
+    frag = {"trace": trace}
     if trace.steps:
-        frag["ratio_diagnostics"] = _plain(ratio_diagnostics(trace, tol=problem.default_tol()))
+        frag["ratio_diagnostics"] = ratio_diagnostics(trace, tol=problem.default_tol())
     return frag, trace.terminated_by == "exact-fixed-point", trace
 
 
@@ -110,7 +104,7 @@ def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None,
     except CertificationError as exc:
         frag["certificate_error"] = str(exc)
         return frag, False
-    frag["certificate"] = _plain(cert)
+    frag["certificate"] = cert
     return frag, not cert.contradictions
 
 
@@ -122,7 +116,9 @@ def run_command(
     tol=None,
     max_iter=None,
 ) -> tuple[dict, bool]:
-    """Dispatch one CLI command; returns (report, pass) with pass driving the exit code."""
+    """Dispatch one CLI command; returns (report, pass) with pass driving the exit code.
+
+    The report holds dataclasses; encode it with ``json.dumps(report, default=_plain)``."""
     report = {"header": header(input_bytes), "command": command}
     ok = True
     verdict = None  # report reuses the hypotheses' ledger for its certificate

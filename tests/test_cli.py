@@ -3,6 +3,7 @@ import json
 import pytest
 
 from relfix.cli import main
+from relfix.report import _plain
 
 from conftest import FIXTURES
 
@@ -67,6 +68,35 @@ def test_b_simulation_bound_in_ledger(capsys):
     rows = json.loads(out)["hypotheses"]["contraction"]["rows"]
     row24 = next(r for r in rows if r["sigma"] == 2.0 and r["rho"] == 4.0)
     assert row24["b_simulation_bound"] == -4.0
+
+
+JSON_COMMANDS = [["report"], ["axioms", "--s", "1"], ["verify"], ["solve"], ["certify"]]
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.problem")))
+def test_json_is_one_line_with_sorted_keys(capsys, fixture, command):
+    _, out, _ = run(capsys, command[0], str(FIXTURES / fixture), *command[1:], "--json")
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+def test_human_verify_prints_lists_and_entry_counts(capsys):
+    code, out, _ = run(capsys, "verify", EX)
+    assert code == 0
+    assert "  symmetric: [[0, 3], [1, 3], [2, 3]]\n" in out
+    assert "  rows: [12 entries]\n" in out
+
+
+def test_plain_converts_only_dataclasses():
+    with pytest.raises(TypeError):
+        json.dumps({1, 2}, default=_plain)
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_nonpositive_max_iter_is_input_error(capsys, value):
+    code, out, err = run(capsys, "solve", EX, "--max-iter", value, "--json")
+    assert code == 2 and not out
+    assert "max-iter must be a positive integer" in err
 
 
 def test_solve_with_start_override(capsys):

@@ -41,7 +41,7 @@ FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.problem"))
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def _reject_constant(token):
