@@ -150,14 +150,97 @@ class AxiomReport:
         return self.identity_ok and self.symmetry_ok and self.triangle_ok
 
 
+def _squared_sup(values) -> tuple[int, int]:
+    """Exact sup of (a - w)**2 / ((a - b)**2 + (b - w)**2) over value triples, as (num, den).
+
+    For a < w, with L = w - a and e = |2b - a - w|, the ratio is
+    2 L**2 / (L**2 + e**2), so the best b is the value nearest the midpoint
+    and the sup is 2 when e = 0.  The values are scaled to one integer grid;
+    for each a one pointer follows the midpoint as w grows, and ratios are
+    compared by cross-multiplying.  The result is at least 1 (b = a).
+    """
+    fracs = [v.as_integer_ratio() for v in set(values)]
+    q = max(den for _, den in fracs)
+    xs = sorted(p * (q // den) for p, den in fracs)
+    best_e, best_len = 1, 1
+    for i, a in enumerate(xs):
+        k = i
+        for w in xs[i + 1:]:
+            mid2 = a + w
+            # 2 * w > mid2, so xs[k + 1] never passes w
+            while 2 * xs[k + 1] <= mid2:
+                k += 1
+            e = min(mid2 - 2 * xs[k], 2 * xs[k + 1] - mid2)
+            if e == 0:
+                return 2, 1
+            if e * best_len < best_e * (w - a):
+                best_e, best_len = e, w - a
+    return 2 * best_len ** 2, best_len ** 2 + best_e ** 2
+
+
+def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> float:
+    """Append every triangle witness; for a table, return the float max ratio.
+
+    Row-wise over w for each (a, b): lhs = d[a][w], rhs = d[a][b] + d[b][w].
+    """
+    pts, d, s = space.points, space._d, space.s
+    n = len(d)
+    ratios = space.metric == "table"
+    worst = 0.0
+    for a in range(n):
+        row_a = d[a]
+        for b in range(n):
+            dab = row_a[b]
+            rhs = [dab + x for x in d[b]]
+            if ratios and dab > 0:
+                # every rhs is positive and every lhs finite, so no ratio is NaN
+                # and float max does not depend on order
+                worst = max(worst, max(map(truediv, row_a, rhs)))
+            elif ratios:
+                for lhs, r in zip(row_a, rhs):
+                    if r > 0:
+                        worst = max(worst, lhs / r)
+            for w in compress(range(n), map(gt, row_a, [s * r + tol for r in rhs])):
+                witnesses.append((pts[a].value, pts[w].value, pts[b].value))
+    return worst
+
+
 def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> AxiomReport:
     """Exhaustively check the three b-metric axioms at the space's coefficient s.
 
     A triangle violation for the ordered triple (a, w, b) means
-    d(a, w) > s * (d(a, b) + d(b, w)) + tol; witnesses are recorded as value
-    triples (a, w, via=b).  min_feasible_s is the max of d(a, w) / (d(a, b)
-    + d(b, w)) over triples with positive denominator, reported even when
-    the declared s already suffices.
+    d(a, w) > s * (d(a, b) + d(b, w)) + tol, evaluated in floats on the
+    distance matrix; witnesses are recorded as value triples (a, w, via=b).
+
+    min_feasible_s is reported even when the declared s already suffices.
+    For a formula metric it is S*, the exact supremum of D(a, w) / (D(a, b)
+    + D(b, w)) over triples of point values with a positive denominator, D
+    the metric over the reals, rounded once to a float and at least 1.  It
+    is 1 for absolute-difference (the triangle inequality, attained at
+    b = a) and comes from _squared_sup for squared-difference.  For a table
+    it is the float max of the same ratio over the matrix, and at least 1.
+
+    The formula-metric triangle scan is skipped when s >= S* (compared
+    exactly) and
+
+        tol > 2**-49 * M + (s + 1) * 2**-1072,    M the largest matrix entry,
+
+    because then the float test finds no witness.  With u = 2**-53, every
+    entry is d = D (1 + t) + h with |t| <= E and |h| <= H: E = u, H = 0 for
+    abs(a - b), one rounded subtraction; E < 4.01 u, H = 2**-1074 for
+    (a - b)**2, a subtraction and a pow within one ulp, where h covers a
+    square that falls below 2**-1022.  Let Sigma = D(a, b) + D(b, w).  The
+    sum, the product by s and the addition of tol each round by a factor
+    (1 + t), |t| <= u, and the product may underflow by 2**-1075, so the
+    right side is at least (1 - u) ((1 - G) s Sigma - 2 s H - 2**-1075 + tol)
+    with G = 1 - (1 - u)**2 (1 - E) <= E + 2u, and an overflow to inf only
+    raises it.  That bound grows with s Sigma >= S* Sigma >= D(a, w), and
+    the left side is at most (1 + E) D(a, w) + H with D(a, w) <= (M + H) /
+    (1 - E).  So a witness needs (1 - u) tol < (2E + 3u) D(a, w) + (2s + 1) H
+    + 2**-1075, hence tol < 11.1 u M + (s + 0.8) 2**-1073.  The bound above,
+    evaluated in floats, is at least (1 - u)**2 (16 u M + (s + 1) 2**-1072)
+    - 2**-1074, which exceeds that.  A NaN tol fails the test and gets the
+    scan.  Tables always get the scan.
     """
     if tol is None:
         tol = default_axiom_tol(space)
@@ -179,24 +262,18 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
                 rep.symmetry_ok = False
                 rep.symmetry_witnesses.append((pts[a].value, pts[b].value))
 
-    # row-wise over w for each (a, b): lhs = d[a][w], rhs = d[a][b] + d[b][w]
-    worst = 0.0
     witnesses = rep.triangle_witnesses
-    for a in range(n):
-        row_a = d[a]
-        for b in range(n):
-            dab = row_a[b]
-            rhs = [dab + x for x in d[b]]
-            if dab > 0:
-                # every rhs is positive and every lhs finite, so no ratio is NaN
-                # and float max does not depend on order
-                worst = max(worst, max(map(truediv, row_a, rhs)))
-            else:
-                for lhs, r in zip(row_a, rhs):
-                    if r > 0:
-                        worst = max(worst, lhs / r)
-            for w in compress(range(n), map(gt, row_a, [s * r + tol for r in rhs])):
-                witnesses.append((pts[a].value, pts[w].value, pts[b].value))
+    if space.metric == "table":
+        rep.min_feasible_s = max(_triangle_scan(space, tol, witnesses), 1.0)
+    else:
+        if space.metric == "squared-difference":
+            num, den = _squared_sup(p.value for p in pts)
+        else:
+            num, den = 1, 1
+        rep.min_feasible_s = num / den
+        s_num, s_den = s.as_integer_ratio()
+        bound = math.ldexp(max(map(max, d)), -49) + math.ldexp(s + 1, -1072)
+        if s_num * den < num * s_den or not tol > bound:
+            _triangle_scan(space, tol, witnesses)
     rep.triangle_ok = not witnesses
-    rep.min_feasible_s = max(worst, 1.0) if n > 1 else 1.0
     return rep

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .problemfile import ProblemFileError, build_problem, parse_problem
@@ -55,6 +56,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.max_iter is not None and args.max_iter < 1:
         print("relfix: --max-iter: max-iter must be a positive integer", file=sys.stderr)
+        return 2
+    if args.tol is not None and not math.isfinite(args.tol):
+        print("relfix: --tol: tol must be finite", file=sys.stderr)
         return 2
     try:
         with open(args.file, "rb") as fh:

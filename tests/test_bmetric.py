@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from relfix import bmetric
 from relfix.bmetric import (
     AxiomReport,
     BMetricSpace,
@@ -68,6 +70,29 @@ def test_triangle_fails_at_s1_with_witness():
 def test_min_feasible_s_matches_brute_force():
     space = example_space()
     assert verify_bmetric_axioms(space).min_feasible_s == brute_min_feasible_s(space) == 2.0
+
+
+def forbid_triangle_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the triangle scan ran")
+    monkeypatch.setattr(bmetric, "_triangle_scan", scan)
+
+
+def test_absolute_difference_chain_skips_the_triangle_scan(monkeypatch):
+    # a 40-point descending chain with steps 0.5 * 0.9**k, as in the benchmark
+    values = [1.25]
+    for k in range(39):
+        values.append(values[-1] + 0.5 * 0.9 ** k)
+    space = BMetricSpace.from_values(values, metric="absolute-difference", s=1.0)
+    forbid_triangle_scan(monkeypatch)
+    rep = verify_bmetric_axioms(space)
+    assert rep.all_ok and rep.min_feasible_s == 1.0
+
+
+def test_squared_difference_at_its_sup_skips_the_triangle_scan(monkeypatch):
+    forbid_triangle_scan(monkeypatch)
+    rep = verify_bmetric_axioms(example_space(s=2.0))
+    assert rep.all_ok and rep.min_feasible_s == 2.0
 
 
 def test_table_metric_report_carries_failures():
@@ -202,17 +227,59 @@ def table_spaces(draw):
     return BMetricSpace.from_values(range(n), metric="table", table=table, s=draw(s_coeffs))
 
 
-@settings(max_examples=200)
-@given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces()),
-       st.sampled_from([None, 0.0, 0.5, -0.5]))
+def exact_min_feasible_s(space):
+    """Exact sup of D(a, w) / (D(a, b) + D(b, w)) over value triples, rounded once, at least 1."""
+    vals = [Fraction(p.value) for p in space.points]
+    if space.metric == "squared-difference":
+        def dist(x, y):
+            return (x - y) ** 2
+    else:
+        def dist(x, y):
+            return abs(x - y)
+    worst = Fraction(1)
+    for a, b, w in itertools.product(vals, repeat=3):
+        den = dist(a, b) + dist(b, w)
+        if den:
+            worst = max(worst, dist(a, w) / den)
+    return float(worst)
+
+
+@st.composite
+def tie_heavy_spaces(draw):
+    # near-ties: integers nudged by 1e-9 or 2**-40, and subnormal gaps, with s
+    # at the exact sup, one ulp above it, or a fixed coefficient
+    offset = st.sampled_from([0.0, 1e-9, -1e-9, 2.0 ** -40, -(2.0 ** -40)])
+    near_int = st.builds(lambda k, o: k + o, st.integers(-40, 40), offset)
+    subnormal = st.integers(-6, 6).map(lambda k: k * 2.0 ** -1074)
+    values = draw(st.one_of(st.lists(near_int, min_size=2, max_size=7),
+                            st.lists(st.one_of(near_int, subnormal), min_size=1, max_size=7)))
+    metric = draw(st.sampled_from(["squared-difference", "absolute-difference"]))
+    s_star = exact_min_feasible_s(BMetricSpace.from_values(values, metric=metric))
+    s = draw(st.sampled_from([s_star, s_star * (1 + 2.0 ** -52), 1.0, 2.0, 4.0]))
+    return BMetricSpace.from_values(values, metric=metric, s=s)
+
+
+@settings(max_examples=300)
+# s < S*, where a large tol alone does not rule out a witness
+@example(BMetricSpace.from_values([1, 2, 3, 4], s=1.0), 0.5)
+# s = S* and tol above 2**-53 * M: float rounding still yields a witness, so the
+# skip bound must stay near its derived 2**-49 * M
+@example(BMetricSpace.from_values([-39.0, -18.000000001, 32.999999999],
+                                  s=1.7041420118105108), 1e-12)
+@given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces(),
+                 tie_heavy_spaces()),
+       st.sampled_from([None, 0.0, 1e-15, 1e-12, 1e-9, 0.5, -0.5]))
 def test_axiom_scan_matches_per_triple_reference(space, tol):
     n = len(space)
     for a in range(n):
         for b in range(n):
             assert distance(space, a, b) == formula_distance(space, a, b)
     got, want = verify_bmetric_axioms(space, tol), reference_axioms(space, tol)
+    if space.metric != "table":
+        # the reference's float max of ratios is off by rounding; the sup is exact
+        assert got.min_feasible_s == exact_min_feasible_s(space)
+        want.min_feasible_s = got.min_feasible_s
     assert got == want
-    assert got.min_feasible_s == want.min_feasible_s
     assert got.triangle_witnesses == want.triangle_witnesses
 
 

@@ -99,6 +99,28 @@ def test_nonpositive_max_iter_is_input_error(capsys, value):
     assert "max-iter must be a positive integer" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tol_is_input_error(capsys, value):
+    # "--tol -inf" would read as an option; "=" passes the value itself
+    code, out, err = run(capsys, "axioms", "no-such-file", f"--tol={value}", "--json")
+    assert code == 2 and not out
+    # rejected before the file is read
+    assert err == "relfix: --tol: tol must be finite\n"
+
+
+def test_absolute_difference_min_feasible_s_is_exactly_one(tmp_path, capsys):
+    # a float max of distance ratios read 1.0000000000000002 here
+    path = tmp_path / "abs.problem"
+    path.write_text(
+        "[space]\npoints = 0.2 0.3 1.1\nmetric = absolute-difference\ns = 1\n"
+        "[relation]\npairs = (0.2,0.2)\n[map]\n0.2 = 0.2\n0.3 = 0.2\n1.1 = 0.2\n"
+        "[potential]\nformula = linear 1\n[zeta]\nfamily = linear\nlambda = 0.5\n"
+    )
+    code, out, _ = run(capsys, "axioms", str(path))
+    assert code == 0
+    assert "  triangle_ok: True\n  min_feasible_s: 1.0\n" in out
+
+
 def test_solve_with_start_override(capsys):
     code, out, _ = run(capsys, "solve", EX, "--start", "2", "--json")
     assert code == 0
