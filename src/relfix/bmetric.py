@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import gt, truediv
+from operator import attrgetter, gt, truediv
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
@@ -78,6 +79,8 @@ class BMetricSpace:
         if d is None or not math.isfinite(max(map(max, d))):
             raise ValueError("point values too far apart: a distance is not a finite float")
         object.__setattr__(self, "_d", d)
+        by_value = sorted(self.points, key=attrgetter("value"))
+        object.__setattr__(self, "_by_value", ([p.value for p in by_value], by_value))
 
     def _distance_matrix(self) -> tuple:
         vals = [p.value for p in self.points]
@@ -98,10 +101,20 @@ class BMetricSpace:
         return self.points[pid]
 
     def point_by_value(self, value: float, atol: float = VALUE_ATOL) -> Point:
-        for p in self.points:
-            if abs(p.value - value) <= atol:
-                return p
-        raise UnknownPointError(value)
+        """The lowest-id point with abs(point value - value) <= atol.
+
+        Sorted values before ``value``'s insertion point differ from it by <= 0,
+        the rest by >= 0, and rounding is monotone: the matches are one run there.
+        """
+        keys, pts = self._by_value
+        lo = hi = bisect_left(keys, value)
+        while lo > 0 and abs(keys[lo - 1] - value) <= atol:
+            lo -= 1
+        while hi < len(keys) and abs(keys[hi] - value) <= atol:
+            hi += 1
+        if lo == hi:
+            raise UnknownPointError(value)
+        return pts[lo] if hi - lo == 1 else min(pts[lo:hi], key=attrgetter("id"))
 
     def min_nonzero_distance(self) -> float:
         """Smallest positive pairwise distance; +inf on a single-point space."""

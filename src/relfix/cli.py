@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .problemfile import ProblemFileError, build_problem, parse_problem
@@ -32,12 +33,26 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, default=None, dest="s_override",
                    help="override the space's relaxation coefficient")
     p.add_argument("--json", action="store_true", help="emit the structured JSON report")
+    # argparse reads a value like "-1e-3" or "-inf" as an option unless this matches it
+    p._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
     return p
 
 
-def _human(report: dict, out):
+def _human(report: dict, out, lam: float):
     def emit(prefix, value):
-        if isinstance(value, dict):
+        if isinstance(value, dict) and "zeta_value" in value:
+            # the contraction ledger: its scalars and first 10 failing rows, not its columns
+            print(f"{prefix}:", file=out)
+            for k, v in value.items():
+                if not isinstance(v, list):
+                    emit("  " + k, v)
+            for i in value["failing"][:10]:
+                print(f"  failing row {i}: sigma {value['sigma'][i]}, rho {value['rho'][i]}, "
+                      f"t {value['s'] * value['d_image_pair'][i]}, s_arg {value['s_arg'][i]}, "
+                      f"zeta_value {value['zeta_value'][i]}", file=out)
+        elif prefix == "linear_lambda_threshold":
+            print(f"{prefix}: {value} (given lambda: {lam})", file=out)
+        elif isinstance(value, dict):
             print(f"{prefix}:", file=out)
             for k, v in value.items():
                 emit("  " + k, v)
@@ -98,7 +113,7 @@ def main(argv=None) -> int:
         print(encoded)
     else:
         # parsed back unsorted: fields keep their order and tuples print as lists
-        _human(json.loads(encoded), sys.stdout)
+        _human(json.loads(encoded), sys.stdout, bundle.problem.zeta.lam)
     return 0 if ok else 1
 
 

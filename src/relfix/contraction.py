@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bmetric import BMetricSpace, FORMULA_METRICS, _pid, distance
+from .bmetric import BMetricSpace, FORMULA_METRICS, _pid
 from .relation import (
     BinaryRelation,
     check_bd_self_closed,
@@ -98,86 +98,69 @@ def compute_mfr(space: BMetricSpace, relation: BinaryRelation, fmap: SelfMap) ->
 
 
 @dataclass
-class LedgerRow:
-    sigma: float
-    rho: float
-    sigma_id: int
-    rho_id: int
-    d_sigma_fsigma: float
-    active: bool
-    d_pair: float | None = None          # d(sigma, rho)
-    d_image_pair: float | None = None    # d(F sigma, F rho)
-    t: float | None = None               # s * d(F sigma, F rho)
-    s_arg: float | None = None           # (phi(sigma) - phi(F sigma)) * d(sigma, rho)
-    zeta_value: float | None = None
-    ok: bool = True
-    definition_sensitive: bool = False
-    bcp_ratio: float | None = None       # d(F sigma, F rho) / d(sigma, rho)
-    b_simulation_bound: float | None = None  # d(sigma, rho) - s * d(F sigma, F rho)
-
-
-@dataclass
 class ContractionVerdict:
+    """The ledger as one list per quantity, indexed by row: the related pairs in
+    sorted_pairs() order.  Row i has t = s * d_image_pair[i]; it is active when
+    d_sigma_fsigma[i] > 0.  zeta_value is None on vacuous rows and where
+    s_arg < 0 leaves zeta's domain; ``failing`` holds the failing row indices.
+    """
+
     ok: bool
-    rows: list
+    s: float
     tol: float
+    active_count: int
+    failing_count: int
+    failing: list
+    sigma: list
+    rho: list
+    d_sigma_fsigma: list
+    d_pair: list
+    d_image_pair: list
+    s_arg: list
+    zeta_value: list
 
     @property
-    def active_rows(self):
-        return [r for r in self.rows if r.active]
-
-    @property
-    def failing_rows(self):
-        return [r for r in self.rows if not r.ok]
+    def active_rows(self) -> list:
+        return [i for i, d in enumerate(self.d_sigma_fsigma) if d > 0]
 
 
 def verify_contraction(problem: ContractionProblem, tol: float | None = None) -> ContractionVerdict:
     """Evaluate the contraction inequality on every related pair.
 
-    Pairs with d(sigma, F sigma) = 0 are vacuous (the premise fails) and
-    recorded as such.  Active pairs need zeta value >= -tol.  A pair with a
-    zero second argument but positive first argument is flagged
-    definition-sensitive: the printed condition makes it fail for any
-    simulation function, so the flag distinguishes that from a substantive
-    violation.
+    Pairs with d(sigma, F sigma) = 0 are vacuous (the premise fails) and pass.
+    An active pair passes when t, s_arg >= 0 and its zeta value is >= -tol, so
+    a zero s_arg with a positive t fails, as zeta2 requires (zeta(t, 0) < -t).
     """
     if tol is None:
         tol = problem.default_tol()
-    space, R, F, phi, zeta = (
-        problem.space,
-        problem.relation,
-        problem.map,
-        problem.potential,
-        problem.zeta,
+    d, s, zeta = problem.space._d, problem.space.s, problem.zeta
+    values = [p.value for p in problem.space.points]
+    fmap, phi = problem.map.mapping, problem.potential.values
+    sigma, rho, d_self, d_pair, d_image, s_arg = [], [], [], [], [], []
+    # the successor index, keys sorted, walks the pairs in sorted_pairs() order
+    for a, bs in sorted(problem.relation._succ.items()):
+        fa, row, k = fmap[a], d[a], len(bs)
+        pair, drop = [row[b] for b in bs], phi[a] - phi[fa]
+        sigma += [values[a]] * k
+        rho += [values[b] for b in bs]
+        d_self += [row[fa]] * k
+        d_pair += pair
+        d_image += [d[fa][fmap[b]] for b in bs]
+        s_arg += [drop * x for x in pair]
+    active = [i for i, x in enumerate(d_self) if x > 0]
+    zeta_value, failing = [None] * len(sigma), []
+    for i in active:
+        t, sa = s * d_image[i], s_arg[i]
+        if t >= 0 and sa >= 0:
+            zeta_value[i] = evaluate(zeta, t, sa)
+            if zeta_value[i] >= -tol:
+                continue
+        failing.append(i)
+    return ContractionVerdict(
+        ok=not failing, s=s, tol=tol, active_count=len(active), failing_count=len(failing),
+        failing=failing, sigma=sigma, rho=rho, d_sigma_fsigma=d_self, d_pair=d_pair,
+        d_image_pair=d_image, s_arg=s_arg, zeta_value=zeta_value,
     )
-    rows = []
-    ok = True
-    for a, b in R.sorted_pairs():
-        pa, pb = space.point(a), space.point(b)
-        d_self = distance(space, pa, F(pa))
-        row = LedgerRow(
-            sigma=pa.value, rho=pb.value, sigma_id=a, rho_id=b,
-            d_sigma_fsigma=d_self, active=d_self > 0,
-        )
-        if row.active:
-            row.d_pair = distance(space, pa, pb)
-            row.d_image_pair = distance(space, F(pa), F(pb))
-            row.t = space.s * row.d_image_pair
-            row.s_arg = (phi(pa) - phi(F(pa))) * row.d_pair
-            row.b_simulation_bound = row.d_pair - space.s * row.d_image_pair
-            if row.d_pair > 0:
-                row.bcp_ratio = row.d_image_pair / row.d_pair
-            row.definition_sensitive = row.s_arg == 0 and row.t > 0
-            if row.t >= 0 and row.s_arg >= 0:
-                row.zeta_value = evaluate(zeta, row.t, row.s_arg)
-                row.ok = row.zeta_value >= -tol
-            else:
-                # negative potential drop: second argument leaves zeta's domain
-                row.zeta_value = None
-                row.ok = False
-            ok = ok and row.ok
-        rows.append(row)
-    return ContractionVerdict(ok=ok, rows=rows, tol=tol)
 
 
 def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
@@ -190,15 +173,13 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
     the tolerance, so any verdict of the problem serves.
     """
     lo = 0.0
-    for row in verdict.active_rows:
-        if row.s_arg > 0:
-            lo = max(lo, row.t / row.s_arg)
-        elif row.t > 0 or row.s_arg < 0:
+    for i in verdict.active_rows:
+        t, s_arg = verdict.s * verdict.d_image_pair[i], verdict.s_arg[i]
+        if s_arg > 0:
+            lo = max(lo, t / s_arg)
+        elif t > 0 or s_arg < 0:
             return math.inf
     return lo
-
-
-CONDITION_III = ("bd-self-closed-verified", "r-continuous-declared", "neither")
 
 
 @dataclass

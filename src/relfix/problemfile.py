@@ -100,7 +100,6 @@ _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 _PIECE_RE = re.compile(
     r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])\s*->\s*(\S+)$"
 )
-_ARROW_RE = re.compile(r"^(\S+)\s*->\s*(\S+)$")
 
 _KNOWN_SECTIONS = ("space", "relation", "map", "potential", "zeta", "solver")
 

@@ -8,7 +8,6 @@ is the same whichever caller computes it, so concurrent use is safe.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,10 +28,8 @@ class BinaryRelation:
 
     @classmethod
     def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
-        ids = set()
-        for a, b in value_pairs:
-            ids.add((space.point_by_value(a).id, space.point_by_value(b).id))
-        return cls(frozenset(ids))
+        return cls(frozenset((space.point_by_value(a).id, space.point_by_value(b).id)
+                             for a, b in value_pairs))
 
     def sorted_pairs(self) -> list:
         return sorted(self.pairs)
@@ -42,9 +39,6 @@ class BinaryRelation:
 
     def __len__(self):
         return len(self.pairs)
-
-    def __contains__(self, pair):
-        return (_pid(pair[0]), _pid(pair[1])) in self.pairs
 
 
 def related(R: BinaryRelation, a, b) -> bool:
@@ -189,8 +183,6 @@ def check_bd_self_closed(space: BMetricSpace, R: BinaryRelation) -> BdSelfClosed
     if space.grid_sample:
         return BdSelfClosedResult(False, None, "grid sample of a continuum: eventually-constant argument unavailable")
     gap = space.min_nonzero_distance()
-    if gap <= 0 or not math.isfinite(space.s):
-        return BdSelfClosedResult(False, None, "no positive minimal nonzero distance")
     return BdSelfClosedResult(
         True,
         True,

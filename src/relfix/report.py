@@ -18,7 +18,7 @@ from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @functools.cache

@@ -245,10 +245,10 @@ def certify(
     if len(fps) >= 2:
         if verdict is None:
             verdict = verify_contraction(problem)
-        contraction_ok = verdict.ok and bool(verdict.active_rows)
+        contraction_ok = verdict.ok and verdict.active_count > 0
         # a passing verdict gives every active row a zeta value; one below 0
         # passes only by the tolerance
-        if contraction_ok and any(r.zeta_value < 0 for r in verdict.active_rows):
+        if contraction_ok and any(verdict.zeta_value[i] < 0 for i in verdict.active_rows):
             note = ("connected fixed points under a verdict that passes only by "
                     "tolerance; data inconsistent")
         else:

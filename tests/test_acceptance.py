@@ -57,7 +57,7 @@ def test_criterion_2_ledger_sharpness():
     assert verify_contraction(example_problem(lam=0.9)).ok
     failing = verify_contraction(example_problem(lam=0.5), tol=0.0)
     assert not failing.ok
-    witnesses = {(r.sigma, r.rho) for r in failing.failing_rows}
+    witnesses = {(failing.sigma[i], failing.rho[i]) for i in failing.failing}
     assert {(2.0, 3.0), (2.0, 4.0)} <= witnesses
 
     # independent reproduction of the threshold from raw distances:
@@ -82,21 +82,25 @@ def test_criterion_3_b_simulation_failure():
     # at (2,4) with s = 2: d(2,4) - s*d(F2,F4) = 4 - 2*4 = -4 rules out any
     # b-simulation value >= 0 there
     remark = load("remark-b-simulation.problem").problem
-    rows = verify_contraction(remark).active_rows
-    assert next(r for r in rows if (r.sigma, r.rho) == (2.0, 4.0)).b_simulation_bound == -4.0
-    for r in rows:
-        assert r.b_simulation_bound == r.d_pair - remark.space.s * r.d_image_pair
+    space, F = remark.space, remark.map
+    ledger = verify_contraction(remark)
+    bounds = {
+        (ledger.sigma[i], ledger.rho[i]): ledger.d_pair[i] - ledger.s * ledger.d_image_pair[i]
+        for i in ledger.active_rows
+    }
+    assert bounds[(2.0, 4.0)] == -4.0
+    for (a, b), bound in bounds.items():
+        pa, pb = space.point_by_value(a), space.point_by_value(b)
+        assert bound == distance(space, pa, pb) - space.s * distance(space, F(pa), F(pb))
 
     bundle = load("remark-usual-metric.problem")
     space, F = bundle.problem.space, bundle.problem.map
     two, four = space.point_by_value(2), space.point_by_value(4)
     assert distance(space, F(two), F(four)) == 2.0
     assert distance(space, two, four) == 2.0
-    row = next(
-        r for r in verify_contraction(bundle.problem).rows
-        if (r.sigma, r.rho) == (2.0, 4.0)
-    )
-    assert row.d_image_pair == row.d_pair == 2.0
+    ledger = verify_contraction(bundle.problem)
+    i = list(zip(ledger.sigma, ledger.rho)).index((2.0, 4.0))
+    assert ledger.d_image_pair[i] == ledger.d_pair[i] == 2.0
     assert time.perf_counter() - started < 1.0
     _stamp(3, started)
 

@@ -330,6 +330,35 @@ def test_point_by_value_near_duplicates_resolve_to_first_id():
     assert space.point_by_value(1.0 + 5e-13, atol=0.0).id == 2
 
 
+def point_by_value_scan(space, value, atol):
+    """Reference: the linear scan over ids that the sorted index replaced."""
+    return next((p for p in space.points if abs(p.value - value) <= atol), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+    st.sampled_from([0.0, 1.0, -7.5, 1e3]),
+    st.sampled_from([5e-13, 1e-12, 1e-12 * (1 + 2**-40), 1e-12 * (1 - 2**-40), 2e-12]),
+)
+def test_point_by_value_matches_the_linear_scan(steps, base, spacing):
+    # repeated steps are ties, and neighbours sit about 1e-12 apart
+    space = BMetricSpace.from_values([base + k * spacing for k in steps])
+    queries = [math.nan, math.inf]
+    for p in space.points:
+        for offset in (0.0, 1e-12, -1e-12, spacing / 2, -spacing / 2):
+            v = p.value + offset
+            queries += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    for value in queries:
+        for atol in (bmetric.VALUE_ATOL, 0.0, 2e-12, -1.0, math.nan):
+            expected = point_by_value_scan(space, value, atol)
+            if expected is None:
+                with pytest.raises(UnknownPointError):
+                    space.point_by_value(value, atol)
+            else:
+                assert space.point_by_value(value, atol) == expected
+
+
 def test_caches_are_not_fields():
     a = BMetricSpace.from_values([1, 2, 3], s=2.0)
     b = BMetricSpace.from_values([1, 2, 3], s=2.0)

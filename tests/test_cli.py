@@ -31,7 +31,7 @@ def test_json_report(capsys):
     assert doc["overall_pass"] is True
     assert doc["certificate"]["unique"] is True
     assert doc["trace"]["orbit"] == [3.0, 2.0, 1.0, 1.0]
-    assert doc["header"]["schema_version"] == 2
+    assert doc["header"]["schema_version"] == 3
     assert len(doc["header"]["input_digest"]) == 64
 
 
@@ -55,19 +55,19 @@ def test_verify_usual_metric_shows_ratio_one(capsys):
     code, out, _ = run(capsys, "verify", str(FIXTURES / "remark-usual-metric.problem"), "--json")
     assert code == 0
     doc = json.loads(out)
-    rows = doc["hypotheses"]["contraction"]["rows"]
-    row24 = next(r for r in rows if r["sigma"] == 2.0 and r["rho"] == 4.0)
-    assert row24["d_image_pair"] == 2.0
-    assert row24["d_pair"] == 2.0
-    assert row24["bcp_ratio"] == 1.0
+    ledger = doc["hypotheses"]["contraction"]
+    i = list(zip(ledger["sigma"], ledger["rho"])).index((2.0, 4.0))
+    assert ledger["d_image_pair"][i] == 2.0
+    assert ledger["d_pair"][i] == 2.0
+    assert ledger["d_image_pair"][i] / ledger["d_pair"][i] == 1.0
 
 
 def test_b_simulation_bound_in_ledger(capsys):
     code, out, _ = run(capsys, "verify", str(FIXTURES / "remark-b-simulation.problem"), "--json")
     assert code == 0
-    rows = json.loads(out)["hypotheses"]["contraction"]["rows"]
-    row24 = next(r for r in rows if r["sigma"] == 2.0 and r["rho"] == 4.0)
-    assert row24["b_simulation_bound"] == -4.0
+    ledger = json.loads(out)["hypotheses"]["contraction"]
+    i = list(zip(ledger["sigma"], ledger["rho"])).index((2.0, 4.0))
+    assert ledger["d_pair"][i] - ledger["s"] * ledger["d_image_pair"][i] == -4.0
 
 
 JSON_COMMANDS = [["report"], ["axioms", "--s", "1"], ["verify"], ["solve"], ["certify"]]
@@ -80,11 +80,33 @@ def test_json_is_one_line_with_sorted_keys(capsys, fixture, command):
     assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
-def test_human_verify_prints_lists_and_entry_counts(capsys):
+def test_human_verify_prints_lists_and_entry_counts(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", EX)
     assert code == 0
     assert "  symmetric: [[0, 3], [1, 3], [2, 3]]\n" in out
-    assert "  rows: [12 entries]\n" in out
+    assert "  active_count: 8\n  failing_count: 0\n  all_hypotheses_ok: True\n" in out
+    assert "linear_lambda_threshold: 0.6666666666666666 (given lambda: 0.9)\n" in out
+    code, out, _ = run(capsys, "certify", write(tmp_path, TAMPERED), "--tol", "1")
+    assert "  contradictions: [1 entries]\n" in out
+
+
+def test_human_ledger_prints_the_first_failing_rows(tmp_path, capsys):
+    # F steps down by one and phi is flat: every active row with rho != sigma
+    # has s_arg = 0 < t = |sigma - rho|, so 20 of the 25 active rows fail
+    points = " ".join(map(str, range(6)))
+    path = write(tmp_path, (
+        f"[space]\npoints = {points}\nmetric = absolute-difference\n[relation]\n"
+        + "".join(f"pair = ({a},{b})\n" for a in range(6) for b in range(1, 6))
+        + "[map]\n0 = 0\n" + "".join(f"{a} = {a - 1}\n" for a in range(1, 6))
+        + "[potential]\nformula = linear 0\n[zeta]\nlambda = 0.5\n"
+    ))
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 1
+    assert "  active_count: 25\n  failing_count: 20\n  failing row 6: " in out
+    rows = [line for line in out.splitlines() if line.startswith("  failing row ")]
+    assert len(rows) == 10
+    assert rows[0] == "  failing row 6: sigma 1.0, rho 2.0, t 1.0, s_arg 0.0, zeta_value -1.0"
+    assert "linear_lambda_threshold: None (given lambda: 0.5)\n" in out
 
 
 def test_plain_converts_only_dataclasses():
@@ -101,11 +123,29 @@ def test_nonpositive_max_iter_is_input_error(capsys, value):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_tol_is_input_error(capsys, value):
-    # "--tol -inf" would read as an option; "=" passes the value itself
     code, out, err = run(capsys, "axioms", "no-such-file", f"--tol={value}", "--json")
     assert code == 2 and not out
     # rejected before the file is read
     assert err == "relfix: --tol: tol must be finite\n"
+
+
+@pytest.mark.parametrize("command, option, value, code, message", [
+    ("axioms", "--tol", "-1e-3", 1, ""),
+    ("axioms", "--tol", "-inf", 2, "relfix: --tol: tol must be finite\n"),
+    ("axioms", "--s", "-1e0", 2, f"relfix: {EX}: s >= 1 required\n"),
+    ("solve", "--start", "-1e-3", 2, "relfix: start -0.001 is not a point of the space\n"),
+], ids=["tol-exponent", "tol-inf", "s-exponent", "start-exponent"])
+def test_negative_option_value_parses_as_after_equals(capsys, command, option, value, code, message):
+    # argparse reads "-1e-3" or "-inf" after an option as an option of its own
+    def without_header(code, out, err):
+        doc = json.loads(out) if out else None
+        if doc:
+            del doc["header"]
+        return code, doc, err
+
+    joined = without_header(*run(capsys, command, EX, f"{option}={value}", "--json"))
+    assert without_header(*run(capsys, command, EX, option, value, "--json")) == joined
+    assert joined[0] == code and joined[2] == message
 
 
 def test_absolute_difference_min_feasible_s_is_exactly_one(tmp_path, capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relfix.bmetric import distance
+from relfix.bmetric import BMetricSpace, distance
 from relfix.relation import BinaryRelation
 from relfix.contraction import (
     ContractionProblem,
@@ -17,7 +17,7 @@ from relfix.contraction import (
     verify_contraction,
     verify_uniqueness_condition,
 )
-from relfix.simulation import SimulationFunction
+from relfix.simulation import SimulationFunction, evaluate
 
 from conftest import example_map, example_potential, example_problem, example_relation, example_space
 from instance_gen import random_problem
@@ -34,6 +34,78 @@ def brute_force_ledger(problem):
             s_arg = (phi(pa) - phi(F(pa))) * (pa.value - pb.value) ** 2
             out[(pa.value, pb.value)] = (t, s_arg)
     return out
+
+
+def reference_ledger(problem, tol):
+    """Per-pair reference: one tuple of every ledger quantity, and the row's verdict.
+
+    Reads each pair through distance(), the map, the potential and evaluate().
+    """
+    space, F, phi, zeta = problem.space, problem.map, problem.potential, problem.zeta
+    rows, ok = [], []
+    for a, b in problem.relation.sorted_pairs():
+        pa, pb = space.point(a), space.point(b)
+        d_self = distance(space, pa, F(pa))
+        d_pair = distance(space, pa, pb)
+        d_image = distance(space, F(pa), F(pb))
+        t = space.s * d_image
+        s_arg = (phi(pa) - phi(F(pa))) * d_pair
+        value = evaluate(zeta, t, s_arg) if d_self > 0 and t >= 0 and s_arg >= 0 else None
+        rows.append((pa.value, pb.value, d_self, d_pair, d_image, s_arg, value))
+        ok.append(not d_self > 0 or (value is not None and value >= -tol))
+    return rows, ok
+
+
+def assert_columns_match_reference(problem, tol):
+    verdict = verify_contraction(problem, tol)
+    rows, ok = reference_ledger(problem, tol)
+    columns = list(zip(verdict.sigma, verdict.rho, verdict.d_sigma_fsigma, verdict.d_pair,
+                       verdict.d_image_pair, verdict.s_arg, verdict.zeta_value))
+    # repr tells -0.0 from 0.0: the columns must be bit-identical to the reference
+    assert repr(columns) == repr(rows)
+    assert verdict.failing == [i for i, passed in enumerate(ok) if not passed]
+    assert verdict.failing_count == len(verdict.failing)
+    assert verdict.ok is all(ok)
+    assert len(verdict.active_rows) == verdict.active_count == sum(r[2] > 0 for r in rows)
+    assert (verdict.s, verdict.tol) == (problem.space.s, tol)
+
+
+@st.composite
+def ledger_problems(draw):
+    """Any relation, map and potential on a small space of any metric, so rows are
+    vacuous, active with s_arg < 0, = 0 or > 0, and failing or passing."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    metric = draw(st.sampled_from(["squared-difference", "absolute-difference", "table"]))
+    table = None
+    if metric == "table":
+        # zeros off the diagonal give vacuous rows whose sigma is not fixed
+        cells = st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-300])
+        table = tuple(tuple(draw(st.lists(cells, min_size=n, max_size=n))) for _ in range(n))
+    space = BMetricSpace.from_values(values, metric=metric, table=table,
+                                     s=draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])))
+    ids = st.integers(0, n - 1)
+    return ContractionProblem(
+        space=space,
+        relation=BinaryRelation(frozenset(draw(st.sets(st.tuples(ids, ids), max_size=20)))),
+        map=SelfMap({i: draw(ids) for i in range(n)}),
+        potential=Potential({i: draw(st.sampled_from([0.0, 1.0, 2.5, 10.0])) for i in range(n)}),
+        zeta=draw(st.sampled_from([SimulationFunction(family="linear", lam=0.5),
+                                   SimulationFunction(family="scaled", lam=0.5, mu=2.0)])),
+    )
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5])
+def test_ledger_columns_match_per_pair_reference_on_random_problems(tol):
+    rng = random.Random(20261018)
+    for _ in range(100):
+        assert_columns_match_reference(random_problem(rng), tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledger_problems(), st.sampled_from([0.0, 1e-9, 0.5]))
+def test_ledger_columns_match_per_pair_reference(problem, tol):
+    assert_columns_match_reference(problem, tol)
 
 
 def test_compute_mfr():
@@ -62,24 +134,25 @@ def test_map_totality_enforced():
 
 def test_ledger_partition_and_counts(problem):
     verdict = verify_contraction(problem)
-    assert len(verdict.rows) == len(problem.relation)
-    active = [r for r in verdict.rows if r.active]
-    vacuous = [r for r in verdict.rows if not r.active]
-    assert len(active) + len(vacuous) == len(verdict.rows)
+    assert len(verdict.sigma) == len(problem.relation)
+    active = verdict.active_rows
+    vacuous = [i for i, d in enumerate(verdict.d_sigma_fsigma) if not d > 0]
+    assert len(active) + len(vacuous) == len(verdict.sigma)
     # active pairs are exactly those with first coordinate in {2, 3}
-    assert sorted({r.sigma for r in active}) == [2.0, 3.0]
-    assert len(active) == 8
+    assert sorted({verdict.sigma[i] for i in active}) == [2.0, 3.0]
+    assert len(active) == verdict.active_count == 8
     # pairs starting at 1 are vacuous: d(1, F1) = 0
-    assert all(r.sigma == 1.0 for r in vacuous)
+    assert all(verdict.sigma[i] == 1.0 for i in vacuous)
+    assert all(verdict.zeta_value[i] is None for i in vacuous)
 
 
 def test_ledger_values_match_brute_force(problem):
     oracle = brute_force_ledger(problem)
     verdict = verify_contraction(problem)
-    for row in verdict.active_rows:
-        t, s_arg = oracle[(row.sigma, row.rho)]
-        assert row.t == t
-        assert row.s_arg == s_arg
+    for i in verdict.active_rows:
+        t, s_arg = oracle[(verdict.sigma[i], verdict.rho[i])]
+        assert verdict.s * verdict.d_image_pair[i] == t
+        assert verdict.s_arg[i] == s_arg
     # spot value from the oracle: pair (2,3) has t = 2*d(1,2) = 2, s_arg = 3*d(2,3) = 3
     assert oracle[(2.0, 3.0)] == (2.0, 3.0)
 
@@ -87,17 +160,19 @@ def test_ledger_values_match_brute_force(problem):
 def test_contraction_passes_at_09(problem):
     verdict = verify_contraction(problem)
     assert verdict.ok
-    row23 = next(r for r in verdict.rows if (r.sigma, r.rho) == (2.0, 3.0))
-    assert row23.zeta_value == pytest.approx(0.7)
+    row23 = list(zip(verdict.sigma, verdict.rho)).index((2.0, 3.0))
+    assert verdict.zeta_value[row23] == pytest.approx(0.7)
 
 
 def test_contraction_fails_at_05():
     verdict = verify_contraction(example_problem(lam=0.5))
     assert not verdict.ok
-    failing = {(r.sigma, r.rho) for r in verdict.failing_rows}
+    failing = {(verdict.sigma[i], verdict.rho[i]) for i in verdict.failing}
     assert {(2.0, 3.0), (2.0, 4.0)} <= failing
-    row23 = next(r for r in verdict.failing_rows if (r.sigma, r.rho) == (2.0, 3.0))
-    assert row23.zeta_value == pytest.approx(-0.5)
+    assert verdict.failing_count == len(verdict.failing)
+    row23 = list(zip(verdict.sigma, verdict.rho)).index((2.0, 3.0))
+    assert row23 in verdict.failing
+    assert verdict.zeta_value[row23] == pytest.approx(-0.5)
 
 
 def test_lambda_threshold_is_two_thirds(problem):
@@ -164,10 +239,7 @@ def test_potential_scale_covariance(c):
         zeta=SimulationFunction(family="linear", lam=lam / c),
     )
     plain = example_problem(lam=lam)
-    rows_scaled = verify_contraction(scaled, tol=1e-9).rows
-    rows_plain = verify_contraction(plain, tol=1e-9).rows
-    for rs, rp in zip(rows_scaled, rows_plain):
-        assert rs.ok == rp.ok
+    assert verify_contraction(scaled, tol=1e-9).failing == verify_contraction(plain, tol=1e-9).failing
 
 
 def test_vacuous_when_map_is_identity_on_support():
@@ -187,7 +259,7 @@ def test_vacuous_when_map_is_identity_on_support():
 
 def test_definition_sensitive_flagging():
     # zero potential drop at a moving sigma: s_arg = 0 but t > 0 cannot pass
-    # for any simulation function, so the row carries the flag
+    # for any simulation function (zeta2 gives zeta(t, 0) < -t), so the row fails
     space = example_space()
     R = BinaryRelation.from_value_pairs(space, [(3, 4)])
     problem = ContractionProblem(
@@ -198,10 +270,10 @@ def test_definition_sensitive_flagging():
         zeta=SimulationFunction(family="linear", lam=0.9),
     )
     verdict = verify_contraction(problem)
-    row33 = next(r for r in verdict.rows if (r.sigma, r.rho) == (3.0, 4.0))
-    assert row33.s_arg == 0 and row33.t > 0
-    assert row33.definition_sensitive
-    assert not row33.ok
+    row34 = list(zip(verdict.sigma, verdict.rho)).index((3.0, 4.0))
+    assert verdict.s_arg[row34] == 0 < verdict.s * verdict.d_image_pair[row34]
+    assert row34 in verdict.failing
+    assert not verdict.ok
     assert linear_lambda_threshold(verdict) == math.inf
 
 
