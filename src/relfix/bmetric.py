@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from operator import attrgetter, gt, truediv
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
+WITNESS_CAP = 256  # each axiom witness list keeps its first entries; the counts stay exact
 
 
 class UnknownPointError(KeyError):
@@ -148,14 +149,19 @@ def default_axiom_tol(space: BMetricSpace) -> float:
 
 @dataclass
 class AxiomReport:
+    """Axiom verdicts; each witness list holds the first WITNESS_CAP of its exact count."""
+
     identity_ok: bool
     symmetry_ok: bool
     triangle_ok: bool
     min_feasible_s: float
     s: float
     tol: float
+    identity_witness_count: int = 0
     identity_witnesses: list = field(default_factory=list)
+    symmetry_witness_count: int = 0
     symmetry_witnesses: list = field(default_factory=list)
+    triangle_witness_count: int = 0
     triangle_witnesses: list = field(default_factory=list)
 
     @property
@@ -191,31 +197,44 @@ def _squared_sup(values) -> tuple[int, int]:
     return 2 * best_len ** 2, best_len ** 2 + best_e ** 2
 
 
-def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> float:
-    """Append every triangle witness; for a table, return the float max ratio.
+def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> tuple[int, float]:
+    """Count the triangle witnesses and append the first WITNESS_CAP of them.
 
-    Row-wise over w for each (a, b): lhs = d[a][w], rhs = d[a][b] + d[b][w].
+    Returns (count, float max ratio); the ratio is computed for a table only.
+    Row-wise over w for each (a, b): lhs = d[a][w] against the threshold
+    s * (d[a][b] + d[b][w]) + tol.  A row is counted in one C-level pass and
+    enumerated only while the list is short of the cap.
     """
     pts, d, s = space.points, space._d, space.s
     n = len(d)
     ratios = space.metric == "table"
-    worst = 0.0
+    count, worst = 0, 0.0
     for a in range(n):
         row_a = d[a]
         for b in range(n):
             dab = row_a[b]
-            rhs = [dab + x for x in d[b]]
-            if ratios and dab > 0:
-                # every rhs is positive and every lhs finite, so no ratio is NaN
-                # and float max does not depend on order
-                worst = max(worst, max(map(truediv, row_a, rhs)))
-            elif ratios:
-                for lhs, r in zip(row_a, rhs):
-                    if r > 0:
-                        worst = max(worst, lhs / r)
-            for w in compress(range(n), map(gt, row_a, [s * r + tol for r in rhs])):
-                witnesses.append((pts[a].value, pts[w].value, pts[b].value))
-    return worst
+            if ratios:
+                rhs = [dab + x for x in d[b]]
+                if dab > 0:
+                    # every rhs is positive and every lhs finite, so no ratio is NaN
+                    # and float max does not depend on order
+                    worst = max(worst, max(map(truediv, row_a, rhs)))
+                else:
+                    for lhs, r in zip(row_a, rhs):
+                        if r > 0:
+                            worst = max(worst, lhs / r)
+            thr = [s * (dab + x) + tol for x in d[b]]
+            found = sum(map(gt, row_a, thr))
+            if not found:
+                continue
+            count += found
+            room = WITNESS_CAP - len(witnesses)
+            if room > 0:
+                bv = pts[b].value
+                witnesses.extend(islice(
+                    ((pts[a].value, pts[w].value, bv)
+                     for w in compress(range(n), map(gt, row_a, thr))), room))
+    return count, worst
 
 
 def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> AxiomReport:
@@ -224,6 +243,9 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     A triangle violation for the ordered triple (a, w, b) means
     d(a, w) > s * (d(a, b) + d(b, w)) + tol, evaluated in floats on the
     distance matrix; witnesses are recorded as value triples (a, w, via=b).
+    Each ``*_witness_count`` is exact, and each list keeps the first
+    WITNESS_CAP witnesses in scan order: identity the diagonal, then pairs
+    a < b; symmetry pairs a < b; triangle triples ordered by (a, b, w).
 
     min_feasible_s is reported even when the declared s already suffices.
     For a formula metric it is S*, the exact supremum of D(a, w) / (D(a, b)
@@ -257,36 +279,47 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     """
     if tol is None:
         tol = default_axiom_tol(space)
-    rep = AxiomReport(True, True, True, 1.0, space.s, tol)
-
     pts, d, s = space.points, space._d, space.s
     n = len(d)
+    # the identity and symmetry lists grow as n**2, like the matrix, so they
+    # are cut to the cap only when the report is built
+    identity, symmetry, triangle = [], [], []
     for a in range(n):
         if d[a][a] > tol:
-            rep.identity_ok = False
-            rep.identity_witnesses.append((pts[a].value, pts[a].value))
+            identity.append((pts[a].value, pts[a].value))
     for a in range(n):
         for b in range(a + 1, n):
             dab, dba = d[a][b], d[b][a]
             if dab <= tol:
-                rep.identity_ok = False
-                rep.identity_witnesses.append((pts[a].value, pts[b].value))
+                identity.append((pts[a].value, pts[b].value))
             if abs(dab - dba) > tol:
-                rep.symmetry_ok = False
-                rep.symmetry_witnesses.append((pts[a].value, pts[b].value))
+                symmetry.append((pts[a].value, pts[b].value))
 
-    witnesses = rep.triangle_witnesses
+    triangle_count = 0
     if space.metric == "table":
-        rep.min_feasible_s = max(_triangle_scan(space, tol, witnesses), 1.0)
+        triangle_count, worst = _triangle_scan(space, tol, triangle)
+        min_feasible_s = max(worst, 1.0)
     else:
         if space.metric == "squared-difference":
             num, den = _squared_sup(p.value for p in pts)
         else:
             num, den = 1, 1
-        rep.min_feasible_s = num / den
+        min_feasible_s = num / den
         s_num, s_den = s.as_integer_ratio()
         bound = math.ldexp(max(map(max, d)), -49) + math.ldexp(s + 1, -1072)
         if s_num * den < num * s_den or not tol > bound:
-            _triangle_scan(space, tol, witnesses)
-    rep.triangle_ok = not witnesses
-    return rep
+            triangle_count, _ = _triangle_scan(space, tol, triangle)
+    return AxiomReport(
+        identity_ok=not identity,
+        symmetry_ok=not symmetry,
+        triangle_ok=triangle_count == 0,
+        min_feasible_s=min_feasible_s,
+        s=s,
+        tol=tol,
+        identity_witness_count=len(identity),
+        identity_witnesses=identity[:WITNESS_CAP],
+        symmetry_witness_count=len(symmetry),
+        symmetry_witnesses=symmetry[:WITNESS_CAP],
+        triangle_witness_count=triangle_count,
+        triangle_witnesses=triangle,
+    )

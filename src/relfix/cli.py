@@ -39,15 +39,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _human(report: dict, out, lam: float):
-    def emit(prefix, value):
+    def emit(indent, key, value):
+        prefix = indent + key
+        inner = indent + "  "
         if isinstance(value, dict) and "zeta_value" in value:
             # the contraction ledger: its scalars and first 10 failing rows, not its columns
             print(f"{prefix}:", file=out)
             for k, v in value.items():
                 if not isinstance(v, list):
-                    emit("  " + k, v)
+                    emit(inner, k, v)
             for i in value["failing"][:10]:
-                print(f"  failing row {i}: sigma {value['sigma'][i]}, rho {value['rho'][i]}, "
+                print(f"{inner}failing row {i}: sigma {value['sigma'][i]}, rho {value['rho'][i]}, "
                       f"t {value['s'] * value['d_image_pair'][i]}, s_arg {value['s_arg'][i]}, "
                       f"zeta_value {value['zeta_value'][i]}", file=out)
         elif prefix == "linear_lambda_threshold":
@@ -55,7 +57,7 @@ def _human(report: dict, out, lam: float):
         elif isinstance(value, dict):
             print(f"{prefix}:", file=out)
             for k, v in value.items():
-                emit("  " + k, v)
+                emit(inner, k, v)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             print(f"{prefix}: [{len(value)} entries]", file=out)
         else:
@@ -64,7 +66,7 @@ def _human(report: dict, out, lam: float):
     for key, value in report.items():
         if key == "header":
             continue
-        emit(key, value)
+        emit("", key, value)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from relfix import bmetric
 from relfix.bmetric import (
+    WITNESS_CAP,
     AxiomReport,
     BMetricSpace,
     Point,
@@ -160,7 +161,7 @@ def formula_distance(space, a, b):
 
 
 def reference_axioms(space, tol=None):
-    """Per-triple reference scan: itertools.product order, formula distances."""
+    """Per-triple reference scan: itertools.product order, formula distances, full lists."""
     if tol is None:
         tol = 1e-12 if space.metric != "table" else 0.0
     rep = AxiomReport(True, True, True, 1.0, space.s, tol)
@@ -266,6 +267,11 @@ def tie_heavy_spaces(draw):
 # skip bound must stay near its derived 2**-49 * M
 @example(BMetricSpace.from_values([-39.0, -18.000000001, 32.999999999],
                                   s=1.7041420118105108), 1e-12)
+# above the cap: 2 * C(12, 3) = 440 triangle witnesses, b strictly between a and w
+@example(BMetricSpace.from_values(range(12), s=1.0), None)
+# zero above the diagonal, one below: 276 identity and 276 symmetry witnesses
+@example(BMetricSpace.from_values(range(24), metric="table", table=tuple(
+    tuple(float(a > b) for b in range(24)) for a in range(24))), None)
 @given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces(),
                  tie_heavy_spaces()),
        st.sampled_from([None, 0.0, 1e-15, 1e-12, 1e-9, 0.5, -0.5]))
@@ -279,8 +285,13 @@ def test_axiom_scan_matches_per_triple_reference(space, tol):
         # the reference's float max of ratios is off by rounding; the sup is exact
         assert got.min_feasible_s == exact_min_feasible_s(space)
         want.min_feasible_s = got.min_feasible_s
+    for kind in ("identity", "symmetry", "triangle"):
+        full = getattr(want, f"{kind}_witnesses")
+        assert getattr(got, f"{kind}_witness_count") == len(full)
+        assert getattr(got, f"{kind}_witnesses") == full[:WITNESS_CAP]
+        setattr(want, f"{kind}_witness_count", len(full))
+        setattr(want, f"{kind}_witnesses", full[:WITNESS_CAP])
     assert got == want
-    assert got.triangle_witnesses == want.triangle_witnesses
 
 
 @given(formula_spaces())

@@ -83,8 +83,11 @@ def test_json_is_one_line_with_sorted_keys(capsys, fixture, command):
 def test_human_verify_prints_lists_and_entry_counts(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", EX)
     assert code == 0
-    assert "  symmetric: [[0, 3], [1, 3], [2, 3]]\n" in out
-    assert "  active_count: 8\n  failing_count: 0\n  all_hypotheses_ok: True\n" in out
+    assert "\n      symmetric: [[0, 3], [1, 3], [2, 3]]\n" in out
+    # each level indents two spaces more: relation -> counterexamples -> transitive
+    assert "\n  counterexamples:\n    transitive: []\n" in out
+    assert "\n    witnesses:\n      reflexive: [3]\n" in out
+    assert "    active_count: 8\n    failing_count: 0\n  all_hypotheses_ok: True\n" in out
     assert "linear_lambda_threshold: 0.6666666666666666 (given lambda: 0.9)\n" in out
     code, out, _ = run(capsys, "certify", write(tmp_path, TAMPERED), "--tol", "1")
     assert "  contradictions: [1 entries]\n" in out
@@ -102,10 +105,10 @@ def test_human_ledger_prints_the_first_failing_rows(tmp_path, capsys):
     ))
     code, out, _ = run(capsys, "verify", path)
     assert code == 1
-    assert "  active_count: 25\n  failing_count: 20\n  failing row 6: " in out
-    rows = [line for line in out.splitlines() if line.startswith("  failing row ")]
+    assert "    active_count: 25\n    failing_count: 20\n    failing row 6: " in out
+    rows = [line for line in out.splitlines() if line.startswith("    failing row ")]
     assert len(rows) == 10
-    assert rows[0] == "  failing row 6: sigma 1.0, rho 2.0, t 1.0, s_arg 0.0, zeta_value -1.0"
+    assert rows[0] == "    failing row 6: sigma 1.0, rho 2.0, t 1.0, s_arg 0.0, zeta_value -1.0"
     assert "linear_lambda_threshold: None (given lambda: 0.5)\n" in out
 
 
@@ -159,6 +162,25 @@ def test_absolute_difference_min_feasible_s_is_exactly_one(tmp_path, capsys):
     code, out, _ = run(capsys, "axioms", str(path))
     assert code == 0
     assert "  triangle_ok: True\n  min_feasible_s: 1.0\n" in out
+
+
+def test_axioms_caps_the_triangle_witnesses_and_counts_them_all(tmp_path, capsys):
+    # squared-difference at s = 1 fails exactly when b lies strictly between a
+    # and w: 2 * C(40, 3) = 19,760 ordered triples
+    points = " ".join(map(str, range(40)))
+    path = write(tmp_path, (
+        f"[space]\npoints = {points}\nmetric = squared-difference\n"
+        "[relation]\npairs = (0,0)\n[map]\n"
+        + "".join(f"{a} = 0\n" for a in range(40))
+        + "[potential]\nformula = linear 1\n[zeta]\nfamily = linear\nlambda = 0.5\n"
+    ))
+    code, out, _ = run(capsys, "axioms", path, "--s", "1", "--json")
+    assert code == 1
+    axioms = json.loads(out)["bmetric_axioms"]
+    assert axioms["triangle_ok"] is False
+    assert axioms["triangle_witness_count"] == 40 * 39 * 38 // 3 == 19760
+    assert len(axioms["triangle_witnesses"]) == 256
+    assert len(out.encode()) < 16 * 1024
 
 
 def test_solve_with_start_override(capsys):

@@ -14,6 +14,7 @@ when a report is meant to change, from the root of a checkout:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -109,7 +110,14 @@ SWEEPS = {"criterion_7": sweep_7_digest, "criterion_8": sweep_8_digest}
 @pytest.mark.parametrize("stem", FIXTURE_NAMES)
 def test_fixture_report_is_byte_identical(stem, command):
     expected = (GOLDEN / f"{stem}.{command}.json").read_text()
-    assert fixture_report(stem, command) == expected
+    got = fixture_report(stem, command)
+    if got != expected:
+        # name the first differing line: pytest's diff of whole documents is slow to render
+        pairs = itertools.zip_longest(expected.splitlines(True), got.splitlines(True),
+                                      fillvalue="<end>")
+        line, (want, have) = next((i, p) for i, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"{stem}.{command}.json line {line}:\n  golden: {want!r}\n  report: {have!r}",
+                    pytrace=False)
 
 
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
