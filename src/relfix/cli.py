@@ -7,6 +7,7 @@ Exit statuses: 0 every requested verdict passed, 1 a verdict failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from .solver import RelationBroken, StartNotAdmissible
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
+@functools.cache  # built on the first main() call, then reused by later in-process calls
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="relfix",

@@ -137,8 +137,8 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
     values = [p.value for p in problem.space.points]
     fmap, phi = problem.map.mapping, problem.potential.values
     sigma, rho, d_self, d_pair, d_image, s_arg = [], [], [], [], [], []
-    # the successor index, keys sorted, walks the pairs in sorted_pairs() order
-    for a, bs in sorted(problem.relation._succ.items()):
+    # the ordered successor index walks the pairs in sorted_pairs() order
+    for a, bs in problem.relation._succ.items():
         fa, row, k = fmap[a], d[a], len(bs)
         pair, drop = [row[b] for b in bs], phi[a] - phi[fa]
         sigma += [values[a]] * k

@@ -121,10 +121,13 @@ def _flag(text: str, line: int) -> bool:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse problem-file text; the first error raises with its line number."""
+    """Parse problem-file text; the first error raises with its line number.
+
+    A leading UTF-8 byte-order mark (U+FEFF) is dropped.
+    """
     sections: dict[str, list] = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,9 +1,13 @@
 """Binary relations over a finite b-metric space and the relational hypotheses.
 
-Relations are stored as frozen sets of ordered point-id pairs, with a sorted
-successor index built at construction.  Every query here is a read-only
-function; the one memo (``is_transitive``) stores an immutable result that
-is the same whichever caller computes it, so concurrent use is safe.
+Relations are stored as frozen sets of ordered point-id pairs, with one
+ordered successor index, ``_succ``, built at construction: its keys are the
+sources in ascending order and each maps to the ascending tuple of its
+successors, so walking it yields the pairs in ``sorted(pairs)`` order.  Every
+predicate here walks that index instead of sorting ``pairs``; ``pairs`` serves
+membership tests.  Every query is a read-only function; the one memo
+(``is_transitive``) stores an immutable result that is the same whichever
+caller computes it, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -16,23 +20,40 @@ from .bmetric import BMetricSpace, _pid
 
 @dataclass(frozen=True)
 class BinaryRelation:
+    """A relation as a frozen set of (source id, target id) pairs.
+
+    ``_succ`` is the one ordered index: ascending source ids, each mapped to
+    the ascending tuple of its successors.  Readers walk it, in that order,
+    rather than sort ``pairs``.
+    """
+
     pairs: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset((int(a), int(b)) for a, b in self.pairs))
+        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
         succ = {}
-        for a, b in sorted(self.pairs):
+        for a, b in pairs:
             succ.setdefault(a, []).append(b)
         # a plain attribute, not a field: equality and hashing see only pairs
-        object.__setattr__(self, "_succ", {a: tuple(bs) for a, bs in succ.items()})
+        object.__setattr__(self, "_succ", {a: tuple(sorted(succ[a])) for a in sorted(succ)})
 
     @classmethod
     def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
-        return cls(frozenset((space.point_by_value(a).id, space.point_by_value(b).id)
-                             for a, b in value_pairs))
+        """Pairs of point values, each value looked up once; the first unknown one raises."""
+        ids, pairs = {}, []
+        for a, b in value_pairs:
+            ia = ids.get(a)
+            if ia is None:
+                ia = ids[a] = space.point_by_value(a).id
+            ib = ids.get(b)
+            if ib is None:
+                ib = ids[b] = space.point_by_value(b).id
+            pairs.append((ia, ib))
+        return cls(pairs)
 
     def sorted_pairs(self) -> list:
-        return sorted(self.pairs)
+        return [(a, b) for a, bs in self._succ.items() for b in bs]
 
     def successors(self, a) -> list:
         return list(self._succ.get(_pid(a), ()))
@@ -73,7 +94,7 @@ def _transitivity_witnesses(R: BinaryRelation) -> tuple:
     succ = R._succ
     succ_sets = {a: set(bs) for a, bs in succ.items()}
     witnesses = []
-    for a, bs in sorted(succ.items()):
+    for a, bs in succ.items():
         reach = succ_sets[a]
         for b in bs:
             onward = succ.get(b, ())
@@ -112,10 +133,10 @@ def is_complete(R: BinaryRelation, space: BMetricSpace):
 
 def is_f_closed(R: BinaryRelation, mapping: dict):
     """(a,b) in R implies (F a, F b) in R; witnesses are violating pairs."""
-    witnesses = []
-    for a, b in sorted(R.pairs):
-        if (mapping[a], mapping[b]) not in R.pairs:
-            witnesses.append((a, b))
+    pairs, witnesses = R.pairs, []
+    for a, bs in R._succ.items():
+        fa = mapping[a]
+        witnesses += [(a, b) for b in bs if (fa, mapping[b]) not in pairs]
     return (not witnesses), witnesses
 
 
@@ -203,11 +224,16 @@ class RelationDiagnostics:
 
 def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiagnostics:
     """Order-theoretic diagnostics (reflexivity, symmetry, antisymmetry)."""
-    n = len(space)
-    missing_loops = [a for a in range(n) if (a, a) not in R.pairs]
-    present_loops = sorted(a for a, b in R.pairs if a == b)
-    asym = sorted((a, b) for a, b in R.pairs if (b, a) not in R.pairs)
-    sym_distinct = sorted((a, b) for a, b in R.pairs if a != b and (b, a) in R.pairs)
+    pairs = R.pairs
+    missing_loops = [a for a in range(len(space)) if (a, a) not in pairs]
+    present_loops = [a for a in R._succ if (a, a) in pairs]
+    asym, sym_distinct = [], []
+    for a, bs in R._succ.items():
+        for b in bs:
+            if (b, a) not in pairs:
+                asym.append((a, b))
+            elif a != b:
+                sym_distinct.append((a, b))
     return RelationDiagnostics(
         reflexive=not missing_loops,
         irreflexive=not present_loops,

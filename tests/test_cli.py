@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -8,6 +10,7 @@ from relfix.report import _plain
 from conftest import FIXTURES
 
 EX = str(FIXTURES / "example-3-1.problem")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -395,3 +398,35 @@ def test_overflow_is_input_error(tmp_path, capsys, case, output):
     code, out, err = run(capsys, *argv, *output)
     assert code == 2 and not out
     assert len(err.splitlines()) == 1 and "a report quantity is not finite" in err
+
+
+def report_body(out: str) -> str:
+    """A --json report re-indented as the goldens are, header removed."""
+    doc = json.loads(out)
+    del doc["header"]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_main_can_be_called_repeatedly_in_one_process(capsys):
+    golden = (GOLDEN / "example-3-1.report.json").read_text()
+    code, out, _ = run(capsys, "report", EX, "--s", "1", "--tol", "1e-3", "--json")
+    assert code == 1 and report_body(out) != golden
+    code, out, _ = run(capsys, "report", EX, "--json")
+    assert code == 0 and report_body(out) == golden
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense", EX])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run(capsys, "report", EX, "--json")
+    assert code == 0 and report_body(out) == golden
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    raw = b"\xef\xbb\xbf" + (FIXTURES / "example-3-1.problem").read_bytes()
+    path = tmp_path / "bom.problem"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "report", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["header"]["input_digest"] == hashlib.sha256(raw).hexdigest()
+    _, plain, _ = run(capsys, "report", EX, "--json")
+    assert report_body(out) == report_body(plain)

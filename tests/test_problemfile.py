@@ -69,6 +69,20 @@ def test_relation_endpoint_outside_space():
         build_problem(parse_problem(text))
 
 
+def test_first_unknown_relation_endpoint_in_file_order_is_named():
+    text = read("example-3-1.problem").replace("(3,4)", "(3,4) (1,99) (98,1)")
+    with pytest.raises(ProblemFileError, match=r"relation endpoint 99\.0 is not a point"):
+        build_problem(parse_problem(text))
+
+
+def test_leading_byte_order_mark_is_dropped():
+    text = read("example-3-1.problem")
+    assert parse_problem("\ufeff" + text) == parse_problem(text)
+    with pytest.raises(ProblemFileError, match="content before") as exc:
+        parse_problem("\ufeff\ufeff" + text)  # only one leading mark is dropped
+    assert exc.value.line == 1
+
+
 def test_map_must_cover_every_point():
     text = read("example-3-1.problem").replace("piece = (3,4] -> 3\n", "")
     with pytest.raises(ProblemFileError, match="no piece covers"):

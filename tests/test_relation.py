@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relfix.bmetric import BMetricSpace
 from relfix.relation import (
@@ -231,3 +231,65 @@ def test_relation_caches_are_not_fields():
     assert a == b and hash(a) == hash(b)
     assert [f.name for f in dataclasses.fields(BinaryRelation)] == ["pairs"]
     assert "_succ" not in repr(a) and "_transitivity" not in repr(a)
+
+
+# -- the ordered successor index, against a reference that sorts the pair set ---
+
+# ids as ints, bools and integral floats; a list may hold pairs equal after int()
+loose_ids = st.one_of(st.integers(0, 5), st.booleans(), st.integers(0, 5).map(float))
+indexed_relations = st.one_of(
+    st.lists(st.tuples(loose_ids, loose_ids), max_size=20).map(lambda ps: BinaryRelation(tuple(ps))),
+    relations.map(symmetric_closure),
+    relations.map(transitive_closure),
+)
+maps = st.lists(st.integers(0, 5), min_size=6, max_size=6).map(lambda images: dict(enumerate(images)))
+
+
+@settings(max_examples=300)
+@given(indexed_relations, maps)
+@example(BinaryRelation(frozenset()), dict.fromkeys(range(6), 0))
+@example(BinaryRelation(((True, 2.0), (1, 2), (0.0, False))), dict(enumerate([1, 1, 2, 3, 4, 5])))
+def test_successor_index_walks_the_sorted_pairs(R, mapping):
+    ref = sorted(R.pairs)
+    assert all(type(a) is int and type(b) is int for a, b in R.pairs)
+    assert [(a, b) for a, bs in R._succ.items() for b in bs] == ref
+    assert all(type(bs) is tuple for bs in R._succ.values())
+
+    listed = R.sorted_pairs()
+    assert listed == ref
+    listed.append((9, 9))
+    listed.clear()
+    assert R.sorted_pairs() == ref and len(R) == len(ref)
+
+    f_w = [(a, b) for a, b in ref if (mapping[a], mapping[b]) not in R.pairs]
+    assert is_f_closed(R, mapping) == (not f_w, f_w)
+
+    space = BMetricSpace.from_values(range(6))
+    diag = relation_diagnostics(R, space)
+    ref_w = {
+        "reflexive": [a for a in range(6) if (a, a) not in R.pairs],
+        "irreflexive": [a for a, b in ref if a == b],
+        "symmetric": [(a, b) for a, b in ref if (b, a) not in R.pairs],
+        "antisymmetric": [(a, b) for a, b in ref if a != b and (b, a) in R.pairs],
+    }
+    assert diag.witnesses == ref_w
+    assert (diag.reflexive, diag.irreflexive, diag.symmetric, diag.antisymmetric) == tuple(
+        not w for w in ref_w.values())
+
+    t_w = reference_transitivity_witnesses(R)
+    assert is_transitive(R) == (not t_w, t_w)
+
+
+def test_value_pairs_map_endpoints_as_point_by_value(monkeypatch):
+    # ids 0 and 1 lie within 1e-12 of each other: 1.0 matches both and maps to id 0
+    space = BMetricSpace.from_values([1.0 + 5e-13, 1.0, 3.0])
+    values = [(1.0, 1.0 - 8e-13), (1.0 - 8e-13, 1.0 + 1.2e-12), (1, 3.0), (3, True), (1.0, 1.0)]
+    expected = {(space.point_by_value(a).id, space.point_by_value(b).id) for a, b in values}
+    assert expected == {(0, 1), (1, 0), (0, 2), (2, 0), (0, 0)}
+
+    calls = []
+    lookup = BMetricSpace.point_by_value
+    monkeypatch.setattr(BMetricSpace, "point_by_value",
+                        lambda self, v, *a: calls.append(v) or lookup(self, v, *a))
+    assert vp(space, values).pairs == expected
+    assert calls == [1.0, 1.0 - 8e-13, 1.0 + 1.2e-12, 3.0]  # once per distinct value
