@@ -169,18 +169,28 @@ class AxiomReport:
         return self.identity_ok and self.symmetry_ok and self.triangle_ok
 
 
-def _squared_sup(values) -> tuple[int, int]:
-    """Exact sup of (a - w)**2 / ((a - b)**2 + (b - w)**2) over value triples, as (num, den).
+def _value_grid(values) -> tuple[list[int], int]:
+    """The values on one dyadic grid: integers X, in input order, with value = X / q.
 
-    For a < w, with L = w - a and e = |2b - a - w|, the ratio is
-    2 L**2 / (L**2 + e**2), so the best b is the value nearest the midpoint
-    and the sup is 2 when e = 0.  The values are scaled to one integer grid;
-    for each a one pointer follows the midpoint as w grows, and ratios are
-    compared by cross-multiplying.  The result is at least 1 (b = a).
+    q is the largest denominator of the values' ``as_integer_ratio()``, a
+    power of two, so every value is an exact integer multiple of 1 / q.
     """
-    fracs = [v.as_integer_ratio() for v in set(values)]
+    fracs = [v.as_integer_ratio() for v in values]
     q = max(den for _, den in fracs)
-    xs = sorted(p * (q // den) for p, den in fracs)
+    return [p * (q // den) for p, den in fracs], q
+
+
+def _squared_sup(xs) -> tuple[int, int]:
+    """Exact sup of (a - w)**2 / ((a - b)**2 + (b - w)**2) over grid-value triples, as (num, den).
+
+    ``xs`` are the distinct values on one integer grid, ascending (see
+    _value_grid); the ratio does not depend on the grid's scale.  For a < w,
+    with L = w - a and e = |2b - a - w|, the ratio is 2 L**2 / (L**2 + e**2),
+    so the best b is the value nearest the midpoint and the sup is 2 when
+    e = 0.  For each a one pointer follows the midpoint as w grows, and
+    ratios are compared by cross-multiplying.  The result is at least 1
+    (b = a).
+    """
     best_e, best_len = 1, 1
     for i, a in enumerate(xs):
         k = i
@@ -195,6 +205,34 @@ def _squared_sup(values) -> tuple[int, int]:
             if e * best_len < best_e * (w - a):
                 best_e, best_len = e, w - a
     return 2 * best_len ** 2, best_len ** 2 + best_e ** 2
+
+
+def _entries_exact(space: BMetricSpace, xs: list, q: int) -> bool:
+    """True when every matrix entry, diagonal included, is D(a, b) exactly and
+    every sum of two entries is a float.
+
+    ``xs``, ``q`` are the point values on their grid (see _value_grid), q = 2**e.
+    In grid units an entry is the integer k = (Xa - Xb)**2, scaled by
+    2**-2e, or |Xa - Xb|, scaled by 2**-e.  When 2 * max k < 2**53 and that
+    scale is at least 2**-1022, every k * scale and every sum of two is a
+    float, so comparing each entry with k * scale in floats is exact.
+    Otherwise (a span too wide, or a grid so fine the scale underflows) the
+    answer is False.  The entries are read, not assumed: the matrix is built
+    with a subtraction and a libm pow.
+    """
+    e = q.bit_length() - 1
+    k_max = max(xs) - min(xs)
+    squared = space.metric == "squared-difference"
+    if squared:
+        e, k_max = 2 * e, k_max * k_max
+    if e > 1022 or 2 * k_max >= 2 ** 53:
+        return False
+    scale = math.ldexp(1.0, -e)
+    if squared:
+        return all(row == tuple([(xa - xb) ** 2 * scale for xb in xs])
+                   for xa, row in zip(xs, space._d))
+    return all(row == tuple([abs(xa - xb) * scale for xb in xs])
+               for xa, row in zip(xs, space._d))
 
 
 def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> tuple[int, float]:
@@ -274,8 +312,18 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     (1 - E).  So a witness needs (1 - u) tol < (2E + 3u) D(a, w) + (2s + 1) H
     + 2**-1075, hence tol < 11.1 u M + (s + 0.8) 2**-1073.  The bound above,
     evaluated in floats, is at least (1 - u)**2 (16 u M + (s + 1) 2**-1072)
-    - 2**-1074, which exceeds that.  A NaN tol fails the test and gets the
-    scan.  Tables always get the scan.
+    - 2**-1074, which exceeds that.
+
+    That bound fails once M is above about 2,250 at tol = 1e-12, so the scan
+    is also skipped when s >= S*, tol >= 0 and the distances are exact: every
+    entry equals D(a, b) and every sum of two entries is a float
+    (_entries_exact, one O(n**2) pass on the values' dyadic grid).  Then
+    D(a, w) <= S* Sigma <= s Sigma is an inequality between the floats
+    themselves, with Sigma = d(a, b) + d(b, w) computed without rounding.
+    Rounding to nearest is monotone and d(a, w) is a float, so fl(s Sigma)
+    >= d(a, w), and adding tol >= 0 keeps the right side at least d(a, w):
+    no witness.  An overflow to inf only raises the right side.  A NaN tol
+    fails both tests and gets the scan.  Tables always get the scan.
     """
     if tol is None:
         tol = default_axiom_tol(space)
@@ -300,14 +348,17 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         triangle_count, worst = _triangle_scan(space, tol, triangle)
         min_feasible_s = max(worst, 1.0)
     else:
+        xs, q = _value_grid([p.value for p in pts])
         if space.metric == "squared-difference":
-            num, den = _squared_sup(p.value for p in pts)
+            num, den = _squared_sup(sorted(set(xs)))
         else:
             num, den = 1, 1
         min_feasible_s = num / den
         s_num, s_den = s.as_integer_ratio()
         bound = math.ldexp(max(map(max, d)), -49) + math.ldexp(s + 1, -1072)
-        if s_num * den < num * s_den or not tol > bound:
+        # cheapest first: the exact comparison, the bound, then one O(n**2) pass
+        if not (s_num * den >= num * s_den
+                and (tol > bound or tol >= 0 and _entries_exact(space, xs, q))):
             triangle_count, _ = _triangle_scan(space, tol, triangle)
     return AxiomReport(
         identity_ok=not identity,

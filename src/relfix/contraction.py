@@ -27,6 +27,14 @@ from .relation import (
 from .simulation import SimulationFunction, evaluate
 
 
+def _int_id(x) -> int:
+    """int(x), refusing a value that int() would truncate (2.5 would name point 2)."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"point ids must be integers, got {x!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class SelfMap:
     """Total self-map on the space's points, as an id -> id table."""
@@ -35,7 +43,8 @@ class SelfMap:
     r_continuous: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", {int(k): int(v) for k, v in self.mapping.items()})
+        object.__setattr__(self, "mapping",
+                           {_int_id(k): _int_id(v) for k, v in self.mapping.items()})
 
     def __call__(self, p) -> int:
         return self.mapping[_pid(p)]
@@ -57,7 +66,7 @@ class Potential:
     values: dict
 
     def __post_init__(self):
-        vals = {int(k): float(v) for k, v in self.values.items()}
+        vals = {_int_id(k): float(v) for k, v in self.values.items()}
         for i, v in vals.items():
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"potential codomain [0, ∞) violated at point id {i}: {v}")

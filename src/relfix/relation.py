@@ -30,7 +30,14 @@ class BinaryRelation:
     pairs: frozenset
 
     def __post_init__(self):
-        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
+        pairs = []
+        for a, b in self.pairs:
+            ia, ib = int(a), int(b)
+            # int() truncates: 2.5 would silently name point 2
+            if ia != a or ib != b:
+                raise ValueError(f"point ids must be integers, got the pair {(a, b)!r}")
+            pairs.append((ia, ib))
+        pairs = frozenset(pairs)
         object.__setattr__(self, "pairs", pairs)
         succ = {}
         for a, b in pairs:

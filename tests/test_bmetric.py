@@ -96,6 +96,45 @@ def test_squared_difference_at_its_sup_skips_the_triangle_scan(monkeypatch):
     assert rep.all_ok and rep.min_feasible_s == 2.0
 
 
+def count_triangle_scans(monkeypatch):
+    calls = []
+    scan = bmetric._triangle_scan
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(bmetric, "_triangle_scan", counting_scan)
+    return calls
+
+
+@pytest.mark.parametrize("s, tol, scans", [
+    # S* = 2 and M = 8464, above what the rounding bound covers at tol = 1e-12
+    (2.0, None, 0),
+    (2.0, 0.0, 0),
+    (2.0, -0.0, 0),
+    (math.nextafter(2.0, 0.0), None, 1),
+    (2.0, -1e-12, 1),
+])
+def test_exact_integer_grid_skips_the_triangle_scan(monkeypatch, s, tol, scans):
+    calls = count_triangle_scans(monkeypatch)
+    rep = verify_bmetric_axioms(BMetricSpace.from_values(range(0, 96, 4), s=s), tol)
+    assert len(calls) == scans
+    assert rep.triangle_ok == (tol is None or tol >= 0)
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (5, 5), (3, 17)])
+def test_the_exact_entry_test_reads_every_matrix_entry(monkeypatch, a, b):
+    # an entry one ulp off the formula, as an inexact pow would leave it
+    space = BMetricSpace.from_values(range(0, 96, 4), s=2.0)
+    d = [list(row) for row in space._d]
+    d[a][b] = math.nextafter(d[a][b], math.inf)
+    object.__setattr__(space, "_d", tuple(map(tuple, d)))
+    calls = count_triangle_scans(monkeypatch)
+    verify_bmetric_axioms(space)
+    assert len(calls) == 1
+
+
 def test_table_metric_report_carries_failures():
     # asymmetric, nonzero-diagonal table: the verifier reports, not raises
     table = ((0.0, 1.0), (2.0, 3.0))
@@ -260,7 +299,25 @@ def tie_heavy_spaces(draw):
     return BMetricSpace.from_values(values, metric=metric, s=s)
 
 
-@settings(max_examples=300)
+@st.composite
+def grid_spaces(draw):
+    # integer and dyadic grids k / 2**m, with spans in grid units around where
+    # 2 * (largest entry) reaches 2**53 (2**26 squared, 2**52 absolute) and past
+    # it, and s at the exact sup or one ulp below it
+    metric = draw(st.sampled_from(["squared-difference", "absolute-difference"]))
+    edge = 26 if metric == "squared-difference" else 52
+    span = draw(st.one_of(st.integers(1, 100),
+                          st.integers(-3, 3).map(lambda k: 2 ** edge + k),
+                          st.integers(2 ** edge, 2 ** (edge + 2))))
+    inner = draw(st.lists(st.one_of(st.integers(0, span), st.just(span // 2)), max_size=4))
+    base, m = draw(st.integers(-50, 50)), draw(st.sampled_from([0, 1, 7]))
+    values = [(base + x) / 2 ** m for x in [0, span, *inner]]
+    s_star = exact_min_feasible_s(BMetricSpace.from_values(values, metric=metric))
+    s = draw(st.sampled_from([s_star, max(1.0, math.nextafter(s_star, 0.0))]))
+    return BMetricSpace.from_values(values, metric=metric, s=s)
+
+
+@settings(max_examples=300, deadline=None)
 # s < S*, where a large tol alone does not rule out a witness
 @example(BMetricSpace.from_values([1, 2, 3, 4], s=1.0), 0.5)
 # s = S* and tol above 2**-53 * M: float rounding still yields a witness, so the
@@ -272,9 +329,17 @@ def tie_heavy_spaces(draw):
 # zero above the diagonal, one below: 276 identity and 276 symmetry witnesses
 @example(BMetricSpace.from_values(range(24), metric="table", table=tuple(
     tuple(float(a > b) for b in range(24)) for a in range(24))), None)
+# the fixed-points workload's shape: M = 8464 defeats the rounding bound, so only
+# the exact-entry clause skips the scan
+@example(BMetricSpace.from_values(range(0, 96, 4), s=2.0), 1e-12)
+# the same space with tol < 0 must scan: every b at the midpoint of a and w is a witness
+@example(BMetricSpace.from_values(range(0, 96, 4), s=2.0), -1e-12)
+# entries past 2**53 grid units round, and the scan finds witnesses at s >= S*
+@example(BMetricSpace.from_values([0, 60498377, 182980516], s=1.7941270187635463), 0.0)
+@example(BMetricSpace.from_values([0, 1, 2 ** 53 + 2], metric="absolute-difference"), 0.0)
 @given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces(),
-                 tie_heavy_spaces()),
-       st.sampled_from([None, 0.0, 1e-15, 1e-12, 1e-9, 0.5, -0.5]))
+                 tie_heavy_spaces(), grid_spaces()),
+       st.sampled_from([None, 0.0, -0.0, 1e-15, 1e-12, -1e-12, 1e-9, 0.5, -0.5]))
 def test_axiom_scan_matches_per_triple_reference(space, tol):
     n = len(space)
     for a in range(n):

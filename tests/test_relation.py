@@ -233,6 +233,14 @@ def test_relation_caches_are_not_fields():
     assert "_succ" not in repr(a) and "_transitivity" not in repr(a)
 
 
+def test_non_integral_ids_rejected():
+    # int() would truncate 2.5 to 2 and 1.9 to 1 and name other points
+    for pairs in (((2.5, 0),), ((0, 1), (True, 1.9))):
+        with pytest.raises(ValueError, match="must be integers"):
+            BinaryRelation(pairs)
+    assert BinaryRelation(((True, 2.0), (0.0, 1))).pairs == {(1, 2), (0, 1)}
+
+
 # -- the ordered successor index, against a reference that sorts the pair set ---
 
 # ids as ints, bools and integral floats; a list may hold pairs equal after int()
