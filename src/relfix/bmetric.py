@@ -126,8 +126,16 @@ class BMetricSpace:
         return len(self.points)
 
 
+def _int_id(x) -> int:
+    """int(x), refusing a value that int() would truncate (2.5 would name point 2)."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"point ids must be integers, got {x!r}")
+    return i
+
+
 def _pid(p) -> int:
-    return p.id if isinstance(p, Point) else int(p)
+    return p.id if isinstance(p, Point) else _int_id(p)
 
 
 def distance(space: BMetricSpace, a, b) -> float:

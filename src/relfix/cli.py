@@ -14,10 +14,8 @@ import re
 import sys
 
 from .problemfile import ProblemFileError, build_problem, parse_problem
-from .report import _plain, run_command
+from .report import COMMANDS, _plain, run_command
 from .solver import RelationBroken, StartNotAdmissible
-
-COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
 @functools.cache  # built on the first main() call, then reused by later in-process calls
@@ -31,7 +29,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="verification tolerance override; the Picard iteration does not use it")
     p.add_argument("--start", type=float, default=None, help="starting point value for the iteration")
-    p.add_argument("--max-iter", type=int, default=None, help="iteration cap override")
     p.add_argument("--s", type=float, default=None, dest="s_override",
                    help="override the space's relaxation coefficient")
     p.add_argument("--json", action="store_true", help="emit the structured JSON report")
@@ -73,9 +70,6 @@ def _human(report: dict, out, lam: float):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.max_iter is not None and args.max_iter < 1:
-        print("relfix: --max-iter: max-iter must be a positive integer", file=sys.stderr)
-        return 2
     if args.tol is not None and not math.isfinite(args.tol):
         print("relfix: --tol: tol must be finite", file=sys.stderr)
         return 2
@@ -100,7 +94,6 @@ def main(argv=None) -> int:
             input_bytes=raw,
             start=args.start,
             tol=args.tol,
-            max_iter=args.max_iter,
         )
     except (StartNotAdmissible, RelationBroken, ValueError) as exc:
         print(f"relfix: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bmetric import BMetricSpace, FORMULA_METRICS, _pid
+from .bmetric import BMetricSpace, FORMULA_METRICS, _int_id, _pid
 from .relation import (
     BinaryRelation,
     check_bd_self_closed,
@@ -25,14 +25,6 @@ from .relation import (
     Path,
 )
 from .simulation import SimulationFunction, evaluate
-
-
-def _int_id(x) -> int:
-    """int(x), refusing a value that int() would truncate (2.5 would name point 2)."""
-    i = int(x)
-    if i != x:
-        raise ValueError(f"point ids must be integers, got {x!r}")
-    return i
 
 
 @dataclass(frozen=True)

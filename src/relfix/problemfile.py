@@ -81,7 +81,6 @@ class ZetaBlock:
 @dataclass(frozen=True)
 class SolverBlock:
     start: float | None = None
-    max_iter: int | None = None
 
 
 @dataclass(frozen=True)
@@ -270,18 +269,13 @@ def _parse_zeta(items) -> ZetaBlock:
 
 
 def _parse_solver(items) -> SolverBlock:
-    start, max_iter = None, None
+    start = None
     for key, value, line in items:
         if key == "start":
             start = _num(value, line)
-        elif key == "max-iter":
-            count = _num(value, line)
-            if not (count.is_integer() and count >= 1):  # False on inf and nan too
-                raise ProblemFileError("max-iter must be a positive integer", line)
-            max_iter = int(count)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [solver]", line)
-    return SolverBlock(start=start, max_iter=max_iter)
+    return SolverBlock(start=start)
 
 
 @dataclass

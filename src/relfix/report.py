@@ -10,15 +10,16 @@ import math
 from datetime import datetime, timezone
 
 from . import __version__
-from .bmetric import UnknownPointError, verify_bmetric_axioms
-from .contraction import (ContractionVerdict, compute_mfr, linear_lambda_threshold,
-                          verify_all_hypotheses, verify_contraction)
+from .bmetric import Point, UnknownPointError, verify_bmetric_axioms
+from .contraction import (compute_mfr, linear_lambda_threshold, verify_all_hypotheses,
+                          verify_contraction)
 from .problemfile import ProblemBundle
 from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
 SCHEMA_VERSION = 3
+COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
 @functools.cache
@@ -42,70 +43,20 @@ def header(input_bytes: bytes) -> dict:
     }
 
 
-def axioms_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[dict, bool]:
-    problem = bundle.problem
-    axiom_report = verify_bmetric_axioms(problem.space, tol)
-    zeta_report = check_zeta_axioms(problem.zeta)
-    ok = axiom_report.all_ok and zeta_report.all_ok
-    return {"bmetric_axioms": axiom_report, "zeta_axioms": zeta_report}, ok
-
-
-def verify_fragment(bundle: ProblemBundle, tol: float | None = None) -> tuple[dict, bool, ContractionVerdict]:
-    problem = bundle.problem
-    hyp = verify_all_hypotheses(problem, tol)
-    rel = build_relation_report(problem.space, problem.relation, problem.map.mapping)
-    frag = {"relation": rel, "hypotheses": hyp}
-    if problem.zeta.family == "linear":
-        threshold = linear_lambda_threshold(hyp.contraction)
-        # JSON has no infinity; null means no lambda passes
-        frag["linear_lambda_threshold"] = threshold if threshold < math.inf else None
-    return frag, hyp.all_hypotheses_ok, hyp.contraction
-
-
-def _default_start(problem):
-    mfr = compute_mfr(problem.space, problem.relation, problem.map)
-    if not mfr:
-        raise ValueError("M(F;R) is empty: no admissible starting point")
-    return min(mfr, key=lambda p: p.id)
-
-
-def _solve(bundle: ProblemBundle, start=None, max_iter=None):
+def _start_point(bundle: ProblemBundle, start) -> Point:
+    """The point at ``start``, else at ``[solver] start``, else the lowest id in M(F;R)."""
     problem = bundle.problem
     if start is None:
         start = bundle.solver.start
     if start is None:
-        point = _default_start(problem)
-    else:
-        try:
-            point = problem.space.point_by_value(float(start))
-        except UnknownPointError:
-            raise ValueError(f"start {float(start)!r} is not a point of the space") from None
-    trace = picard_iterate(
-        problem,
-        point,
-        max_iter=max_iter if max_iter is not None else bundle.solver.max_iter,
-    )
-    frag = {"trace": trace}
-    if trace.steps:
-        frag["ratio_diagnostics"] = ratio_diagnostics(trace, tol=problem.default_tol())
-    return frag, trace.terminated_by == "exact-fixed-point", trace
-
-
-def certify_fragment(bundle: ProblemBundle, start=None, tol=None, max_iter=None,
-                     verdict: ContractionVerdict | None = None) -> tuple[dict, bool]:
-    """Solve and certify on ``verdict``, the ledger to judge by; None builds it at ``tol``."""
-    frag, solved, trace = _solve(bundle, start=start, max_iter=max_iter)
-    if not solved:
-        return frag, False
-    if verdict is None:
-        verdict = verify_contraction(bundle.problem, tol)
+        mfr = compute_mfr(problem.space, problem.relation, problem.map)
+        if not mfr:
+            raise ValueError("M(F;R) is empty: no admissible starting point")
+        return min(mfr, key=lambda p: p.id)
     try:
-        cert = certify(bundle.problem, trace, verdict)
-    except CertificationError as exc:
-        frag["certificate_error"] = str(exc)
-        return frag, False
-    frag["certificate"] = cert
-    return frag, not cert.contradictions
+        return problem.space.point_by_value(float(start))
+    except UnknownPointError:
+        raise ValueError(f"start {float(start)!r} is not a point of the space") from None
 
 
 def run_command(
@@ -114,32 +65,50 @@ def run_command(
     input_bytes: bytes = b"",
     start=None,
     tol=None,
-    max_iter=None,
 ) -> tuple[dict, bool]:
-    """Dispatch one CLI command; returns (report, pass) with pass driving the exit code.
+    """Run one CLI command; returns (report, pass) with pass driving the exit code.
 
-    The report holds dataclasses; encode it with ``json.dumps(report, default=_plain)``."""
+    ``report`` runs every other command's checks and judges its certificate on
+    the ledger its hypotheses printed.  The report holds dataclasses; encode it
+    with ``json.dumps(report, default=_plain)``."""
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
+    problem = bundle.problem
     report = {"header": header(input_bytes), "command": command}
     ok = True
-    verdict = None  # report reuses the hypotheses' ledger for its certificate
     if command in ("axioms", "report"):
-        frag, frag_ok = axioms_fragment(bundle, tol)
-        report.update(frag)
-        ok = ok and frag_ok
+        report["bmetric_axioms"] = verify_bmetric_axioms(problem.space, tol)
+        report["zeta_axioms"] = check_zeta_axioms(problem.zeta)
+        ok = report["bmetric_axioms"].all_ok and report["zeta_axioms"].all_ok
+    verdict = None
     if command in ("verify", "report"):
-        frag, frag_ok, verdict = verify_fragment(bundle, tol)
-        report.update(frag)
-        ok = ok and frag_ok
-    if command == "solve":
-        frag, frag_ok, _ = _solve(bundle, start=start, max_iter=max_iter)
-        report.update(frag)
-        ok = ok and frag_ok
-    if command in ("certify", "report"):
-        frag, frag_ok = certify_fragment(bundle, start=start, tol=tol, max_iter=max_iter,
-                                         verdict=verdict)
-        report.update(frag)
-        ok = ok and frag_ok
-    if command not in ("axioms", "verify", "solve", "certify", "report"):
-        raise ValueError(f"unknown command {command!r}")
+        hyp = verify_all_hypotheses(problem, tol)
+        report["relation"] = build_relation_report(problem.space, problem.relation,
+                                                   problem.map.mapping)
+        report["hypotheses"] = hyp
+        if problem.zeta.family == "linear":
+            threshold = linear_lambda_threshold(hyp.contraction)
+            # JSON has no infinity; null means no lambda passes
+            report["linear_lambda_threshold"] = threshold if threshold < math.inf else None
+        ok = ok and hyp.all_hypotheses_ok
+        verdict = hyp.contraction
+    if command in ("solve", "certify", "report"):
+        trace = picard_iterate(problem, _start_point(bundle, start))
+        report["trace"] = trace
+        if trace.steps:
+            report["ratio_diagnostics"] = ratio_diagnostics(trace, tol=problem.default_tol())
+        solved = trace.terminated_by == "exact-fixed-point"
+        ok = ok and solved
+        if solved and command != "solve":
+            if verdict is None:
+                verdict = verify_contraction(problem, tol)
+            try:
+                cert = certify(problem, trace, verdict)
+            except CertificationError as exc:
+                report["certificate_error"] = str(exc)
+                ok = False
+            else:
+                report["certificate"] = cert
+                ok = ok and not cert.contradictions
     report["overall_pass"] = ok
     return report, ok

@@ -35,7 +35,7 @@ class IterationTrace:
     phi_values: list
     phi_limit_estimate: float
     residual: float
-    terminated_by: str          # exact-fixed-point | cycle | max-iterations
+    terminated_by: str          # exact-fixed-point | cycle
     rho: float | None = None    # max ratio over the tail of positive steps
     n0: int | None = None       # first index past which ratios stay <= rho
     inadmissible_start: bool = False
@@ -52,7 +52,6 @@ class IterationTrace:
 def picard_iterate(
     problem: ContractionProblem,
     start: Point,
-    max_iter: int | None = None,
     allow_inadmissible_start: bool = False,
 ) -> IterationTrace:
     """Iterate sigma_{n+1} = F sigma_n from an admissible start, recording the trace.
@@ -60,8 +59,7 @@ def picard_iterate(
     On a finite space every orbit repeats a point within len(space) steps.
     The iteration stops at the first repeated id, which is the last entry of
     ``orbit_ids``: ``exact-fixed-point`` when it repeats the previous point,
-    ``cycle`` otherwise.  ``max_iter``, when given, caps the number of steps
-    (``max-iterations``).  Every recorded consecutive pair is required to lie
+    ``cycle`` otherwise.  Every recorded consecutive pair is required to lie
     in the relation; a violation aborts with the witness since it falsifies
     the closedness premise the proof relies on.
     """
@@ -79,8 +77,7 @@ def picard_iterate(
     ids = [sid]
     seen = {sid}
     steps = []
-    terminated_by = "max-iterations"
-    while max_iter is None or len(steps) < max_iter:
+    while True:
         cur = ids[-1]
         nxt = F(cur)
         if (cur, nxt) not in R.pairs and not inadmissible:
@@ -88,7 +85,6 @@ def picard_iterate(
         ids.append(nxt)
         steps.append(distance(space, cur, nxt))
         if nxt in seen:
-            terminated_by = "exact-fixed-point" if nxt == cur else "cycle"
             break
         seen.add(nxt)
 
@@ -103,7 +99,7 @@ def picard_iterate(
         phi_values=[phi(i) for i in ids],
         phi_limit_estimate=phi(terminal),
         residual=distance(space, terminal, F(terminal)),
-        terminated_by=terminated_by,
+        terminated_by="exact-fixed-point" if terminal == ids[-2] else "cycle",
         rho=rho,
         n0=n0,
         inadmissible_start=inadmissible,

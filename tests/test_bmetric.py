@@ -16,6 +16,8 @@ from relfix.bmetric import (
     distance,
     verify_bmetric_axioms,
 )
+from relfix.contraction import Potential, SelfMap
+from relfix.relation import BinaryRelation, find_path, related
 
 from conftest import example_space
 
@@ -375,6 +377,30 @@ def test_out_of_range_ids_still_raise():
     for a, b in ((-1, 0), (0, -1), (4, 0), (0, 4), (-5, -5)):
         with pytest.raises(UnknownPointError):
             distance(space, a, b)
+
+
+ID_SPACE = BMetricSpace.from_values([0, 1, 3])
+ID_RELATION = BinaryRelation({(2, 0), (2, 1), (1, 0)})
+ID_LOOKUPS = {
+    "distance": lambda x: distance(ID_SPACE, x, 0),
+    "related": lambda x: related(ID_RELATION, 2, x),
+    "successors": lambda x: ID_RELATION.successors(x),
+    "find_path": lambda x: find_path(ID_RELATION, x, 0),
+    "map": lambda x: SelfMap({0: 1, 1: 2, 2: 2})(x),
+    "potential": lambda x: Potential({0: 0.0, 1: 1.0, 2: 4.0})(x),
+}
+
+
+@pytest.mark.parametrize("lookup", sorted(ID_LOOKUPS))
+def test_lookups_reject_non_integral_ids(lookup):
+    fn = ID_LOOKUPS[lookup]
+    # int() would truncate each of these and name another point
+    for x in (2.5, 1.7, 0.2):
+        with pytest.raises(ValueError, match="must be integers"):
+            fn(x)
+    for i in range(3):
+        assert fn(float(i)) == fn(ID_SPACE.points[i]) == fn(i)
+    assert fn(True) == fn(1) and fn(False) == fn(0)
 
 
 @pytest.mark.parametrize("metric, values", [

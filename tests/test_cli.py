@@ -1,15 +1,18 @@
 import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
-from relfix.cli import main
-from relfix.report import _plain
+from relfix.cli import _parser, main
+from relfix.problemfile import build_problem, parse_problem
+from relfix.report import _plain, run_command
 
 from conftest import FIXTURES
 
 EX = str(FIXTURES / "example-3-1.problem")
+EX_TEXT = (FIXTURES / "example-3-1.problem").read_text()
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
@@ -115,16 +118,26 @@ def test_human_ledger_prints_the_first_failing_rows(tmp_path, capsys):
     assert "linear_lambda_threshold: None (given lambda: 0.5)\n" in out
 
 
+def test_readme_documents_every_option():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Library")]
+    options = {o for a in _parser()._actions for o in a.option_strings if o.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options - {"--help"}
+
+
 def test_plain_converts_only_dataclasses():
     with pytest.raises(TypeError):
         json.dumps({1, 2}, default=_plain)
 
 
-@pytest.mark.parametrize("value", ["-3", "0"])
-def test_nonpositive_max_iter_is_input_error(capsys, value):
-    code, out, err = run(capsys, "solve", EX, "--max-iter", value, "--json")
-    assert code == 2 and not out
-    assert "max-iter must be a positive integer" in err
+@pytest.mark.parametrize("value", ["-3", "0", "3"])
+def test_max_iter_option_is_rejected(capsys, value):
+    # the orbit stops at its first repeated point; there is no cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", EX, "--max-iter", value, "--json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert "unrecognized arguments: --max-iter" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -224,7 +237,7 @@ def test_certify_command(capsys):
 
 def test_default_start_is_smallest_admissible(capsys):
     # no --start and no [solver] start: picks the smallest id in M(F;R)
-    text = (FIXTURES / "example-3-1.problem").read_text().replace("start = 3\n", "")
+    text = EX_TEXT.replace("start = 3\n", "")
     import tempfile, os
 
     with tempfile.NamedTemporaryFile("w", suffix=".problem", delete=False) as fh:
@@ -262,7 +275,7 @@ def test_unknown_point_value_is_input_error(tmp_path, capsys, text):
 
 def test_unknown_zeta_family_is_line_anchored_input_error(tmp_path, capsys):
     path = tmp_path / "table.problem"
-    text = (FIXTURES / "example-3-1.problem").read_text()
+    text = EX_TEXT
     path.write_text(text.replace("family = linear", "family = table"))
     code, _, err = run(capsys, "report", str(path))
     assert code == 2
@@ -272,7 +285,7 @@ def test_unknown_zeta_family_is_line_anchored_input_error(tmp_path, capsys):
 def with_zeta(tmp_path, zeta_lines):
     """example-3-1 with its [zeta] body (lines 23 and 24) replaced."""
     path = tmp_path / "zeta.problem"
-    text = (FIXTURES / "example-3-1.problem").read_text()
+    text = EX_TEXT
     path.write_text(text.replace("family = linear\nlambda = 0.9\n", zeta_lines))
     return str(path)
 
@@ -348,20 +361,41 @@ def write(tmp_path, text):
     return str(path)
 
 
+# 0 -> 1 -> 2 -> 1: the orbit stops at the first repeated point
+CYCLE = (
+    "[space]\npoints = 0 1 2\nmetric = absolute-difference\n"
+    "[relation]\npairs = (0,1) (1,2) (2,1) (1,1) (2,2)\n"
+    "[map]\n0 = 1\n1 = 2\n2 = 1\n"
+    "[potential]\nformula = linear 1\n[zeta]\nlambda = 0.5\n[solver]\nstart = 0\n"
+)
+
+
 def test_cycle_report_prints_no_certificate(tmp_path, capsys):
-    # 0 -> 1 -> 2 -> 1: the orbit stops at the first repeated point
-    path = write(tmp_path, (
-        "[space]\npoints = 0 1 2\nmetric = absolute-difference\n"
-        "[relation]\npairs = (0,1) (1,2) (2,1) (1,1) (2,2)\n"
-        "[map]\n0 = 1\n1 = 2\n2 = 1\n"
-        "[potential]\nformula = linear 1\n[zeta]\nlambda = 0.5\n[solver]\nstart = 0\n"
-    ))
-    code, out, _ = run(capsys, "report", path, "--json")
+    code, out, _ = run(capsys, "report", write(tmp_path, CYCLE), "--json")
     doc = json.loads(out)
     assert doc["trace"]["orbit"] == [0.0, 1.0, 2.0, 1.0]
     assert doc["trace"]["terminated_by"] == "cycle"
     assert "certificate" not in doc and doc["overall_pass"] is False
     assert code == 1
+
+
+AXIOMS_KEYS = ["bmetric_axioms", "zeta_axioms"]
+VERIFY_KEYS = ["relation", "hypotheses", "linear_lambda_threshold"]
+SOLVE_KEYS = ["trace", "ratio_diagnostics"]
+
+
+@pytest.mark.parametrize("text, command, keys", [
+    (EX_TEXT, "axioms", AXIOMS_KEYS),
+    (EX_TEXT, "verify", VERIFY_KEYS),
+    (EX_TEXT, "solve", SOLVE_KEYS),
+    (EX_TEXT, "certify", SOLVE_KEYS + ["certificate"]),
+    (EX_TEXT, "report", AXIOMS_KEYS + VERIFY_KEYS + SOLVE_KEYS + ["certificate"]),
+    (CYCLE, "report", AXIOMS_KEYS + VERIFY_KEYS + SOLVE_KEYS),
+], ids=["axioms", "verify", "solve", "certify", "report", "cycle-report"])
+def test_report_keys_keep_their_order(text, command, keys):
+    # the --json goldens sort their keys; the human output prints them in this order
+    report, _ = run_command(command, build_problem(parse_problem(text)))
+    assert list(report) == ["header", "command", *keys, "overall_pass"]
 
 
 def test_tol_does_not_stop_the_iteration(capsys):
@@ -373,7 +407,7 @@ def test_tol_does_not_stop_the_iteration(capsys):
 
 
 def test_solver_tol_key_is_input_error(tmp_path, capsys):
-    text = (FIXTURES / "example-3-1.problem").read_text() + "tol = 0\n"
+    text = EX_TEXT + "tol = 0\n"
     code, out, err = run(capsys, "solve", write(tmp_path, text))
     assert code == 2 and not out
     assert f"line {len(text.splitlines())}: unknown key 'tol' in [solver]" in err

@@ -1,7 +1,7 @@
 """Byte-identity gate: header-stripped JSON reports against committed goldens.
 
 ``tests/golden/`` holds the ``--json`` report of every fixture under
-``report``, ``axioms --s 1``, ``verify`` and ``certify`` with the header
+``report``, ``axioms --s 1``, ``verify``, ``solve`` and ``certify`` with the header
 removed, plus one SHA-256 digest per seeded sweep of acceptance criteria 7
 and 8.  The fixture reports and criterion 7's documents must also be strict
 JSON: no ``NaN`` or ``Infinity`` token.  A change to how a quantity is computed (distance matrix, relation
@@ -36,6 +36,7 @@ COMMANDS = {
     "report": ["report"],
     "axioms-s1": ["axioms", "--s", "1"],
     "verify": ["verify"],
+    "solve": ["solve"],
     "certify": ["certify"],
 }
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.problem"))

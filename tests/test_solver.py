@@ -115,13 +115,6 @@ def test_orbit_is_the_prefix_up_to_the_first_repeat(case):
     assert trace.terminated_by == ("exact-fixed-point" if expected[-2] == expected[-1] else "cycle")
 
 
-def test_max_iter_caps_the_steps():
-    problem = cycle_problem({0: 1, 1: 2, 2: 1}, {(0, 1), (1, 2), (2, 1)})
-    trace = picard_iterate(problem, problem.space.points[0], max_iter=2)
-    assert trace.orbit_ids == [0, 1, 2]
-    assert trace.terminated_by == "max-iterations"
-
-
 @pytest.mark.parametrize("start", [3, 3.0, "3"], ids=["int", "float", "str"])
 def test_start_must_be_a_point(problem, start):
     with pytest.raises(TypeError, match="start must be a Point"):
@@ -228,7 +221,7 @@ def test_certify_contradiction_on_tampered_instance():
 
 def test_certify_rejects_unterminated(problem):
     trace = picard_iterate(problem, problem.space.point_by_value(3))
-    trace.terminated_by = "max-iterations"
+    trace.terminated_by = "cycle"
     with pytest.raises(ValueError):
         certify(problem, trace)
 
