@@ -29,10 +29,7 @@ class BMetricSpace:
 
     The metric is either a named formula over point values
     ("squared-difference" or "absolute-difference") or an explicit table
-    indexed by point id.  ``complete`` is a user assertion: completeness is
-    never computed from finite data.  ``grid_sample`` marks spaces sampled
-    from a continuum, which disables the discrete-space arguments
-    (see relation.check_bd_self_closed).
+    indexed by point id.
 
     Construction materialises the n x n distance matrix that every
     distance read goes through.  Every distance must be a finite float.  The
@@ -44,8 +41,6 @@ class BMetricSpace:
     metric: str = "squared-difference"
     table: tuple[tuple[float, ...], ...] | None = None
     s: float = 1.0
-    complete: bool = True
-    grid_sample: bool = False
 
     def __post_init__(self):
         if not self.points:
@@ -128,7 +123,10 @@ class BMetricSpace:
 
 def _int_id(x) -> int:
     """int(x), refusing a value that int() would truncate (2.5 would name point 2)."""
-    i = int(x)
+    try:
+        i = int(x)
+    except (OverflowError, ValueError):  # int() refuses inf and nan
+        i = None
     if i != x:
         raise ValueError(f"point ids must be integers, got {x!r}")
     return i

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -106,11 +107,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"relfix: {args.file}: a report quantity is not finite: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(encoded)
-    else:
-        # parsed back unsorted: fields keep their order and tuples print as lists
-        _human(json.loads(encoded), sys.stdout, bundle.problem.zeta.lam)
+    try:
+        if args.json:
+            print(encoded)
+        else:
+            # parsed back unsorted: fields keep their order and tuples print as lists
+            _human(json.loads(encoded), sys.stdout, bundle.problem.zeta.lam)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`relfix report FILE | head -1`): end with the
+        # verdict's status, and send what is still buffered to devnull so the
+        # interpreter's exit flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if ok else 1
 
 

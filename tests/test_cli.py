@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import relfix
 from relfix.cli import _parser, main
 from relfix.problemfile import build_problem, parse_problem
 from relfix.report import _plain, run_command
@@ -273,17 +277,21 @@ def test_unknown_point_value_is_input_error(tmp_path, capsys, text):
     assert "7.0 is not a point of the space" in err
 
 
+# the line of example-3-1's [zeta] body that opens it, "family = linear"
+ZETA_LINE = EX_TEXT.splitlines().index("family = linear") + 1
+
+
 def test_unknown_zeta_family_is_line_anchored_input_error(tmp_path, capsys):
     path = tmp_path / "table.problem"
     text = EX_TEXT
     path.write_text(text.replace("family = linear", "family = table"))
     code, _, err = run(capsys, "report", str(path))
     assert code == 2
-    assert "line 23: unknown zeta family 'table', expected linear or scaled" in err
+    assert f"line {ZETA_LINE}: unknown zeta family 'table', expected linear or scaled" in err
 
 
 def with_zeta(tmp_path, zeta_lines):
-    """example-3-1 with its [zeta] body (lines 23 and 24) replaced."""
+    """example-3-1 with its two-line [zeta] body, from ZETA_LINE on, replaced."""
     path = tmp_path / "zeta.problem"
     text = EX_TEXT
     path.write_text(text.replace("family = linear\nlambda = 0.9\n", zeta_lines))
@@ -308,15 +316,16 @@ def test_infinite_mu_is_input_error(tmp_path, capsys):
     assert "0 < lambda < mu < inf" in err
 
 
-@pytest.mark.parametrize("zeta_lines, line", [
-    ("family = linear\nmu = 3\nlambda = 0.9\n", 24),
-    ("mu = 3\nfamily = linear\nlambda = 0.9\n", 23),
-    ("lambda = 0.9\nmu = 3\n", 24),
+@pytest.mark.parametrize("zeta_lines, offset", [
+    ("family = linear\nmu = 3\nlambda = 0.9\n", 1),
+    ("mu = 3\nfamily = linear\nlambda = 0.9\n", 0),
+    ("lambda = 0.9\nmu = 3\n", 1),
 ], ids=["after-family", "before-family", "default-family"])
-def test_mu_under_linear_is_line_anchored_input_error(tmp_path, capsys, zeta_lines, line):
+def test_mu_under_linear_is_line_anchored_input_error(tmp_path, capsys, zeta_lines, offset):
+    # offset: the mu line's place in the new [zeta] body
     code, _, err = run(capsys, "verify", with_zeta(tmp_path, zeta_lines))
     assert code == 2
-    assert f"line {line}: the linear zeta family takes no mu" in err
+    assert f"line {ZETA_LINE + offset}: the linear zeta family takes no mu" in err
 
 
 def test_unknown_start_is_input_error(capsys):
@@ -334,6 +343,22 @@ TAMPERED = (
     "[potential]\n0 = 0\n1 = 0\n2 = 1\n"
     "[zeta]\nfamily = linear\nlambda = 0.5\n"
 )
+
+
+@pytest.mark.parametrize("text, status", [(EX_TEXT, 0), (TAMPERED, 1)], ids=["passing", "failing"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_closed_stdout_ends_quietly_with_the_verdict_status(text, status, json_flag):
+    # the problem arrives on stdin only after the reader has closed stdout, so
+    # the first write meets a closed pipe, as under `relfix report FILE | head -1`
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(relfix.__file__).parents[1]))
+    # block-buffered, a pipe's default, so the interpreter's exit flush is tested too
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relfix.cli", "report", "/dev/stdin", *json_flag],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(text.encode(), timeout=60)
+    assert (proc.returncode, err) == (status, b"")
 
 
 def test_report_certifies_on_the_printed_verdict(tmp_path, capsys):

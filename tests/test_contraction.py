@@ -122,15 +122,16 @@ def test_potential_rejects_negative_values():
 
 
 def test_map_rejects_non_integral_ids():
-    for mapping in ({0.7: 1}, {0: 1.2}):
+    for mapping in ({0.7: 1}, {0: 1.2}, {0: math.inf}, {-math.inf: 0}, {0: math.nan}):
         with pytest.raises(ValueError, match="must be integers"):
             SelfMap(mapping)
     assert SelfMap({True: 0.0, 2.0: 2}).mapping == {1: 0, 2: 2}
 
 
 def test_potential_rejects_non_integral_ids():
-    with pytest.raises(ValueError, match="must be integers"):
-        Potential({0.5: 1.0})
+    for key in (0.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be integers"):
+            Potential({key: 1.0})
     assert Potential({True: 1, 2.0: 0.5}).values == {1: 1.0, 2: 0.5}
 
 def test_map_totality_enforced():

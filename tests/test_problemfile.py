@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from relfix.cli import main
 from relfix.problemfile import (
     ProblemFileError,
     build_problem,
@@ -116,6 +119,23 @@ def test_max_iter_key_is_unknown(value):
     with pytest.raises(ProblemFileError, match=r"unknown key 'max-iter' in \[solver\]") as exc:
         parse_problem(text)
     assert exc.value.line == len(text.splitlines())
+
+
+@pytest.mark.parametrize("key, section", [
+    ("complete", "space"), ("grid-sample", "space"), ("r-continuous", "map"),
+])
+def test_finiteness_flag_keys_are_unknown(key, section, tmp_path, capsys):
+    # a finite space is complete and b-d-self-closed, so no key asserts either
+    text = read("example-3-1.problem").replace(f"[{section}]\n", f"[{section}]\n{key} = true\n")
+    line = text.splitlines().index(f"{key} = true") + 1
+    message = f"unknown key '{key}' in [{section}]"
+    with pytest.raises(ProblemFileError, match=re.escape(message)) as exc:
+        parse_problem(text)
+    assert exc.value.line == line
+    path = tmp_path / "flag.problem"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
 
 
 def test_point_values_within_lookup_tolerance_rejected():
