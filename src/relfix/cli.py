@@ -42,16 +42,16 @@ def _human(report: dict, out, lam: float):
     def emit(indent, key, value):
         prefix = indent + key
         inner = indent + "  "
-        if isinstance(value, dict) and "zeta_value" in value:
-            # the contraction ledger: its scalars and first 10 failing rows, not its columns
+        if isinstance(value, dict) and "failing_rows" in value:
+            # the contraction ledger: its scalars and first 10 failing rows
             print(f"{prefix}:", file=out)
+            rows = value.pop("failing_rows")
             for k, v in value.items():
-                if not isinstance(v, list):
-                    emit(inner, k, v)
-            for i in value["failing"][:10]:
-                print(f"{inner}failing row {i}: sigma {value['sigma'][i]}, rho {value['rho'][i]}, "
-                      f"t {value['s'] * value['d_image_pair'][i]}, s_arg {value['s_arg'][i]}, "
-                      f"zeta_value {value['zeta_value'][i]}", file=out)
+                emit(inner, k, v)
+            for j, i in enumerate(rows["row"][:10]):
+                print(f"{inner}failing row {i}: sigma {rows['sigma'][j]}, rho {rows['rho'][j]}, "
+                      f"t {value['s'] * rows['d_image_pair'][j]}, s_arg {rows['s_arg'][j]}, "
+                      f"zeta_value {rows['zeta_value'][j]}", file=out)
         elif prefix == "linear_lambda_threshold":
             print(f"{prefix}: {value} (given lambda: {lam})", file=out)
         elif isinstance(value, dict):

@@ -13,9 +13,9 @@ proof's telescoping step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .bmetric import BMetricSpace, FORMULA_METRICS, _int_id, _pid
+from .bmetric import WITNESS_CAP, BMetricSpace, FORMULA_METRICS, _int_id, _pid
 from .relation import (
     BinaryRelation,
     check_bd_self_closed,
@@ -97,12 +97,21 @@ def compute_mfr(space: BMetricSpace, relation: BinaryRelation, fmap: SelfMap) ->
     return [p for p in space.points if (p.id, fmap(p)) in relation.pairs]
 
 
+# field metadata: the field stays on the object but not in the report body
+IN_MEMORY = {"report": False}
+
+
 @dataclass
 class ContractionVerdict:
     """The ledger as one list per quantity, indexed by row: the related pairs in
     sorted_pairs() order.  Row i has t = s * d_image_pair[i]; it is active when
     d_sigma_fsigma[i] > 0.  zeta_value is None on vacuous rows and where
     s_arg < 0 leaves zeta's domain; ``failing`` holds the failing row indices.
+
+    The report body carries the scalars and ``failing_rows``: the first
+    WITNESS_CAP failing row indices under "row", and the seven columns at
+    those rows under their own names.  The full columns and ``failing`` grow
+    with |R| and stay on the object.
     """
 
     ok: bool
@@ -110,14 +119,15 @@ class ContractionVerdict:
     tol: float
     active_count: int
     failing_count: int
-    failing: list
-    sigma: list
-    rho: list
-    d_sigma_fsigma: list
-    d_pair: list
-    d_image_pair: list
-    s_arg: list
-    zeta_value: list
+    failing_rows: dict
+    failing: list = field(metadata=IN_MEMORY)
+    sigma: list = field(metadata=IN_MEMORY)
+    rho: list = field(metadata=IN_MEMORY)
+    d_sigma_fsigma: list = field(metadata=IN_MEMORY)
+    d_pair: list = field(metadata=IN_MEMORY)
+    d_image_pair: list = field(metadata=IN_MEMORY)
+    s_arg: list = field(metadata=IN_MEMORY)
+    zeta_value: list = field(metadata=IN_MEMORY)
 
     @property
     def active_rows(self) -> list:
@@ -156,10 +166,13 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
             if zeta_value[i] >= -tol:
                 continue
         failing.append(i)
+    head = failing[:WITNESS_CAP]
+    columns = {"sigma": sigma, "rho": rho, "d_sigma_fsigma": d_self, "d_pair": d_pair,
+               "d_image_pair": d_image, "s_arg": s_arg, "zeta_value": zeta_value}
+    failing_rows = {"row": head, **{k: [c[i] for i in head] for k, c in columns.items()}}
     return ContractionVerdict(
         ok=not failing, s=s, tol=tol, active_count=len(active), failing_count=len(failing),
-        failing=failing, sigma=sigma, rho=rho, d_sigma_fsigma=d_self, d_pair=d_pair,
-        d_image_pair=d_image, s_arg=s_arg, zeta_value=zeta_value,
+        failing_rows=failing_rows, failing=failing, **columns,
     )
 
 
@@ -184,11 +197,15 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
 
 @dataclass
 class HypothesisReport:
+    """Each witness list keeps its first WITNESS_CAP entries; its count is exact."""
+
     mfr: list                      # admissible start point values, sorted
     mfr_nonempty: bool
     f_closed: bool
+    f_closed_witness_count: int
     f_closed_witnesses: list
     transitive: bool
+    transitive_witness_count: int
     transitive_witnesses: list
     condition_iii: str             # a finite space is always b-d-self-closed
     condition_iii_note: str
@@ -210,9 +227,11 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None)
         mfr=[p.value for p in mfr],
         mfr_nonempty=bool(mfr),
         f_closed=fcl,
-        f_closed_witnesses=fcl_w,
+        f_closed_witness_count=len(fcl_w),
+        f_closed_witnesses=fcl_w[:WITNESS_CAP],
         transitive=trans,
-        transitive_witnesses=trans_w,
+        transitive_witness_count=len(trans_w),
+        transitive_witnesses=trans_w[:WITNESS_CAP],
         condition_iii="bd-self-closed-verified",
         condition_iii_note=check_bd_self_closed(space),
         contraction=contraction,

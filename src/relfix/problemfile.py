@@ -187,10 +187,15 @@ def _parse_relation(items) -> RelationBlock:
     pairs, tc, sc = [], False, False
     for key, value, line in items:
         if key in ("pairs", "pair"):
-            found = _PAIR_RE.findall(value)
-            if not found:
+            # [text, a, b, text, a, b, ..., text]: the two groups of each match
+            # between the texts around it
+            parts = _PAIR_RE.split(value)
+            if len(parts) == 1:
                 raise ProblemFileError("expected pairs like (1,2) (2,3)", line)
-            pairs.extend((_num(a, line), _num(b, line)) for a, b in found)
+            stray = " ".join(parts[::3]).split()
+            if stray:
+                raise ProblemFileError(f"stray text {stray[0]!r} between pairs", line)
+            pairs.extend((_num(a, line), _num(b, line)) for a, b in zip(parts[1::3], parts[2::3]))
         elif key == "transitive-closure":
             tc = _flag(value, line)
         elif key == "symmetric-closure":
@@ -232,10 +237,14 @@ def _parse_potential(items) -> PotentialBlock:
                 raise ProblemFileError("potential formula must be 'linear C'", line)
             coeff = _num(parts[1], line)
         else:
+            try:
+                point = float(key)
+            except ValueError:
+                raise ProblemFileError(f"unknown key {key!r} in [potential]", line) from None
             v = _num(value, line)
             if v < 0:
                 raise ProblemFileError("potential codomain [0, ∞) violated", line)
-            entries.append((_num(key, line), v))
+            entries.append((point, v))
     if entries and coeff is not None:
         raise ProblemFileError("[potential] mixes explicit entries and a formula")
     if not entries and coeff is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .bmetric import BMetricSpace, _pid
+from .bmetric import WITNESS_CAP, BMetricSpace, _pid
 
 
 @dataclass(frozen=True)
@@ -213,10 +213,14 @@ def check_bd_self_closed(space: BMetricSpace) -> str:
 
 @dataclass
 class RelationDiagnostics:
+    """Each list in ``witnesses`` keeps its first WITNESS_CAP entries; ``witness_counts``
+    holds the exact totals under the same keys."""
+
     reflexive: bool
     irreflexive: bool
     symmetric: bool
     antisymmetric: bool
+    witness_counts: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
 
 
@@ -232,26 +236,32 @@ def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiag
                 asym.append((a, b))
             elif a != b:
                 sym_distinct.append((a, b))
+    witnesses = {
+        "reflexive": missing_loops,
+        "irreflexive": present_loops,
+        "symmetric": asym,
+        "antisymmetric": sym_distinct,
+    }
     return RelationDiagnostics(
         reflexive=not missing_loops,
         irreflexive=not present_loops,
         symmetric=not asym,
         antisymmetric=not sym_distinct,
-        witnesses={
-            "reflexive": missing_loops,
-            "irreflexive": present_loops,
-            "symmetric": asym,
-            "antisymmetric": sym_distinct,
-        },
+        witness_counts={k: len(w) for k, w in witnesses.items()},
+        witnesses={k: w[:WITNESS_CAP] for k, w in witnesses.items()},
     )
 
 
 @dataclass
 class RelationReport:
+    """Each list in ``counterexamples`` keeps its first WITNESS_CAP entries;
+    ``counterexample_counts`` holds the exact totals under the same keys."""
+
     transitive: bool
     complete: bool
     f_closed: bool
     bd_self_closed: bool  # always true on a finite space; see check_bd_self_closed
+    counterexample_counts: dict
     counterexamples: dict
     diagnostics: RelationDiagnostics
     bd_justification: str = ""
@@ -261,12 +271,14 @@ def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict)
     trans, trans_w = is_transitive(R)
     comp, comp_w = is_complete(R, space)
     fcl, fcl_w = is_f_closed(R, mapping)
+    found = {"transitive": trans_w, "complete": comp_w, "f_closed": fcl_w}
     return RelationReport(
         transitive=trans,
         complete=comp,
         f_closed=fcl,
         bd_self_closed=True,
-        counterexamples={"transitive": trans_w, "complete": comp_w, "f_closed": fcl_w},
+        counterexample_counts={k: len(w) for k, w in found.items()},
+        counterexamples={k: w[:WITNESS_CAP] for k, w in found.items()},
         diagnostics=relation_diagnostics(R, space),
         bd_justification=check_bd_self_closed(space),
     )

@@ -1,5 +1,9 @@
 """Structured report assembly: a dict of the result dataclasses in a stable
-order, encoded once with ``json.dumps(report, default=_plain)``."""
+order, encoded once with ``json.dumps(report, default=_plain)``.
+
+The report body is bounded: every witness list holds its first WITNESS_CAP
+entries next to an exact count, and a field whose metadata sets ``report``
+to False (the contraction ledger's columns) stays on the object only."""
 
 from __future__ import annotations
 
@@ -18,17 +22,18 @@ from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
 @functools.cache
 def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))  # TypeError unless a dataclass
+    # TypeError unless a dataclass
+    return tuple(f.name for f in dataclasses.fields(cls) if f.metadata.get("report", True))
 
 
 def _plain(obj) -> dict:
-    """``json.dumps(default=)`` hook: one report dataclass as a dict of its fields."""
+    """``json.dumps(default=)`` hook: one report dataclass as a dict of its report fields."""
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
@@ -109,6 +114,6 @@ def run_command(
                 ok = False
             else:
                 report["certificate"] = cert
-                ok = ok and not cert.contradictions
+                ok = ok and not cert.contradiction_count
     report["overall_pass"] = ok
     return report, ok

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bmetric import BMetricSpace, Point, distance
+from .bmetric import WITNESS_CAP, BMetricSpace, Point, distance
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -193,10 +193,15 @@ class CertificationError(RuntimeError):
 
 @dataclass
 class FixedPointCertificate:
+    """``contradictions`` and ``unconnected_pairs`` keep their first WITNESS_CAP
+    entries in (a, b) order; the counts are exact."""
+
     fixed_points: list           # values, oracle-enumerated
     solver_result: float
     unique: bool
+    contradiction_count: int = 0
     contradictions: list = field(default_factory=list)
+    unconnected_count: int = 0
     unconnected_pairs: list = field(default_factory=list)
 
 
@@ -257,13 +262,17 @@ def certify(
                 if not check.path_exists:
                     check = verify_uniqueness_condition(problem, b, a)
                 if check.path_exists and contraction_ok:
-                    cert.contradictions.append(
-                        {
-                            "pair": (space.point(a).value, space.point(b).value),
-                            "path": check.path.value_nodes(space),
-                            "note": note,
-                        }
-                    )
+                    cert.contradiction_count += 1
+                    if len(cert.contradictions) < WITNESS_CAP:
+                        cert.contradictions.append(
+                            {
+                                "pair": (space.point(a).value, space.point(b).value),
+                                "path": check.path.value_nodes(space),
+                                "note": note,
+                            }
+                        )
                 elif not check.path_exists:
-                    cert.unconnected_pairs.append((space.point(a).value, space.point(b).value))
+                    cert.unconnected_count += 1
+                    if len(cert.unconnected_pairs) < WITNESS_CAP:
+                        cert.unconnected_pairs.append((space.point(a).value, space.point(b).value))
     return cert

@@ -10,6 +10,7 @@ import pytest
 
 import relfix
 from relfix.cli import _parser, main
+from relfix.contraction import verify_contraction
 from relfix.problemfile import build_problem, parse_problem
 from relfix.report import _plain, run_command
 
@@ -41,7 +42,7 @@ def test_json_report(capsys):
     assert doc["overall_pass"] is True
     assert doc["certificate"]["unique"] is True
     assert doc["trace"]["orbit"] == [3.0, 2.0, 1.0, 1.0]
-    assert doc["header"]["schema_version"] == 3
+    assert doc["header"]["schema_version"] == 4
     assert len(doc["header"]["input_digest"]) == 64
 
 
@@ -61,23 +62,27 @@ def test_axioms_with_s_override_fails(capsys):
     assert [1.0, 3.0, 2.0] in doc["bmetric_axioms"]["triangle_witnesses"]
 
 
+def fixture_ledger(name):
+    """The contraction verdict of a fixture, columns included."""
+    return verify_contraction(build_problem(parse_problem((FIXTURES / name).read_text())).problem)
+
+
 def test_verify_usual_metric_shows_ratio_one(capsys):
-    code, out, _ = run(capsys, "verify", str(FIXTURES / "remark-usual-metric.problem"), "--json")
+    code, _, _ = run(capsys, "verify", str(FIXTURES / "remark-usual-metric.problem"), "--json")
     assert code == 0
-    doc = json.loads(out)
-    ledger = doc["hypotheses"]["contraction"]
-    i = list(zip(ledger["sigma"], ledger["rho"])).index((2.0, 4.0))
-    assert ledger["d_image_pair"][i] == 2.0
-    assert ledger["d_pair"][i] == 2.0
-    assert ledger["d_image_pair"][i] / ledger["d_pair"][i] == 1.0
+    ledger = fixture_ledger("remark-usual-metric.problem")
+    i = list(zip(ledger.sigma, ledger.rho)).index((2.0, 4.0))
+    assert ledger.d_image_pair[i] == 2.0
+    assert ledger.d_pair[i] == 2.0
+    assert ledger.d_image_pair[i] / ledger.d_pair[i] == 1.0
 
 
 def test_b_simulation_bound_in_ledger(capsys):
-    code, out, _ = run(capsys, "verify", str(FIXTURES / "remark-b-simulation.problem"), "--json")
+    code, _, _ = run(capsys, "verify", str(FIXTURES / "remark-b-simulation.problem"), "--json")
     assert code == 0
-    ledger = json.loads(out)["hypotheses"]["contraction"]
-    i = list(zip(ledger["sigma"], ledger["rho"])).index((2.0, 4.0))
-    assert ledger["d_pair"][i] - ledger["s"] * ledger["d_image_pair"][i] == -4.0
+    ledger = fixture_ledger("remark-b-simulation.problem")
+    i = list(zip(ledger.sigma, ledger.rho)).index((2.0, 4.0))
+    assert ledger.d_pair[i] - ledger.s * ledger.d_image_pair[i] == -4.0
 
 
 JSON_COMMANDS = [["report"], ["axioms", "--s", "1"], ["verify"], ["solve"], ["certify"]]

@@ -75,12 +75,15 @@ def _command_doc(command: str, bundle: ProblemBundle) -> dict:
 
 
 def sweep_7_digest() -> str:
-    """Axioms, verify and certify reports over criterion 7's seeded sweep."""
+    """Axioms, verify and certify reports over criterion 7's seeded sweep, each
+    followed by every field of the verify verdict, the ledger columns the
+    report body leaves out included."""
     rng = random.Random(20260823)
     docs = []
     for _ in range(200):
         bundle = ProblemBundle(problem=random_problem(rng), solver=SolverBlock())
-        docs.append([_command_doc(c, bundle) for c in ("axioms", "verify", "certify")])
+        reports = [_command_doc(c, bundle) for c in ("axioms", "verify", "certify")]
+        docs.append(reports + [vars(reports[1]["hypotheses"].contraction)])
     text = _dump(docs)
     strict_loads(text)
     return hashlib.sha256(text.encode()).hexdigest()

@@ -146,3 +146,32 @@ def test_point_values_within_lookup_tolerance_rejected():
     with pytest.raises(ProblemFileError, match="duplicate point values 0.0 and 1e-13") as exc:
         parse_problem(text)
     assert exc.value.line == 2
+
+
+def test_unknown_potential_key_is_named_before_its_value(tmp_path, capsys):
+    text = read("example-3-1.problem").replace("formula = linear 3", "formla = linear 3")
+    message = "line 19: unknown key 'formla' in [potential]"
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        parse_problem(text)
+    path = tmp_path / "typo.problem"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs, stray", [
+    ("(1,2) (2,3 (3,3)", "(2,3"),
+    ("(1,2), (2,3)", ","),
+    ("(1,2) (2,3) x", "x"),
+])
+def test_stray_text_between_pairs_is_rejected(pairs, stray, tmp_path, capsys):
+    text = read("example-3-1.problem").replace(
+        "pairs = (1,1) (1,2) (1,3) (1,4) (2,1) (2,2) (2,3) (2,4) (3,1) (3,2) (3,3) (3,4)",
+        f"pairs = {pairs}")
+    message = f"line 11: stray text {stray!r} between pairs"
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        parse_problem(text)
+    path = tmp_path / "stray.problem"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -1,0 +1,148 @@
+"""The bounded report body (schema 4).
+
+Every list in a report keeps the first WITNESS_CAP entries of the full list,
+in scan order, next to an exact count; the contraction ledger's JSON view
+keeps its scalars and its first WITNESS_CAP failing rows, each with all seven
+quantities.  The full lists here come from the library predicates, the
+verdict's in-memory columns, and references written in the test.
+"""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from relfix.bmetric import WITNESS_CAP, BMetricSpace
+from relfix.contraction import ContractionProblem, Potential, SelfMap, verify_contraction
+from relfix.problemfile import ProblemBundle, SolverBlock
+from relfix.relation import BinaryRelation, find_path, is_complete, is_f_closed, is_transitive
+from relfix.report import _plain, run_command
+from relfix.simulation import SimulationFunction
+from relfix.solver import RelationBroken, enumerate_fixed_points
+
+from instance_gen import random_problem
+
+COLUMNS = ("sigma", "rho", "d_sigma_fsigma", "d_pair", "d_image_pair", "s_arg", "zeta_value")
+
+
+def as_json(value):
+    return json.loads(json.dumps(value, default=_plain))
+
+
+def first(full: list) -> list:
+    return as_json(full[:WITNESS_CAP])
+
+
+def check_bounded_view(problem: ContractionProblem) -> dict:
+    """Check every capped list of the report against its full list; returns the JSON body."""
+    bundle = ProblemBundle(problem=problem, solver=SolverBlock())
+    try:
+        report, _ = run_command("report", bundle)
+    except (ValueError, RelationBroken):  # no admissible start, or the orbit leaves R
+        report, _ = run_command("verify", bundle)
+    doc = as_json(report)
+    space, R, mapping = problem.space, problem.relation, problem.map.mapping
+
+    full = {"transitive": is_transitive(R)[1], "complete": is_complete(R, space)[1],
+            "f_closed": is_f_closed(R, mapping)[1]}
+    rel = doc["relation"]
+    assert rel["counterexamples"] == {k: first(w) for k, w in full.items()}
+    assert rel["counterexample_counts"] == {k: len(w) for k, w in full.items()}
+
+    hyp = doc["hypotheses"]
+    for key in ("transitive", "f_closed"):
+        assert hyp[f"{key}_witnesses"] == first(full[key])
+        assert hyp[f"{key}_witness_count"] == len(full[key])
+
+    pairs = R.sorted_pairs()
+    diag = {
+        "reflexive": [a for a in range(len(space)) if (a, a) not in R.pairs],
+        "irreflexive": [a for a, b in pairs if a == b],
+        "symmetric": [(a, b) for a, b in pairs if (b, a) not in R.pairs],
+        "antisymmetric": [(a, b) for a, b in pairs if a != b and (b, a) in R.pairs],
+    }
+    assert rel["diagnostics"]["witnesses"] == {k: first(w) for k, w in diag.items()}
+    assert rel["diagnostics"]["witness_counts"] == {k: len(w) for k, w in diag.items()}
+
+    verdict = verify_contraction(problem)
+    ledger = hyp["contraction"]
+    assert set(ledger) == {"ok", "s", "tol", "active_count", "failing_count", "failing_rows"}
+    assert ledger["failing_count"] == len(verdict.failing)
+    head = verdict.failing[:WITNESS_CAP]
+    assert ledger["failing_rows"] == as_json(
+        {"row": head, **{name: [getattr(verdict, name)[i] for i in head] for name in COLUMNS}})
+
+    if "certificate" in doc:
+        cert = doc["certificate"]
+        fps = [p.id for p in enumerate_fixed_points(space, problem.map)]
+        contraction_ok = verdict.ok and verdict.active_count > 0
+        connected, unconnected = [], []
+        for i, a in enumerate(fps):
+            for b in fps[i + 1:]:
+                path = find_path(R, a, b) or find_path(R, b, a)
+                pair = (space.point(a).value, space.point(b).value)
+                if path is None:
+                    unconnected.append(pair)
+                elif contraction_ok:
+                    connected.append((pair, path.value_nodes(space)))
+        assert [[c["pair"], c["path"]] for c in cert["contradictions"]] == first(connected)
+        assert cert["contradiction_count"] == len(connected)
+        assert len({c["note"] for c in cert["contradictions"]}) <= 1
+        assert cert["unconnected_pairs"] == first(unconnected)
+        assert cert["unconnected_count"] == len(unconnected)
+        assert doc["overall_pass"] is False or not connected
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_report_lists_are_the_first_entries_of_the_full_lists(seed):
+    check_bounded_view(random_problem(random.Random(seed)))
+
+
+def integer_problem(n, pairs, mapping, potential) -> ContractionProblem:
+    return ContractionProblem(
+        space=BMetricSpace.from_values(range(n), s=2.0),
+        relation=BinaryRelation(pairs),
+        map=SelfMap(mapping),
+        potential=Potential(potential),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+
+
+def fixedpoints(n):
+    """Complete relation, every even point fixed, odd points map to their left neighbour."""
+    return integer_problem(n, {(a, b) for a in range(n) for b in range(n)},
+                           {k: k - k % 2 for k in range(n)},
+                           {k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)})
+
+
+def isolated_fixed_points(n):
+    """Every point fixed and related only to itself: no pair of fixed points connects."""
+    return integer_problem(n, {(a, a) for a in range(n)}, {k: k for k in range(n)},
+                           dict.fromkeys(range(n), 0.0))
+
+
+def loopless_constant_map(n):
+    """Every distinct pair related, F constant 0, phi rising towards 0: the
+    relation is neither transitive nor F-closed, and every active row has
+    s_arg < 0."""
+    return integer_problem(n, {(a, b) for a in range(n) for b in range(n) if a != b},
+                           dict.fromkeys(range(n), 0), {k: float(n - k) for k in range(n)})
+
+
+@pytest.mark.parametrize("build, n, counts", [
+    (fixedpoints, 24, {"antisymmetric": 552, "contradiction_count": 66}),
+    (fixedpoints, 48, {"antisymmetric": 2256, "contradiction_count": 276}),
+    (isolated_fixed_points, 24, {"complete": 276, "unconnected_count": 276}),
+    (loopless_constant_map, 24, {"transitive": 552, "f_closed": 552, "failing_count": 529}),
+], ids=["fixedpoints-24", "fixedpoints-48", "isolated-24", "loopless-24"])
+def test_lists_above_the_cap_keep_their_first_entries_and_exact_counts(build, n, counts):
+    doc = check_bounded_view(build(n))
+    rel, cert = doc["relation"], doc.get("certificate", {})
+    found = {**rel["counterexample_counts"], **rel["diagnostics"]["witness_counts"],
+             "failing_count": doc["hypotheses"]["contraction"]["failing_count"],
+             **{k: cert[k] for k in ("contradiction_count", "unconnected_count") if k in cert}}
+    assert {k: found[k] for k in counts} == counts
+    assert max(counts.values()) > WITNESS_CAP
