@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import attrgetter, gt, truediv
@@ -113,9 +113,16 @@ class BMetricSpace:
         return pts[lo] if hi - lo == 1 else min(pts[lo:hi], key=attrgetter("id"))
 
     def min_nonzero_distance(self) -> float:
-        """Smallest positive pairwise distance; +inf on a single-point space."""
-        return min((v for i, row in enumerate(self._d) for v in row[i + 1:] if v > 0),
-                   default=math.inf)
+        """Smallest positive off-diagonal distance; +inf on a single-point space.
+
+        A formula matrix is symmetric, so its upper triangle suffices; a table
+        may not be, so both of its triangles are read.
+        """
+        if self.metric == "table":
+            rows = (row[:i] + row[i + 1:] for i, row in enumerate(self._d))
+        else:
+            rows = (row[i + 1:] for i, row in enumerate(self._d))
+        return min((v for row in rows for v in row if v > 0), default=math.inf)
 
     def __len__(self):
         return len(self.points)
@@ -213,17 +220,17 @@ def _squared_sup(xs) -> tuple[int, int]:
     return 2 * best_len ** 2, best_len ** 2 + best_e ** 2
 
 
-def _entries_exact(space: BMetricSpace, xs: list, q: int) -> bool:
-    """True when every matrix entry, diagonal included, is D(a, b) exactly and
-    every sum of two entries is a float.
+def _exact_scale(space: BMetricSpace, xs: list, q: int) -> float | None:
+    """The grid scale when every matrix entry, diagonal included, is K(a, b) *
+    scale exactly and every sum of two entries is a float; None otherwise.
 
     ``xs``, ``q`` are the point values on their grid (see _value_grid), q = 2**e.
-    In grid units an entry is the integer k = (Xa - Xb)**2, scaled by
-    2**-2e, or |Xa - Xb|, scaled by 2**-e.  When 2 * max k < 2**53 and that
-    scale is at least 2**-1022, every k * scale and every sum of two is a
-    float, so comparing each entry with k * scale in floats is exact.
+    In grid units an entry is the integer K(a, b) = (Xa - Xb)**2, scaled by
+    2**-2e, or |Xa - Xb|, scaled by 2**-e.  When 2 * max K < 2**53 and that
+    scale is at least 2**-1022, every K * scale and every sum of two is a
+    float, so comparing each entry with K * scale in floats is exact.
     Otherwise (a span too wide, or a grid so fine the scale underflows) the
-    answer is False.  The entries are read, not assumed: the matrix is built
+    answer is None.  The entries are read, not assumed: the matrix is built
     with a subtraction and a libm pow.
     """
     e = q.bit_length() - 1
@@ -232,13 +239,127 @@ def _entries_exact(space: BMetricSpace, xs: list, q: int) -> bool:
     if squared:
         e, k_max = 2 * e, k_max * k_max
     if e > 1022 or 2 * k_max >= 2 ** 53:
-        return False
+        return None
     scale = math.ldexp(1.0, -e)
     if squared:
-        return all(row == tuple([(xa - xb) ** 2 * scale for xb in xs])
-                   for xa, row in zip(xs, space._d))
-    return all(row == tuple([abs(xa - xb) * scale for xb in xs])
-               for xa, row in zip(xs, space._d))
+        exact = all(row == tuple([(xa - xb) * (xa - xb) * scale for xb in xs])
+                    for xa, row in zip(xs, space._d))
+    else:
+        exact = all(row == tuple([abs(xa - xb) * scale for xb in xs])
+                    for xa, row in zip(xs, space._d))
+    return scale if exact else None
+
+
+def _last_hit(hit, guess: float, k_max: int) -> int:
+    """The largest integer k in [-1, k_max] with hit(k), where hit holds on a
+    prefix of 0..k_max; -1 when it holds nowhere.
+
+    The search starts from the float ``guess``, clamped to [-1, k_max], and
+    gallops away from it, then bisects: at most 2 * log2(k_max + 2) + 2
+    calls of hit, and two when the guess is right.
+    """
+    def test(k):
+        return k < 0 or k <= k_max and hit(k)
+
+    lo = k_max if guess >= k_max else int(guess) if guess >= 0 else -1
+    if test(lo):
+        hi, step = lo + 1, 1
+        while test(hi):
+            lo, step = hi, 2 * step
+            hi = min(lo + step, k_max + 1)
+    else:
+        hi, step = lo, 1
+        lo = hi - 1
+        while not test(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, -1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if test(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float,
+                    witnesses: list) -> int:
+    """_triangle_scan's count and first witnesses, on an exact grid, in O(n**2 log n).
+
+    ``xs`` are the point values on their grid, by id, and ``scale`` is the
+    grid's scale (see _exact_scale), so d(a, b) = K(a, b) * scale and each sum
+    d(a, b) + d(b, w) is the float (K(a, b) + K(b, w)) * scale.  The scan's
+    threshold fl(fl(s * sum) + tol) never decreases as the sum grows, and
+    once s * sum overflows it stays inf (inf - inf is NaN, which fails the
+    test too), so (a, b, w) is a witness iff K(a, b) + K(b, w) <= lam, the
+    largest integer k <= sum_max, the largest possible sum, that passes the
+    scan's test with k * scale in place of the sum (_last_hit; -1 if none).  lam depends on a and w only through
+    L = |Xa - Xw|, and is found once per distinct L.
+
+    With y = Xb and m = Xa + Xw, K(a, b) + K(b, w) is ((2y - m)**2 + L**2) / 2
+    for squared-difference and max(L, |2y - m|) for absolute-difference, so
+    the witnesses' b are the points with |2y - m| <= r, one interval of grid
+    values, where r = isqrt(2 lam - L**2) or lam (none when 2 lam < L**2 or
+    lam < L).  N(a, w), the number of such b, is two bisections on the sorted
+    2y, and N(a, w) = N(w, a), so the pairs a <= w suffice.  Witnesses are
+    listed a-block by a-block, in the scan's (a, b, w) order, from the same
+    intervals: only blocks with a nonzero count, and only until the list is
+    full.
+    """
+    pts, s, n = space.points, space.s, len(space.points)
+    squared = space.metric == "squared-difference"
+    sum_max = 2 * (max(xs) - min(xs)) ** (2 if squared else 1)
+    order = sorted(range(n), key=xs.__getitem__)
+    keys = [2 * xs[b] for b in order]
+    radii = {}  # L -> r, or -1 when no b qualifies
+
+    def radius(L):
+        k = L * L if squared else L
+        dv = k * scale
+        guess = (dv - tol) / s / scale  # never NaN: dv is finite and tol is not NaN
+        j = int(guess) if 0 <= guess < sum_max else -1
+        if j >= 0 and dv > s * (j * scale) + tol and not dv > s * ((j + 1) * scale) + tol:
+            lam = j  # the usual case: the guess passes the test and the next sum fails it
+        else:
+            lam = _last_hit(lambda i: dv > s * (i * scale) + tol, guess, sum_max)
+        if squared:
+            return math.isqrt(2 * lam - k) if 2 * lam >= k else -1
+        return lam if lam >= L else -1
+
+    rows = [0] * n  # the a-block counts
+    for a, xa in enumerate(xs):
+        for w in range(a, n):
+            xw = xs[w]
+            L = abs(xa - xw)
+            r = radii.get(L)
+            if r is None:
+                r = radii[L] = radius(L)
+            if r >= 0:
+                m = xa + xw
+                found = bisect_right(keys, m + r) - bisect_left(keys, m - r)
+                rows[a] += found
+                if w != a:
+                    rows[w] += found
+    vals = [p.value for p in pts]
+    for a in range(n):
+        room = WITNESS_CAP - len(witnesses)
+        if room <= 0:
+            break
+        if not rows[a]:
+            continue
+        xa = xs[a]
+        by_b = [[] for _ in range(n)]
+        for w in range(n):
+            xw = xs[w]
+            r = radii[abs(xa - xw)]
+            if r >= 0:
+                m = xa + xw
+                for b in order[bisect_left(keys, m - r):bisect_right(keys, m + r)]:
+                    by_b[b].append(w)
+        va = vals[a]
+        witnesses.extend(islice(((va, vals[w], vals[b]) for b in range(n) for w in by_b[b]),
+                                room))
+    return sum(rows)
 
 
 def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> tuple[int, float]:
@@ -323,13 +444,24 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     That bound fails once M is above about 2,250 at tol = 1e-12, so the scan
     is also skipped when s >= S*, tol >= 0 and the distances are exact: every
     entry equals D(a, b) and every sum of two entries is a float
-    (_entries_exact, one O(n**2) pass on the values' dyadic grid).  Then
+    (_exact_scale, one O(n**2) pass on the values' dyadic grid).  Then
     D(a, w) <= S* Sigma <= s Sigma is an inequality between the floats
     themselves, with Sigma = d(a, b) + d(b, w) computed without rounding.
     Rounding to nearest is monotone and d(a, w) is a float, so fl(s Sigma)
     >= d(a, w), and adding tol >= 0 keeps the right side at least d(a, w):
-    no witness.  An overflow to inf only raises the right side.  A NaN tol
-    fails both tests and gets the scan.  Tables always get the scan.
+    no witness.  An overflow to inf only raises the right side.
+
+    On an exact grid where the skip does not hold (s < S*, or tol < 0) the
+    witnesses are counted, not scanned (_triangle_count).  Every Sigma is
+    exact, (K(a, b) + K(b, w)) * scale with integer grid distances K, and
+    the scan's threshold fl(fl(s Sigma) + tol) is monotone in Sigma, so the
+    scan's own test holds iff K(a, b) + K(b, w) is at most one integer
+    threshold per pair (a, w).  The b that meet it form one interval of grid
+    values, counted by two bisections: O(n**2 log n) in all, with the scan's
+    exact count and its first WITNESS_CAP witnesses in its order.  The scan
+    stays for tables, for inexact entries (a largest grid distance of 2**52
+    or more, a scale below 2**-1022, or an entry the pow rounded) and for a
+    NaN tol, which fails every comparison.
     """
     if tol is None:
         tol = default_axiom_tol(space)
@@ -362,10 +494,14 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         min_feasible_s = num / den
         s_num, s_den = s.as_integer_ratio()
         bound = math.ldexp(max(map(max, d)), -49) + math.ldexp(s + 1, -1072)
+        covered = s_num * den >= num * s_den
         # cheapest first: the exact comparison, the bound, then one O(n**2) pass
-        if not (s_num * den >= num * s_den
-                and (tol > bound or tol >= 0 and _entries_exact(space, xs, q))):
-            triangle_count, _ = _triangle_scan(space, tol, triangle)
+        if not (covered and tol > bound):
+            scale = None if math.isnan(tol) else _exact_scale(space, xs, q)
+            if scale is None:
+                triangle_count, _ = _triangle_scan(space, tol, triangle)
+            elif not (covered and tol >= 0):
+                triangle_count = _triangle_count(space, xs, scale, tol, triangle)
     return AxiomReport(
         identity_ok=not identity,
         symmetry_ok=not symmetry,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .bmetric import WITNESS_CAP, BMetricSpace, _pid
 
@@ -224,31 +225,45 @@ class RelationDiagnostics:
     witnesses: dict = field(default_factory=dict)
 
 
+def _capped(witnesses) -> tuple[int, list]:
+    """How many witnesses an iterator yields, and the first WITNESS_CAP of them."""
+    kept = list(islice(witnesses, WITNESS_CAP))
+    return len(kept) + sum(1 for _ in witnesses), kept
+
+
 def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiagnostics:
-    """Order-theoretic diagnostics (reflexivity, symmetry, antisymmetry)."""
+    """Order-theoretic diagnostics (reflexivity, symmetry, antisymmetry).
+
+    Each kind of witness is counted while scanning and only its first
+    WITNESS_CAP are kept, so the lists stay bounded however large R is.
+    """
     pairs = R.pairs
-    missing_loops = [a for a in range(len(space)) if (a, a) not in pairs]
-    present_loops = [a for a in R._succ if (a, a) in pairs]
+    found = {
+        "reflexive": _capped(a for a in range(len(space)) if (a, a) not in pairs),
+        "irreflexive": _capped(a for a in R._succ if (a, a) in pairs),
+    }
+    # one pass over R for both pair kinds
     asym, sym_distinct = [], []
+    n_asym = n_sym = 0
     for a, bs in R._succ.items():
         for b in bs:
             if (b, a) not in pairs:
-                asym.append((a, b))
+                if n_asym < WITNESS_CAP:
+                    asym.append((a, b))
+                n_asym += 1
             elif a != b:
-                sym_distinct.append((a, b))
-    witnesses = {
-        "reflexive": missing_loops,
-        "irreflexive": present_loops,
-        "symmetric": asym,
-        "antisymmetric": sym_distinct,
-    }
+                if n_sym < WITNESS_CAP:
+                    sym_distinct.append((a, b))
+                n_sym += 1
+    found["symmetric"] = n_asym, asym
+    found["antisymmetric"] = n_sym, sym_distinct
     return RelationDiagnostics(
-        reflexive=not missing_loops,
-        irreflexive=not present_loops,
-        symmetric=not asym,
-        antisymmetric=not sym_distinct,
-        witness_counts={k: len(w) for k, w in witnesses.items()},
-        witnesses={k: w[:WITNESS_CAP] for k, w in witnesses.items()},
+        reflexive=not found["reflexive"][0],
+        irreflexive=not found["irreflexive"][0],
+        symmetric=not n_asym,
+        antisymmetric=not n_sym,
+        witness_counts={kind: count for kind, (count, _) in found.items()},
+        witnesses={kind: kept for kind, (_, kept) in found.items()},
     )
 
 

@@ -98,31 +98,50 @@ def test_squared_difference_at_its_sup_skips_the_triangle_scan(monkeypatch):
     assert rep.all_ok and rep.min_feasible_s == 2.0
 
 
-def count_triangle_scans(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    scan = bmetric._triangle_scan
+    fn = getattr(bmetric, name)
 
-    def counting_scan(*args):
+    def counting(*args):
         calls.append(args)
-        return scan(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(bmetric, "_triangle_scan", counting_scan)
+    monkeypatch.setattr(bmetric, name, counting)
     return calls
 
 
-@pytest.mark.parametrize("s, tol, scans", [
+@pytest.mark.parametrize("s, tol, counts", [
     # S* = 2 and M = 8464, above what the rounding bound covers at tol = 1e-12
     (2.0, None, 0),
     (2.0, 0.0, 0),
     (2.0, -0.0, 0),
+    # below S*, or tol < 0: the witnesses are counted, not scanned
     (math.nextafter(2.0, 0.0), None, 1),
     (2.0, -1e-12, 1),
 ])
-def test_exact_integer_grid_skips_the_triangle_scan(monkeypatch, s, tol, scans):
-    calls = count_triangle_scans(monkeypatch)
+def test_exact_integer_grid_skips_the_triangle_scan(monkeypatch, s, tol, counts):
+    scans = count_calls(monkeypatch, "_triangle_scan")
+    exact_counts = count_calls(monkeypatch, "_triangle_count")
     rep = verify_bmetric_axioms(BMetricSpace.from_values(range(0, 96, 4), s=s), tol)
-    assert len(calls) == scans
+    assert len(scans) == 0
+    assert len(exact_counts) == counts
     assert rep.triangle_ok == (tol is None or tol >= 0)
+
+
+@pytest.mark.parametrize("space, tol", [
+    (BMetricSpace.from_values(range(3), metric="table", table=(
+        (0.0, 1.0, 4.0), (1.0, 0.0, 1.0), (4.0, 1.0, 0.0))), None),
+    # entries past 2**53 grid units round, so they are not exact
+    (BMetricSpace.from_values([0, 60498377, 182980516], s=1.0), None),
+    # exact entries, but a NaN tol fails every comparison
+    (BMetricSpace.from_values(range(0, 96, 4), s=1.0), math.nan),
+])
+def test_tables_and_inexact_grids_keep_the_triangle_scan(monkeypatch, space, tol):
+    scans = count_calls(monkeypatch, "_triangle_scan")
+    exact_counts = count_calls(monkeypatch, "_triangle_count")
+    verify_bmetric_axioms(space, tol)
+    assert len(scans) == 1
+    assert len(exact_counts) == 0
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (5, 5), (3, 17)])
@@ -132,7 +151,7 @@ def test_the_exact_entry_test_reads_every_matrix_entry(monkeypatch, a, b):
     d = [list(row) for row in space._d]
     d[a][b] = math.nextafter(d[a][b], math.inf)
     object.__setattr__(space, "_d", tuple(map(tuple, d)))
-    calls = count_triangle_scans(monkeypatch)
+    calls = count_calls(monkeypatch, "_triangle_scan")
     verify_bmetric_axioms(space)
     assert len(calls) == 1
 
@@ -339,9 +358,31 @@ def grid_spaces(draw):
 # entries past 2**53 grid units round, and the scan finds witnesses at s >= S*
 @example(BMetricSpace.from_values([0, 60498377, 182980516], s=1.7941270187635463), 0.0)
 @example(BMetricSpace.from_values([0, 1, 2 ** 53 + 2], metric="absolute-difference"), 0.0)
+# the witness workload's shape: 30 integers with a three-term progression, s = 1;
+# 8,120 witnesses, far above the cap
+@example(BMetricSpace.from_values(
+    [0, 10, 12, 13, 14, 15, 28, 30, 36, 40, 53, 56, 62, 64, 65, 70, 71, 73, 75, 76,
+     78, 79, 82, 93, 96, 98, 99, 100, 102, 110], s=1.0), None)
+# every triple is a witness; with a = w = 0 and b = 7 the sum d(a, b) + d(b, w) is
+# twice the largest distance, so the count's threshold must reach that far
+@example(BMetricSpace.from_values([0, 1, 3, 7], s=1.0), -1e3)
+# ids out of value order, with repeated values
+@example(BMetricSpace.from_values([5, -3, 5, 0, 2, -3, 7, 1, 0], s=1.0), None)
+# a k/8 dyadic grid
+@example(BMetricSpace.from_values([k / 8 for k in (3, -11, 0, 7, 20, 5, -2)], s=1.5), None)
+# absolute-difference on a k/8 grid: at tol = -0.5 the b in [a, w] or one grid
+# unit outside it are witnesses, and none further out
+@example(BMetricSpace.from_values([k / 8 for k in (3, 0, 7, 1, 4, 4, 9, -2, 12)],
+                                  metric="absolute-difference"), -0.5)
+# sparse: 84 witnesses, only at exact midpoints, spread over 35 of 40 a-blocks
+@example(BMetricSpace.from_values(
+    [197, 388, 215, 20, 132, 261, 248, 207, 155, 244, 183, 298, 111, 258, 71, 144, 386,
+     48, 316, 128, 272, 361, 308, 75, 158, 50, 373, 37, 350, 169, 241, 286, 51, 181,
+     222, 161, 312, 327, 104, 282], s=math.nextafter(2.0, 0.0)), 0.0)
 @given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces(),
                  tie_heavy_spaces(), grid_spaces()),
-       st.sampled_from([None, 0.0, -0.0, 1e-15, 1e-12, -1e-12, 1e-9, 0.5, -0.5]))
+       st.sampled_from([None, 0.0, -0.0, 1e-15, 1e-12, -1e-12, 1e-9, 0.5, -0.5, -1e3,
+                        math.inf, -math.inf, math.nan]))
 def test_axiom_scan_matches_per_triple_reference(space, tol):
     n = len(space)
     for a in range(n):
@@ -361,10 +402,46 @@ def test_axiom_scan_matches_per_triple_reference(space, tol):
     assert got == want
 
 
-@given(formula_spaces())
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 400), st.integers(0, 400),
+       st.sampled_from([0, 3, 40, 1022]),
+       st.one_of(s_coeffs, st.sampled_from([1e300, 1.7976931348623157e308])),
+       st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, -1e3, math.inf, -math.inf]),
+                 st.floats(-500, 500)))
+def test_the_scan_test_holds_on_a_prefix_of_sums(k, k_max, e, s, tol):
+    # the scan's test on a grid sum j * scale, and the count's search for its last j
+    scale = math.ldexp(1.0, -e)
+    dv = k * scale
+
+    def hit(j):
+        return dv > s * (j * scale) + tol
+
+    passing = [j for j in range(k_max + 1) if hit(j)]
+    assert passing == list(range(len(passing)))
+    assert bmetric._last_hit(hit, (dv - tol) / s / scale, k_max) == len(passing) - 1
+
+
+@given(st.integers(0, 2 ** 53), st.data(),
+       st.one_of(st.floats(allow_nan=False), st.integers(-5, 2 ** 54).map(float)))
+def test_last_hit_finds_the_prefix_end_from_any_guess(k_max, data, guess):
+    end = data.draw(st.integers(-1, k_max))
+    calls = []
+
+    def hit(k):
+        calls.append(k)
+        return k <= end
+
+    assert bmetric._last_hit(hit, guess, k_max) == end
+    assert all(0 <= k <= k_max for k in calls)
+    assert len(calls) <= 2 * math.log2(k_max + 2) + 2
+
+
+# an asymmetric table: d(1, 0) = 1 lies below the diagonal
+@example(BMetricSpace.from_values([0, 1], metric="table", table=((0.0, 5.0), (1.0, 0.0))))
+@given(st.one_of(formula_spaces(), table_spaces()))
 def test_min_nonzero_distance_matches_pair_scan(space):
     best = math.inf
-    for a, b in itertools.combinations(range(len(space)), 2):
+    for a, b in itertools.permutations(range(len(space)), 2):
         if 0 < formula_distance(space, a, b) < best:
             best = formula_distance(space, a, b)
     assert space.min_nonzero_distance() == best

@@ -277,6 +277,7 @@ def test_successor_index_walks_the_sorted_pairs(R, mapping):
         "antisymmetric": [(a, b) for a, b in ref if a != b and (b, a) in R.pairs],
     }
     assert diag.witnesses == ref_w
+    assert diag.witness_counts == {kind: len(w) for kind, w in ref_w.items()}
     assert (diag.reflexive, diag.irreflexive, diag.symmetric, diag.antisymmetric) == tuple(
         not w for w in ref_w.values())
 
