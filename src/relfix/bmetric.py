@@ -116,13 +116,18 @@ class BMetricSpace:
         """Smallest positive off-diagonal distance; +inf on a single-point space.
 
         A formula matrix is symmetric, so its upper triangle suffices; a table
-        may not be, so both of its triangles are read.
+        may not be, so both of its triangles are read.  The scan runs on the
+        first call; the value is then kept on the space next to ``_d``.
         """
-        if self.metric == "table":
-            rows = (row[:i] + row[i + 1:] for i, row in enumerate(self._d))
-        else:
-            rows = (row[i + 1:] for i, row in enumerate(self._d))
-        return min((v for row in rows for v in row if v > 0), default=math.inf)
+        gap = getattr(self, "_gap", None)
+        if gap is None:
+            if self.metric == "table":
+                rows = (row[:i] + row[i + 1:] for i, row in enumerate(self._d))
+            else:
+                rows = (row[i + 1:] for i, row in enumerate(self._d))
+            gap = min((v for row in rows for v in row if v > 0), default=math.inf)
+            object.__setattr__(self, "_gap", gap)
+        return gap
 
     def __len__(self):
         return len(self.points)
@@ -240,13 +245,17 @@ def _exact_scale(space: BMetricSpace, xs: list, q: int) -> float | None:
         e, k_max = 2 * e, k_max * k_max
     if e > 1022 or 2 * k_max >= 2 ** 53:
         return None
+    d = space._d
+    # K is symmetric: check the matrix is, in C, then only its upper triangle
+    if d != tuple(zip(*d)):
+        return None
     scale = math.ldexp(1.0, -e)
     if squared:
-        exact = all(row == tuple([(xa - xb) * (xa - xb) * scale for xb in xs])
-                    for xa, row in zip(xs, space._d))
+        exact = all(row[i:] == tuple([(xa - xb) * (xa - xb) * scale for xb in xs[i:]])
+                    for i, (xa, row) in enumerate(zip(xs, d)))
     else:
-        exact = all(row == tuple([abs(xa - xb) * scale for xb in xs])
-                    for xa, row in zip(xs, space._d))
+        exact = all(row[i:] == tuple([abs(xa - xb) * scale for xb in xs[i:]])
+                    for i, (xa, row) in enumerate(zip(xs, d)))
     return scale if exact else None
 
 
@@ -467,19 +476,26 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         tol = default_axiom_tol(space)
     pts, d, s = space.points, space._d, space.s
     n = len(d)
-    # the identity and symmetry lists grow as n**2, like the matrix, so they
-    # are cut to the cap only when the report is built
+    # the identity and symmetry witnesses are counted while scanning, and
+    # only the first WITNESS_CAP of each kept
+    counts = {"identity": 0, "symmetry": 0}
     identity, symmetry, triangle = [], [], []
+
+    def found(kind, kept, a, b):
+        counts[kind] += 1
+        if len(kept) < WITNESS_CAP:
+            kept.append((pts[a].value, pts[b].value))
+
     for a in range(n):
         if d[a][a] > tol:
-            identity.append((pts[a].value, pts[a].value))
+            found("identity", identity, a, a)
     for a in range(n):
         for b in range(a + 1, n):
             dab, dba = d[a][b], d[b][a]
             if dab <= tol:
-                identity.append((pts[a].value, pts[b].value))
+                found("identity", identity, a, b)
             if abs(dab - dba) > tol:
-                symmetry.append((pts[a].value, pts[b].value))
+                found("symmetry", symmetry, a, b)
 
     triangle_count = 0
     if space.metric == "table":
@@ -503,16 +519,16 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
             elif not (covered and tol >= 0):
                 triangle_count = _triangle_count(space, xs, scale, tol, triangle)
     return AxiomReport(
-        identity_ok=not identity,
-        symmetry_ok=not symmetry,
+        identity_ok=not counts["identity"],
+        symmetry_ok=not counts["symmetry"],
         triangle_ok=triangle_count == 0,
         min_feasible_s=min_feasible_s,
         s=s,
         tol=tol,
-        identity_witness_count=len(identity),
-        identity_witnesses=identity[:WITNESS_CAP],
-        symmetry_witness_count=len(symmetry),
-        symmetry_witnesses=symmetry[:WITNESS_CAP],
+        identity_witness_count=counts["identity"],
+        identity_witnesses=identity,
+        symmetry_witness_count=counts["symmetry"],
+        symmetry_witnesses=symmetry,
         triangle_witness_count=triangle_count,
         triangle_witnesses=triangle,
     )

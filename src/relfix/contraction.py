@@ -84,9 +84,10 @@ class ContractionProblem:
         self.map.validate(self.space)
         self.potential.validate(self.space)
         n = len(self.space)
-        for a, b in self.relation.pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"relation pair ({a}, {b}) outside the space")
+        # ids are nonnegative, so the index spans the space unless an id reaches n
+        if len(self.relation._rows) > n:
+            a, b = next(p for p in self.relation.sorted_pairs() if max(p) >= n)
+            raise ValueError(f"relation pair ({a}, {b}) outside the space")
 
     def default_tol(self) -> float:
         return 1e-9 if self.space.metric in FORMULA_METRICS else 0.0

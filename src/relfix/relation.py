@@ -1,31 +1,51 @@
 """Binary relations over a finite b-metric space and the relational hypotheses.
 
 Relations are stored as frozen sets of ordered point-id pairs, with one
-ordered successor index, ``_succ``, built at construction: its keys are the
-sources in ascending order and each maps to the ascending tuple of its
-successors, so walking it yields the pairs in ``sorted(pairs)`` order.  Every
-predicate here walks that index instead of sorting ``pairs``; ``pairs`` serves
-membership tests.  Every query is a read-only function; the one memo
-(``is_transitive``) stores an immutable result that is the same whichever
-caller computes it, so concurrent use is safe.
+bitset index built at construction: ``_rows[a]`` is an int whose bit b is
+set when (a, b) is in R, ``_cols[b]`` is the int whose bit a is, and
+``_succ`` maps each source, in ascending order, to the ascending tuple of
+its successors, so walking it yields the pairs in ``sorted(pairs)`` order.
+Closure, transitivity, completeness, F-closedness and the diagnostics are
+word operations on the rows; ``pairs`` serves membership tests.  A bit
+position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
+read-only function with no memo, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 
 from .bmetric import WITNESS_CAP, BMetricSpace, _pid
+
+# a space of 2**16 points already has a 2**32-entry distance matrix, so no
+# space relfix can build holds a larger id, and no row asks for a huge int
+ID_LIMIT = 2 ** 16
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_BITS = [()]  # _BYTE_BITS[mask] for mask < 256, built by doubling
+for _b in range(8):
+    _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]
+
+
+def _bits(mask: int) -> tuple:
+    """The positions of the set bits of a nonnegative int, ascending."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    # the binary digits, least significant first, as 0/1 bytes
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
 
 
 @dataclass(frozen=True)
 class BinaryRelation:
     """A relation as a frozen set of (source id, target id) pairs.
 
-    ``_succ`` is the one ordered index: ascending source ids, each mapped to
-    the ascending tuple of its successors.  Readers walk it, in that order,
-    rather than sort ``pairs``.
+    ``_rows``, ``_cols`` and ``_succ`` are the one index (see the module
+    docstring); they are plain attributes, so equality, hashing and ``repr``
+    see only ``pairs``.  Ids must be integers in [0, ID_LIMIT).
     """
 
     pairs: frozenset
@@ -40,14 +60,38 @@ class BinaryRelation:
             # int() truncates: 2.5 would silently name point 2
             if ia != a or ib != b:
                 raise ValueError(f"point ids must be integers, got the pair {(a, b)!r}")
+            # checked before any shift: a negative id has no bit, a huge one a huge row
+            if not (0 <= ia < ID_LIMIT and 0 <= ib < ID_LIMIT):
+                raise ValueError(f"point ids must lie in [0, {ID_LIMIT}), got the pair {(a, b)!r}")
             pairs.append((ia, ib))
-        pairs = frozenset(pairs)
-        object.__setattr__(self, "pairs", pairs)
+        self._index(frozenset(pairs))
+
+    @classmethod
+    def _of_ids(cls, pairs) -> "BinaryRelation":
+        """A relation of id pairs taken from a space or from another relation,
+        so already valid: the index is built without checking them again."""
+        R = object.__new__(cls)
+        R._index(frozenset(pairs))
+        return R
+
+    def _index(self, pairs: frozenset):
+        """Set ``pairs`` and build the index; _rows and _cols span ids 0..max id."""
         succ = {}
         for a, b in pairs:
             succ.setdefault(a, []).append(b)
-        # a plain attribute, not a field: equality and hashing see only pairs
-        object.__setattr__(self, "_succ", {a: tuple(sorted(succ[a])) for a in sorted(succ)})
+        succ = {a: tuple(sorted(succ[a])) for a in sorted(succ)}
+        size = max(max(succ, default=-1), max([bs[-1] for bs in succ.values()], default=-1)) + 1
+        rows, cols = [0] * size, [0] * size
+        for a, bs in succ.items():
+            row, bit = 0, 1 << a
+            for b in bs:
+                row |= 1 << b
+                cols[b] |= bit
+            rows[a] = row
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_cols", tuple(cols))
+        object.__setattr__(self, "_succ", succ)
 
     @classmethod
     def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
@@ -61,7 +105,7 @@ class BinaryRelation:
             if ib is None:
                 ib = ids[b] = space.point_by_value(b).id
             pairs.append((ia, ib))
-        return cls(pairs)
+        return cls._of_ids(pairs)
 
     def sorted_pairs(self) -> list:
         return [(a, b) for a, bs in self._succ.items() for b in bs]
@@ -79,52 +123,49 @@ def related(R: BinaryRelation, a, b) -> bool:
 
 def symmetric_closure(R: BinaryRelation) -> BinaryRelation:
     """R union its inverse, making every related pair comparable both ways."""
-    return BinaryRelation(R.pairs | frozenset((b, a) for a, b in R.pairs))
+    return BinaryRelation._of_ids(R.pairs | frozenset((b, a) for a, b in R.pairs))
+
+
+def reach_rows(R: BinaryRelation) -> list:
+    """Row a of R's transitive closure: the ids reachable from a by a path of
+    length >= 1, as an int with one bit per id (Warshall on the rows)."""
+    rows = list(R._rows)
+    for k in range(len(rows)):
+        # every i -> k gains k's successors; row k itself gains nothing new
+        row_k = rows[k]
+        if row_k:
+            bit = 1 << k
+            rows = [r | row_k if r & bit else r for r in rows]
+    return rows
 
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
-    """Smallest transitive superset of R (Warshall on successor sets); idempotent."""
-    succ = {a: set(bs) for a, bs in R._succ.items()}
-    pred = {}
-    for a, b in R.pairs:
-        pred.setdefault(b, set()).add(a)
-    # after pivot k, every i -> k gains all of k's successors
-    for k in succ.keys() & pred.keys():
-        out = succ[k]
-        for i in tuple(pred[k]):
-            new = out - succ[i]
-            if new:
-                succ[i] |= new
-                for j in new:
-                    pred[j].add(i)
-    return BinaryRelation(frozenset((a, b) for a, bs in succ.items() for b in bs))
+    """Smallest transitive superset of R; idempotent."""
+    return BinaryRelation._of_ids(
+        (a, b) for a, row in enumerate(reach_rows(R)) for b in _bits(row))
 
 
-def _transitivity_witnesses(R: BinaryRelation) -> tuple:
-    """Every (a, b, c) with (a, b), (b, c) in R but (a, c) not, in sorted order."""
-    succ = R._succ
-    succ_sets = {a: set(bs) for a, bs in succ.items()}
-    witnesses = []
-    for a, bs in succ.items():
-        reach = succ_sets[a]
-        for b in bs:
-            onward = succ.get(b, ())
-            if not reach.issuperset(onward):
-                witnesses.extend((a, b, c) for c in onward if c not in reach)
-    return tuple(witnesses)
+def _transitivity_witnesses(R: BinaryRelation) -> list:
+    """Every (a, b, c) with (a, b), (b, c) in R but (a, c) not, in sorted order.
+
+    Row a fails when the union of its successors' rows leaves row a; only
+    failing rows are listed.
+    """
+    rows, witnesses = R._rows, []
+    for a, bs in R._succ.items():
+        row_a = rows[a]
+        if reduce(or_, map(rows.__getitem__, bs)) & ~row_a:
+            for b in bs:
+                missing = rows[b] & ~row_a
+                if missing:
+                    witnesses += [(a, b, c) for c in _bits(missing)]
+    return witnesses
 
 
 def is_transitive(R: BinaryRelation):
-    """True iff (a,b),(b,c) in R implies (a,c) in R; witnesses are failing triples.
-
-    The scan runs once per relation object; later calls return a fresh copy
-    of the stored witness list.
-    """
-    witnesses = getattr(R, "_transitivity", None)
-    if witnesses is None:
-        witnesses = _transitivity_witnesses(R)
-        object.__setattr__(R, "_transitivity", witnesses)
-    return (not witnesses), list(witnesses)
+    """True iff (a,b),(b,c) in R implies (a,c) in R; witnesses are failing triples."""
+    witnesses = _transitivity_witnesses(R)
+    return (not witnesses), witnesses
 
 
 def is_complete(R: BinaryRelation, space: BMetricSpace):
@@ -133,21 +174,27 @@ def is_complete(R: BinaryRelation, space: BMetricSpace):
     The distinct-pair reading is deliberate: quantifying over equal pairs
     would force reflexivity, which the worked instances do not have.
     """
+    n, rows, cols = len(space), R._rows, R._cols
     witnesses = []
-    n = len(space)
     for a in range(n):
-        for b in range(a + 1, n):
-            if (a, b) not in R.pairs and (b, a) not in R.pairs:
-                witnesses.append((a, b))
+        linked = rows[a] | cols[a] if a < len(rows) else 0
+        # the ids b with a < b < n that neither (a, b) nor (b, a) relates
+        missing = ~linked & ((1 << n) - (2 << a))
+        if missing:
+            witnesses += [(a, b) for b in _bits(missing)]
     return (not witnesses), witnesses
 
 
 def is_f_closed(R: BinaryRelation, mapping: dict):
-    """(a,b) in R implies (F a, F b) in R; witnesses are violating pairs."""
-    pairs, witnesses = R.pairs, []
+    """(a,b) in R implies (F a, F b) in R; witnesses are violating pairs.
+
+    ``mapping`` maps ids to int ids; an image outside R's ids has an empty row.
+    """
+    rows, witnesses = R._rows, []
     for a, bs in R._succ.items():
         fa = mapping[a]
-        witnesses += [(a, b) for b in bs if (fa, mapping[b]) not in pairs]
+        image = rows[fa] if 0 <= fa < len(rows) else 0
+        witnesses += [(a, b) for b in bs if (fb := mapping[b]) < 0 or not image >> fb & 1]
     return (not witnesses), witnesses
 
 
@@ -168,20 +215,18 @@ def find_path(R: BinaryRelation, source, target) -> Path | None:
 
     Paths have length >= 1, so source == target needs an actual cycle.
     BFS expands successors in increasing id order, which breaks ties toward
-    the smallest intermediate ids deterministically.
+    the smallest intermediate ids deterministically; a pair of R is its own
+    shortest path.
     """
     src, dst = _pid(source), _pid(target)
-    parent = {}
-    queue = deque()
-    for b in R.successors(src):
-        if b == dst:
-            return Path((src, dst))
-        if b not in parent:
-            parent[b] = src
-            queue.append(b)
+    if (src, dst) in R.pairs:
+        return Path((src, dst))
+    succ = R._succ
+    parent = dict.fromkeys(succ.get(src, ()), src)
+    queue = deque(parent)
     while queue:
         node = queue.popleft()
-        for b in R.successors(node):
+        for b in succ.get(node, ()):
             if b == dst:
                 nodes = [node]
                 while nodes[-1] != src:
@@ -225,44 +270,41 @@ class RelationDiagnostics:
     witnesses: dict = field(default_factory=dict)
 
 
-def _capped(witnesses) -> tuple[int, list]:
-    """How many witnesses an iterator yields, and the first WITNESS_CAP of them."""
-    kept = list(islice(witnesses, WITNESS_CAP))
-    return len(kept) + sum(1 for _ in witnesses), kept
+def _capped_ids(mask: int) -> tuple[int, list]:
+    """How many bits an id mask has, and its first WITNESS_CAP ids."""
+    return mask.bit_count(), list(_bits(mask)[:WITNESS_CAP])
 
 
 def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiagnostics:
     """Order-theoretic diagnostics (reflexivity, symmetry, antisymmetry).
 
-    Each kind of witness is counted while scanning and only its first
-    WITNESS_CAP are kept, so the lists stay bounded however large R is.
+    Each kind of witness is counted from the rows with ``bit_count`` and
+    listed only while its list is short of WITNESS_CAP, so the lists stay
+    bounded however large R is.
     """
-    pairs = R.pairs
+    rows, cols = R._rows, R._cols
+    loops = sum(1 << a for a in R._succ if rows[a] >> a & 1)
     found = {
-        "reflexive": _capped(a for a in range(len(space)) if (a, a) not in pairs),
-        "irreflexive": _capped(a for a in R._succ if (a, a) in pairs),
+        "reflexive": _capped_ids(~loops & ((1 << len(space)) - 1)),
+        "irreflexive": _capped_ids(loops),
+        "symmetric": [0, []],      # (a, b) in R, (b, a) not
+        "antisymmetric": [0, []],  # (a, b) and (b, a) in R, a != b
     }
-    # one pass over R for both pair kinds
-    asym, sym_distinct = [], []
-    n_asym = n_sym = 0
-    for a, bs in R._succ.items():
-        for b in bs:
-            if (b, a) not in pairs:
-                if n_asym < WITNESS_CAP:
-                    asym.append((a, b))
-                n_asym += 1
-            elif a != b:
-                if n_sym < WITNESS_CAP:
-                    sym_distinct.append((a, b))
-                n_sym += 1
-    found["symmetric"] = n_asym, asym
-    found["antisymmetric"] = n_sym, sym_distinct
+    one_way, two_way = found["symmetric"], found["antisymmetric"]
+    for a in R._succ:
+        row, col = rows[a], cols[a]
+        for tally, mask in ((one_way, row & ~col), (two_way, row & col & ~(1 << a))):
+            if mask:
+                room = WITNESS_CAP - tally[0]
+                if room > 0:
+                    tally[1] += [(a, b) for b in _bits(mask)[:room]]
+                tally[0] += mask.bit_count()
     return RelationDiagnostics(
         reflexive=not found["reflexive"][0],
         irreflexive=not found["irreflexive"][0],
-        symmetric=not n_asym,
-        antisymmetric=not n_sym,
-        witness_counts={kind: count for kind, (count, _) in found.items()},
+        symmetric=not one_way[0],
+        antisymmetric=not two_way[0],
+        witness_counts={kind: n for kind, (n, _) in found.items()},
         witnesses={kind: kept for kind, (_, kept) in found.items()},
     )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bmetric import WITNESS_CAP, BMetricSpace, Point, distance
+from .relation import reach_rows
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -226,6 +227,11 @@ def certify(
     data inconsistency.  A wholly vacuous verdict (no related pair has
     d(sigma, F sigma) > 0) claims nothing either way and lists no
     contradiction.
+
+    Connectivity is read off one reachability closure of R (``reach_rows``),
+    so the counts cost no path search; a path, shortest from a to b when
+    one exists and else from b to a, is found only for each listed
+    contradiction.
     """
     if trace.terminated_by != "exact-fixed-point":
         raise ValueError("trace did not end at a fixed point; cannot certify")
@@ -255,15 +261,24 @@ def certify(
         else:
             note = ("connected fixed points under a passing contraction verdict: "
                     "a counterexample to the paper's uniqueness clause")
+        reach = reach_rows(problem.relation)
+        reach += [0] * (len(space) - len(reach))
         ids = sorted(fp_ids)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                check = verify_uniqueness_condition(problem, a, b)
-                if not check.path_exists:
-                    check = verify_uniqueness_condition(problem, b, a)
-                if check.path_exists and contraction_ok:
+                if reach[a] >> b & 1:
+                    src, dst = a, b
+                elif reach[b] >> a & 1:
+                    src, dst = b, a
+                else:
+                    cert.unconnected_count += 1
+                    if len(cert.unconnected_pairs) < WITNESS_CAP:
+                        cert.unconnected_pairs.append((space.point(a).value, space.point(b).value))
+                    continue
+                if contraction_ok:
                     cert.contradiction_count += 1
                     if len(cert.contradictions) < WITNESS_CAP:
+                        check = verify_uniqueness_condition(problem, src, dst)
                         cert.contradictions.append(
                             {
                                 "pair": (space.point(a).value, space.point(b).value),
@@ -271,8 +286,4 @@ def certify(
                                 "note": note,
                             }
                         )
-                elif not check.path_exists:
-                    cert.unconnected_count += 1
-                    if len(cert.unconnected_pairs) < WITNESS_CAP:
-                        cert.unconnected_pairs.append((space.point(a).value, space.point(b).value))
     return cert

@@ -17,7 +17,7 @@ from relfix.bmetric import (
     verify_bmetric_axioms,
 )
 from relfix.contraction import Potential, SelfMap
-from relfix.relation import BinaryRelation, find_path, related
+from relfix.relation import BinaryRelation, check_bd_self_closed, find_path, related
 
 from conftest import example_space
 
@@ -445,6 +445,38 @@ def test_min_nonzero_distance_matches_pair_scan(space):
         if 0 < formula_distance(space, a, b) < best:
             best = formula_distance(space, a, b)
     assert space.min_nonzero_distance() == best
+
+
+def test_min_nonzero_distance_is_computed_once_per_space():
+    space = BMetricSpace.from_values([0, 3, 4])
+    assert space.min_nonzero_distance() == 1.0
+    object.__setattr__(space, "_d", None)  # a second scan would fail here
+    assert space.min_nonzero_distance() == 1.0
+    assert "minimal nonzero distance 1 > 0" in check_bd_self_closed(space)
+
+
+def test_identity_and_symmetry_witnesses_are_counted_while_scanning():
+    # zero above the diagonal, one below: every pair a < b is an identity and a
+    # symmetry witness
+    table = tuple(tuple(float(a > b) for b in range(24)) for a in range(24))
+    rep = verify_bmetric_axioms(BMetricSpace.from_values(range(24), metric="table", table=table))
+    pairs = [(float(a), float(b)) for a, b in itertools.combinations(range(24), 2)]
+    assert rep.identity_witness_count == rep.symmetry_witness_count == len(pairs) == 276
+    assert rep.identity_witnesses == rep.symmetry_witnesses == pairs[:WITNESS_CAP]
+    assert not rep.identity_ok and not rep.symmetry_ok
+
+
+def test_exact_scale_checks_the_lower_triangle_by_symmetry():
+    space = BMetricSpace.from_values([0, 1, 3])
+    xs, q = bmetric._value_grid([p.value for p in space.points])
+    assert bmetric._exact_scale(space, xs, q) == 1.0
+    d = [list(row) for row in space._d]
+    d[2][0] = 10.0  # d(2, 0) is 9: only the lower triangle is wrong
+    object.__setattr__(space, "_d", tuple(map(tuple, d)))
+    assert bmetric._exact_scale(space, xs, q) is None
+    d[0][2] = 10.0  # symmetric again, but both entries are wrong
+    object.__setattr__(space, "_d", tuple(map(tuple, d)))
+    assert bmetric._exact_scale(space, xs, q) is None
 
 
 # -- what a lookup table could silently change ----------------------------------

@@ -146,6 +146,19 @@ def test_map_totality_enforced():
         )
 
 
+def test_relation_outside_the_space_rejected():
+    space = example_space()
+    for pair in ((0, 4), (4, 0), (3, 5)):
+        with pytest.raises(ValueError, match=rf"relation pair \({pair[0]}, {pair[1]}\) outside"):
+            ContractionProblem(
+                space=space,
+                relation=BinaryRelation({(0, 1), pair}),
+                map=example_map(space),
+                potential=example_potential(space),
+                zeta=SimulationFunction(family="linear", lam=0.9),
+            )
+
+
 def test_ledger_partition_and_counts(problem):
     verdict = verify_contraction(problem)
     assert len(verdict.sigma) == len(problem.relation)

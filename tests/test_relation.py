@@ -5,14 +5,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relfix.bmetric import BMetricSpace
+from relfix.bmetric import WITNESS_CAP, BMetricSpace
 from relfix.relation import (
+    ID_LIMIT,
     BinaryRelation,
     check_bd_self_closed,
     find_path,
     is_complete,
     is_f_closed,
     is_transitive,
+    reach_rows,
     related,
     relation_diagnostics,
     symmetric_closure,
@@ -20,6 +22,15 @@ from relfix.relation import (
 )
 
 from conftest import example_map, example_relation, example_space
+from instance_gen import random_problem, random_relation_and_map
+from pair_set_reference import (
+    reference_closure,
+    reference_complete_witnesses,
+    reference_diagnostics,
+    reference_f_closed_witnesses,
+    reference_find_path,
+    reference_transitivity_witnesses,
+)
 
 
 @pytest.fixture
@@ -177,27 +188,6 @@ def test_symmetric_closure_preserves_f_closedness(seed):
 
 # -- equivalence with the pair-set scans the successor index replaced -----------
 
-def reference_closure(R):
-    # Warshall on the pair set, testing every (i, k), (k, j) membership
-    pairs = set(R.pairs)
-    nodes = sorted({x for p in pairs for x in p})
-    for k in nodes:
-        for i in nodes:
-            if (i, k) in pairs:
-                for j in nodes:
-                    if (k, j) in pairs:
-                        pairs.add((i, j))
-    return frozenset(pairs)
-
-
-def reference_transitivity_witnesses(R):
-    succ = {}
-    for a, b in R.pairs:
-        succ.setdefault(a, set()).add(b)
-    return [(a, b, c) for a, b in sorted(R.pairs) for c in sorted(succ.get(b, ()))
-            if c not in succ.get(a, ())]
-
-
 @settings(max_examples=200)
 @given(relations)
 def test_index_queries_match_pair_scans(R):
@@ -298,3 +288,101 @@ def test_value_pairs_map_endpoints_as_point_by_value(monkeypatch):
                         lambda self, v, *a: calls.append(v) or lookup(self, v, *a))
     assert vp(space, values).pairs == expected
     assert calls == [1.0, 1.0 - 8e-13, 1.0 + 1.2e-12, 3.0]  # once per distinct value
+
+
+# -- the bitset index, against the pair-set code it replaced --------------------
+
+def test_ids_outside_the_bit_range_are_refused():
+    # a bit position is an id: a negative id has no bit, and the check runs before
+    # any shift, so 2**40 never asks for a 2**40-bit row
+    for pairs in (((0, -1),), ((-3, 0),), ((0, 2 ** 40),), ((ID_LIMIT, 0),), ((0, float(2 ** 40)),)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 65536\)"):
+            BinaryRelation(pairs)
+    top = BinaryRelation({(ID_LIMIT - 1, 0)})
+    assert top.successors(ID_LIMIT - 1) == [0]
+    assert find_path(top, ID_LIMIT - 1, 0).nodes == (ID_LIMIT - 1, 0)
+
+
+def test_queries_answer_foreign_ids():
+    R = BinaryRelation({(0, 1), (1, 2)})
+    for src, dst in ((0, -1), (-1, 0), (0, 2 ** 40), (2 ** 40, 0), (-1, -1)):
+        assert find_path(R, src, dst) is None
+    assert not related(R, -1, 0) and R.successors(-1) == [] and R.successors(2 ** 40) == []
+    # images outside R's ids, negative or huge, relate nothing
+    assert is_f_closed(R, {0: 7, 1: 9, 2: 0}) == (False, [(0, 1), (1, 2)])
+    assert is_f_closed(R, {0: -1, 1: 0, 2: 1}) == (False, [(0, 1)])
+    assert is_f_closed(R, {0: 0, 1: 1, 2: 2 ** 40}) == (False, [(1, 2)])
+    assert is_f_closed(R, {0: 0, 1: 1, 2: 2}) == (True, [])
+
+
+def check_against_pair_sets(R, n, mapping):
+    """Every bitset reader against its pair-set reference, on ids 0..n-1."""
+    space = BMetricSpace.from_values(range(n))
+    closure = reference_closure(R)
+    assert transitive_closure(R).pairs == closure
+    reach = reach_rows(R)
+    assert [(a, b) for a, row in enumerate(reach) for b in range(len(reach)) if row >> b & 1] \
+        == sorted(closure)
+
+    t_w = reference_transitivity_witnesses(R)
+    assert is_transitive(R) == (not t_w, t_w)
+    c_w = reference_complete_witnesses(R, n)
+    assert is_complete(R, space) == (not c_w, c_w)
+    f_w = reference_f_closed_witnesses(R, mapping)
+    assert is_f_closed(R, mapping) == (not f_w, f_w)
+
+    diag = relation_diagnostics(R, space)
+    ref_w = reference_diagnostics(R, n)
+    assert diag.witnesses == {kind: w[:WITNESS_CAP] for kind, w in ref_w.items()}
+    assert diag.witness_counts == {kind: len(w) for kind, w in ref_w.items()}
+    assert (diag.reflexive, diag.irreflexive, diag.symmetric, diag.antisymmetric) == tuple(
+        not w for w in ref_w.values())
+
+    for src in (-1, 0, n - 1):
+        for dst in (-1, 0, n // 2, n - 1, n):
+            path = find_path(R, src, dst)
+            assert (path and path.nodes) == reference_find_path(R, src, dst)
+
+
+@st.composite
+def dense_relations(draw):
+    """(n, R, F): R on ids 0..n-1 at a drawn density, maybe reflexive; F may map outside."""
+    n = draw(st.integers(1, 30))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    pairs = {(a, b) for a in range(n) for b in range(n) if rng.random() < p}
+    if draw(st.booleans()):
+        pairs |= {(a, a) for a in range(n)}
+    mapping = {a: rng.randrange(-1, n + 2) for a in range(n)}
+    return n, BinaryRelation(pairs), mapping
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_relations())
+@example((24, BinaryRelation(frozenset()), dict.fromkeys(range(24), 0)))
+@example((24, BinaryRelation({(a, a) for a in range(24)}), {a: 23 - a for a in range(24)}))
+# 552 transitivity and 552 antisymmetry witnesses, 552 F-closedness witnesses
+@example((24, BinaryRelation({(a, b) for a in range(24) for b in range(24) if a != b}),
+          dict.fromkeys(range(24), 0)))
+# rows wider than 256 bits: 44,847 completeness and 299 reflexivity witnesses
+@example((300, BinaryRelation({(0, 299), (299, 5), (5, 0), (7, 7)}), {a: a for a in range(300)}))
+def test_bitset_readers_match_the_pair_set_code(case):
+    n, R, mapping = case
+    check_against_pair_sets(R, n, mapping)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_bitset_readers_match_the_pair_set_code_on_the_sweep_generator(seed):
+    rng = random.Random(seed)
+    R, mapping = random_relation_and_map(rng)
+    check_against_pair_sets(R, len(mapping), mapping)
+    problem = random_problem(rng)
+    check_against_pair_sets(problem.relation, len(problem.space), problem.map.mapping)
+
+
+@settings(max_examples=200)
+@given(relations, st.integers(-1, 6), st.integers(-1, 6))
+def test_find_path_is_the_plain_bfs_path(R, src, dst):
+    path = find_path(R, src, dst)
+    assert (path and path.nodes) == reference_find_path(R, src, dst)

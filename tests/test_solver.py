@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relfix.bmetric import BMetricSpace
+from relfix.bmetric import WITNESS_CAP, BMetricSpace
 from relfix.relation import BinaryRelation
 from relfix.contraction import ContractionProblem, Potential, SelfMap, verify_contraction
 from relfix.simulation import SimulationFunction
@@ -19,6 +20,7 @@ from relfix.solver import (
 )
 
 from conftest import FIXTURES, example_map, example_problem, example_space
+from pair_set_reference import reference_find_path
 from relfix.problemfile import build_problem, parse_problem
 
 
@@ -308,6 +310,74 @@ def test_certify_does_not_scan_transitivity(monkeypatch):
     assert all(c["note"].endswith("a counterexample to the paper's uniqueness clause")
                for c in cert.contradictions)
     assert not scans
+
+
+def reference_certificate(problem, verdict):
+    """The k**2 loop certify ran before its reachability closure: a BFS from a
+    to b, then from b to a, for every pair of fixed points a < b."""
+    space, R = problem.space, problem.relation
+    fps = [p.id for p in enumerate_fixed_points(space, problem.map)]
+    contraction_ok = verdict.ok and verdict.active_count > 0
+    connected, unconnected = [], []
+    for i, a in enumerate(fps):
+        for b in fps[i + 1:]:
+            path = reference_find_path(R, a, b) or reference_find_path(R, b, a)
+            pair = (space.point(a).value, space.point(b).value)
+            if path is None:
+                unconnected.append(pair)
+            elif contraction_ok:
+                connected.append((pair, [space.point(k).value for k in path]))
+    return connected, unconnected
+
+
+@st.composite
+def fixed_point_problems(draw):
+    """Point 0 and a drawn share of the others fixed, R at a drawn density."""
+    n = draw(st.integers(2, 14))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    q = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    mapping = {a: a if a == 0 or rng.random() < q else rng.randrange(n) for a in range(n)}
+    return ContractionProblem(
+        space=BMetricSpace.from_values(range(n), s=2.0),
+        relation=BinaryRelation({(a, b) for a in range(n) for b in range(n) if rng.random() < p}),
+        map=SelfMap(mapping),
+        potential=Potential({a: rng.choice([0.0, rng.uniform(0.0, 1e3)]) for a in range(n)}),
+        zeta=SimulationFunction(family="linear", lam=draw(st.sampled_from([0.05, 0.5, 0.95]))),
+    )
+
+
+def complete_even_fixed(n):
+    """The fixed-points shape: complete relation, every even point fixed."""
+    return ContractionProblem(
+        space=BMetricSpace.from_values(range(n), s=2.0),
+        relation=BinaryRelation({(a, b) for a in range(n) for b in range(n)}),
+        map=SelfMap({k: k - k % 2 for k in range(n)}),
+        potential=Potential({k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(fixed_point_problems(), st.sampled_from([None, 1e12]))
+# 276 connected pairs of 24 fixed points: the kept list stops at the cap
+@example(complete_even_fixed(48), None)
+# a chain through unfixed points: the paths have length 2 and run both ways
+@example(ContractionProblem(
+    space=BMetricSpace.from_values(range(5), s=2.0),
+    relation=BinaryRelation({(0, 1), (1, 2), (4, 3), (3, 0)}),
+    map=SelfMap({0: 0, 1: 0, 2: 2, 3: 0, 4: 4}),
+    potential=Potential({0: 0.0, 1: 5.0, 2: 0.0, 3: 5.0, 4: 0.0}),
+    zeta=SimulationFunction(family="linear", lam=0.5)), 1e12)
+def test_certify_matches_the_two_way_bfs_loop(problem, tol):
+    verdict = verify_contraction(problem, tol)
+    trace = picard_iterate(problem, problem.space.points[0], allow_inadmissible_start=True)
+    cert = certify(problem, trace, verdict)
+    connected, unconnected = reference_certificate(problem, verdict)
+    assert cert.contradiction_count == len(connected)
+    assert [(c["pair"], c["path"]) for c in cert.contradictions] == connected[:WITNESS_CAP]
+    assert cert.unconnected_count == len(unconnected)
+    assert cert.unconnected_pairs == unconnected[:WITNESS_CAP]
 
 
 def test_readme_library_example():
