@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import gt
 
 from .bmetric import WITNESS_CAP, BMetricSpace, FORMULA_METRICS, _int_id, _pid
 from .relation import (
@@ -24,7 +26,7 @@ from .relation import (
     find_path,
     Path,
 )
-from .simulation import SimulationFunction, evaluate
+from .simulation import SimulationFunction
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,10 @@ class ContractionVerdict:
     s_arg: list = field(metadata=IN_MEMORY)
     zeta_value: list = field(metadata=IN_MEMORY)
 
+    # a property, not a field: the criterion 7 sweep digest hashes vars(verdict)
     @property
     def active_rows(self) -> list:
-        return [i for i, d in enumerate(self.d_sigma_fsigma) if d > 0]
+        return list(compress(count(), map(gt, self.d_sigma_fsigma, repeat(0.0))))
 
 
 def verify_contraction(problem: ContractionProblem, tol: float | None = None) -> ContractionVerdict:
@@ -158,13 +161,15 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
         d_pair += pair
         d_image += [d[fa][fmap[b]] for b in bs]
         s_arg += [drop * x for x in pair]
-    active = [i for i, x in enumerate(d_self) if x > 0]
+    active = list(compress(count(), map(gt, d_self, repeat(0.0))))
+    # simulation.evaluate's expression, inline; the guard is its domain check
+    lam, mu = zeta.lam, zeta.t_coeff
     zeta_value, failing = [None] * len(sigma), []
     for i in active:
         t, sa = s * d_image[i], s_arg[i]
         if t >= 0 and sa >= 0:
-            zeta_value[i] = evaluate(zeta, t, sa)
-            if zeta_value[i] >= -tol:
+            z = zeta_value[i] = lam * sa - mu * t
+            if z >= -tol:
                 continue
         failing.append(i)
     head = failing[:WITNESS_CAP]
@@ -186,11 +191,13 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
     family is infeasible.  The rows' t and s_arg do not depend on zeta or
     the tolerance, so any verdict of the problem serves.
     """
-    lo = 0.0
+    s, d_image, s_args, lo = verdict.s, verdict.d_image_pair, verdict.s_arg, 0.0
     for i in verdict.active_rows:
-        t, s_arg = verdict.s * verdict.d_image_pair[i], verdict.s_arg[i]
+        t, s_arg = s * d_image[i], s_args[i]
         if s_arg > 0:
-            lo = max(lo, t / s_arg)
+            q = t / s_arg
+            if q > lo:
+                lo = q
         elif t > 0 or s_arg < 0:
             return math.inf
     return lo

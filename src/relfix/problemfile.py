@@ -195,7 +195,13 @@ def _parse_relation(items) -> RelationBlock:
             stray = " ".join(parts[::3]).split()
             if stray:
                 raise ProblemFileError(f"stray text {stray[0]!r} between pairs", line)
-            pairs.extend((_num(a, line), _num(b, line)) for a, b in zip(parts[1::3], parts[2::3]))
+            sources, targets = parts[1::3], parts[2::3]
+            try:
+                pairs += zip(map(float, sources), map(float, targets))
+            except ValueError:  # name the first bad token in file order
+                for a, b in zip(sources, targets):
+                    _num(a, line), _num(b, line)
+                raise
         elif key == "transitive-closure":
             tc = _flag(value, line)
         elif key == "symmetric-closure":

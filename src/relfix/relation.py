@@ -5,6 +5,9 @@ bitset index built at construction: ``_rows[a]`` is an int whose bit b is
 set when (a, b) is in R, ``_cols[b]`` is the int whose bit a is, and
 ``_succ`` maps each source, in ascending order, to the ascending tuple of
 its successors, so walking it yields the pairs in ``sorted(pairs)`` order.
+``_index`` builds the rows from ``_succ``; a relation given as pairs groups
+them into ``_succ`` first, while the transitive closure reads ``_succ``
+straight off its reach rows, with no pair set to group or sort.
 Closure, transitivity, completeness, F-closedness and the diagnostics are
 word operations on the rows; ``pairs`` serves membership tests.  A bit
 position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
@@ -64,22 +67,20 @@ class BinaryRelation:
             if not (0 <= ia < ID_LIMIT and 0 <= ib < ID_LIMIT):
                 raise ValueError(f"point ids must lie in [0, {ID_LIMIT}), got the pair {(a, b)!r}")
             pairs.append((ia, ib))
-        self._index(frozenset(pairs))
+        pairs = frozenset(pairs)
+        self._index(pairs, _grouped(pairs))
 
     @classmethod
-    def _of_ids(cls, pairs) -> "BinaryRelation":
+    def _of_ids(cls, pairs: frozenset, succ: dict) -> "BinaryRelation":
         """A relation of id pairs taken from a space or from another relation,
-        so already valid: the index is built without checking them again."""
+        so already valid: the index is built from ``succ`` without checking them."""
         R = object.__new__(cls)
-        R._index(frozenset(pairs))
+        R._index(pairs, succ)
         return R
 
-    def _index(self, pairs: frozenset):
-        """Set ``pairs`` and build the index; _rows and _cols span ids 0..max id."""
-        succ = {}
-        for a, b in pairs:
-            succ.setdefault(a, []).append(b)
-        succ = {a: tuple(sorted(succ[a])) for a in sorted(succ)}
+    def _index(self, pairs: frozenset, succ: dict):
+        """Set ``pairs`` and build the index from ``succ``, their successor index;
+        _rows and _cols span ids 0..max id."""
         size = max(max(succ, default=-1), max([bs[-1] for bs in succ.values()], default=-1)) + 1
         rows, cols = [0] * size, [0] * size
         for a, bs in succ.items():
@@ -105,7 +106,8 @@ class BinaryRelation:
             if ib is None:
                 ib = ids[b] = space.point_by_value(b).id
             pairs.append((ia, ib))
-        return cls._of_ids(pairs)
+        pairs = frozenset(pairs)
+        return cls._of_ids(pairs, _grouped(pairs))
 
     def sorted_pairs(self) -> list:
         return [(a, b) for a, bs in self._succ.items() for b in bs]
@@ -117,13 +119,23 @@ class BinaryRelation:
         return len(self.pairs)
 
 
+def _grouped(pairs: frozenset) -> dict:
+    """The successor index of a set of id pairs: each source, ascending, to the
+    ascending tuple of its successors."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    return {a: tuple(sorted(succ[a])) for a in sorted(succ)}
+
+
 def related(R: BinaryRelation, a, b) -> bool:
     return (_pid(a), _pid(b)) in R.pairs
 
 
 def symmetric_closure(R: BinaryRelation) -> BinaryRelation:
     """R union its inverse, making every related pair comparable both ways."""
-    return BinaryRelation._of_ids(R.pairs | frozenset((b, a) for a, b in R.pairs))
+    pairs = R.pairs | frozenset((b, a) for a, b in R.pairs)
+    return BinaryRelation._of_ids(pairs, _grouped(pairs))
 
 
 def reach_rows(R: BinaryRelation) -> list:
@@ -141,8 +153,8 @@ def reach_rows(R: BinaryRelation) -> list:
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
     """Smallest transitive superset of R; idempotent."""
-    return BinaryRelation._of_ids(
-        (a, b) for a, row in enumerate(reach_rows(R)) for b in _bits(row))
+    succ = {a: _bits(row) for a, row in enumerate(reach_rows(R)) if row}
+    return BinaryRelation._of_ids(frozenset([(a, b) for a, bs in succ.items() for b in bs]), succ)
 
 
 def _transitivity_witnesses(R: BinaryRelation) -> list:

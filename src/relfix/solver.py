@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bmetric import WITNESS_CAP, BMetricSpace, Point, distance
+from .bmetric import WITNESS_CAP, BMetricSpace, Point
 from .relation import reach_rows
 from .contraction import (
     ContractionProblem,
@@ -66,9 +66,12 @@ def picard_iterate(
     """
     if not isinstance(start, Point):
         raise TypeError(f"start must be a Point, not {type(start).__name__}")
-    space, R, F, phi = problem.space, problem.relation, problem.map, problem.potential
+    space = problem.space
+    # ContractionProblem validated every image into [0, n): the tables are read directly
+    fmap, d, phi = problem.map.mapping, space._d, problem.potential.values
+    pairs, points = problem.relation.pairs, space.points
     sid = start.id
-    inadmissible = (sid, F(sid)) not in R.pairs
+    inadmissible = (sid, fmap[sid]) not in pairs
     if inadmissible and not allow_inadmissible_start:
         raise StartNotAdmissible(
             f"start point id {sid} is not in the admissible set M(F;R); "
@@ -80,11 +83,11 @@ def picard_iterate(
     steps = []
     while True:
         cur = ids[-1]
-        nxt = F(cur)
-        if (cur, nxt) not in R.pairs and not inadmissible:
-            raise RelationBroken((space.point(cur).value, space.point(nxt).value))
+        nxt = fmap[cur]
+        if (cur, nxt) not in pairs and not inadmissible:
+            raise RelationBroken((points[cur].value, points[nxt].value))
         ids.append(nxt)
-        steps.append(distance(space, cur, nxt))
+        steps.append(d[cur][nxt])
         if nxt in seen:
             break
         seen.add(nxt)
@@ -92,20 +95,19 @@ def picard_iterate(
     ratios = [steps[n + 1] / steps[n] for n in range(len(steps) - 1) if steps[n] > 0]
     rho, n0 = _estimate_rho(steps)
     terminal = ids[-1]
-    trace = IterationTrace(
-        orbit=[space.point(i).value for i in ids],
+    return IterationTrace(
+        orbit=[points[i].value for i in ids],
         orbit_ids=ids,
         steps=steps,
         ratios=ratios,
-        phi_values=[phi(i) for i in ids],
-        phi_limit_estimate=phi(terminal),
-        residual=distance(space, terminal, F(terminal)),
+        phi_values=[phi[i] for i in ids],
+        phi_limit_estimate=phi[terminal],
+        residual=d[terminal][fmap[terminal]],
         terminated_by="exact-fixed-point" if terminal == ids[-2] else "cycle",
         rho=rho,
         n0=n0,
         inadmissible_start=inadmissible,
     )
-    return trace
 
 
 def _estimate_rho(steps):
@@ -244,9 +246,10 @@ def certify(
     if trace.residual > 0:
         raise CertificationError("exact termination with positive residual")
 
+    values = [p.value for p in space.points]
     cert = FixedPointCertificate(
         fixed_points=sorted(p.value for p in fps),
-        solver_result=space.point(terminal).value,
+        solver_result=values[terminal],
         unique=len(fps) == 1,
     )
     if len(fps) >= 2:
@@ -273,7 +276,7 @@ def certify(
                 else:
                     cert.unconnected_count += 1
                     if len(cert.unconnected_pairs) < WITNESS_CAP:
-                        cert.unconnected_pairs.append((space.point(a).value, space.point(b).value))
+                        cert.unconnected_pairs.append((values[a], values[b]))
                     continue
                 if contraction_ok:
                     cert.contradiction_count += 1
@@ -281,7 +284,7 @@ def certify(
                         check = verify_uniqueness_condition(problem, src, dst)
                         cert.contradictions.append(
                             {
-                                "pair": (space.point(a).value, space.point(b).value),
+                                "pair": (values[a], values[b]),
                                 "path": check.path.value_nodes(space),
                                 "note": note,
                             }

@@ -159,6 +159,14 @@ def test_unknown_potential_key_is_named_before_its_value(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_first_bad_relation_number_in_file_order_is_named():
+    text = read("example-3-1.problem").replace(
+        "pairs = (1,1) (1,2) (1,3) (1,4) (2,1) (2,2) (2,3) (2,4) (3,1) (3,2) (3,3) (3,4)",
+        "pairs = (1,2) (3,x) (y,4)")
+    with pytest.raises(ProblemFileError, match=re.escape("line 11: expected a number, got 'x'")):
+        parse_problem(text)
+
+
 @pytest.mark.parametrize("pairs, stray", [
     ("(1,2) (2,3 (3,3)", "(2,3"),
     ("(1,2), (2,3)", ","),

@@ -190,8 +190,15 @@ def test_symmetric_closure_preserves_f_closedness(seed):
 
 @settings(max_examples=200)
 @given(relations)
+@example(BinaryRelation(frozenset()))
+@example(BinaryRelation({(0, 1), (1, 2), (40, 40)}))  # an isolated high id
 def test_index_queries_match_pair_scans(R):
-    assert transitive_closure(R).pairs == reference_closure(R)
+    C = transitive_closure(R)
+    assert C.pairs == reference_closure(R)
+    # the closure's index, read off its reach rows, is the index of its own pairs
+    D = BinaryRelation(C.pairs)
+    assert C._rows == D._rows and C._cols == D._cols
+    assert list(C._succ.items()) == list(D._succ.items())
     witnesses = reference_transitivity_witnesses(R)
     assert is_transitive(R) == (not witnesses, witnesses)
     for a in range(-1, 7):

@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relfix.bmetric import WITNESS_CAP, BMetricSpace
+from relfix.bmetric import WITNESS_CAP, BMetricSpace, distance
 from relfix.relation import BinaryRelation
-from relfix.contraction import ContractionProblem, Potential, SelfMap, verify_contraction
+from relfix.contraction import (ContractionProblem, Potential, SelfMap, compute_mfr,
+                                verify_contraction)
 from relfix.simulation import SimulationFunction
 from relfix.solver import (
     CertificationError,
@@ -20,6 +21,7 @@ from relfix.solver import (
 )
 
 from conftest import FIXTURES, example_map, example_problem, example_space
+from instance_gen import random_problem
 from pair_set_reference import reference_find_path
 from relfix.problemfile import build_problem, parse_problem
 
@@ -115,6 +117,38 @@ def test_orbit_is_the_prefix_up_to_the_first_repeat(case):
     assert trace.orbit_ids == expected
     assert len(trace.steps) == len(expected) - 1 <= n
     assert trace.terminated_by == ("exact-fixed-point" if expected[-2] == expected[-1] else "cycle")
+
+
+def reference_orbit(problem, start):
+    """The orbit loop reading through F(), distance() and phi(), one call per read."""
+    space, F, phi = problem.space, problem.map, problem.potential
+    ids, steps = [start.id], []
+    while True:
+        cur, nxt = ids[-1], F(ids[-1])
+        assert (cur, nxt) in problem.relation.pairs
+        steps.append(distance(space, cur, nxt))
+        seen, ids = set(ids), ids + [nxt]
+        if nxt in seen:
+            break
+    terminal = ids[-1]
+    return {
+        "orbit_ids": ids,
+        "orbit": [space.point(i).value for i in ids],
+        "steps": steps,
+        "phi_values": [phi(i) for i in ids],
+        "residual": distance(space, terminal, F(terminal)),
+    }
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32))
+def test_orbit_matches_the_reference_loop(seed):
+    # random_problem builds R F-closed, so no orbit from an admissible start leaves it
+    problem = random_problem(random.Random(seed))
+    for start in compute_mfr(problem.space, problem.relation, problem.map):
+        trace = picard_iterate(problem, start)
+        assert {k: getattr(trace, k) for k in ("orbit_ids", "orbit", "steps", "phi_values",
+                                               "residual")} == reference_orbit(problem, start)
 
 
 @pytest.mark.parametrize("start", [3, 3.0, "3"], ids=["int", "float", "str"])
