@@ -207,7 +207,7 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
 class HypothesisReport:
     """Each witness list keeps its first WITNESS_CAP entries; its count is exact."""
 
-    mfr: list                      # admissible start point values, sorted
+    mfr: list                      # admissible start point values, in point-id order
     mfr_nonempty: bool
     f_closed: bool
     f_closed_witness_count: int
@@ -225,8 +225,8 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None)
     """Aggregate every hypothesis of the existence theorem into one report."""
     space, R, F = problem.space, problem.relation, problem.map
     mfr = compute_mfr(space, R, F)
-    fcl, fcl_w = is_f_closed(R, F.mapping)
-    trans, trans_w = is_transitive(R)
+    fcl, fcl_count, fcl_w = is_f_closed(R, F.mapping)
+    trans, trans_count, trans_w = is_transitive(R)
 
     contraction = verify_contraction(problem, tol)
 
@@ -235,11 +235,11 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None)
         mfr=[p.value for p in mfr],
         mfr_nonempty=bool(mfr),
         f_closed=fcl,
-        f_closed_witness_count=len(fcl_w),
-        f_closed_witnesses=fcl_w[:WITNESS_CAP],
+        f_closed_witness_count=fcl_count,
+        f_closed_witnesses=fcl_w,
         transitive=trans,
-        transitive_witness_count=len(trans_w),
-        transitive_witnesses=trans_w[:WITNESS_CAP],
+        transitive_witness_count=trans_count,
+        transitive_witnesses=trans_w,
         condition_iii="bd-self-closed-verified",
         condition_iii_note=check_bd_self_closed(space),
         contraction=contraction,

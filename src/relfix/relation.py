@@ -9,9 +9,12 @@ its successors, so walking it yields the pairs in ``sorted(pairs)`` order.
 them into ``_succ`` first, while the transitive closure reads ``_succ``
 straight off its reach rows, with no pair set to group or sort.
 Closure, transitivity, completeness, F-closedness and the diagnostics are
-word operations on the rows; ``pairs`` serves membership tests.  A bit
-position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
-read-only function with no memo, so concurrent use is safe.
+word operations on the rows; ``pairs`` serves membership tests.  Each
+predicate and the diagnostics count their witnesses exactly, with
+``bit_count`` where a row gives them, and build only the first WITNESS_CAP
+of each kind, so no witness list grows with R.  A bit position is an id,
+so ids must lie in [0, ID_LIMIT).  Every query is a read-only function
+with no memo, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -157,57 +160,68 @@ def transitive_closure(R: BinaryRelation) -> BinaryRelation:
     return BinaryRelation._of_ids(frozenset([(a, b) for a, bs in succ.items() for b in bs]), succ)
 
 
-def _transitivity_witnesses(R: BinaryRelation) -> list:
-    """Every (a, b, c) with (a, b), (b, c) in R but (a, c) not, in sorted order.
+def is_transitive(R: BinaryRelation):
+    """True iff (a,b),(b,c) in R implies (a,c) in R, as ``(ok, count, witnesses)``.
 
-    Row a fails when the union of its successors' rows leaves row a; only
-    failing rows are listed.
+    ``count`` is the exact number of failing triples (a, b, c): (a, b) and
+    (b, c) in R but (a, c) not.  ``witnesses`` holds the first WITNESS_CAP of
+    them in sorted order.  Row a fails when the union of its successors' rows
+    leaves row a; only failing rows are scanned pair by pair.
     """
-    rows, witnesses = R._rows, []
+    rows, total, witnesses = R._rows, 0, []
     for a, bs in R._succ.items():
         row_a = rows[a]
         if reduce(or_, map(rows.__getitem__, bs)) & ~row_a:
             for b in bs:
                 missing = rows[b] & ~row_a
                 if missing:
-                    witnesses += [(a, b, c) for c in _bits(missing)]
-    return witnesses
-
-
-def is_transitive(R: BinaryRelation):
-    """True iff (a,b),(b,c) in R implies (a,c) in R; witnesses are failing triples."""
-    witnesses = _transitivity_witnesses(R)
-    return (not witnesses), witnesses
+                    room = WITNESS_CAP - total
+                    if room > 0:
+                        witnesses += [(a, b, c) for c in _bits(missing)[:room]]
+                    total += missing.bit_count()
+    return not total, total, witnesses
 
 
 def is_complete(R: BinaryRelation, space: BMetricSpace):
-    """Every unordered pair of *distinct* points is related in some direction.
+    """Every unordered pair of *distinct* points is related in some direction,
+    as ``(ok, count, witnesses)``: the exact number of unrelated pairs (a, b),
+    a < b, and the first WITNESS_CAP of them in sorted order.
 
     The distinct-pair reading is deliberate: quantifying over equal pairs
     would force reflexivity, which the worked instances do not have.
     """
     n, rows, cols = len(space), R._rows, R._cols
-    witnesses = []
+    total, witnesses = 0, []
     for a in range(n):
         linked = rows[a] | cols[a] if a < len(rows) else 0
         # the ids b with a < b < n that neither (a, b) nor (b, a) relates
         missing = ~linked & ((1 << n) - (2 << a))
         if missing:
-            witnesses += [(a, b) for b in _bits(missing)]
-    return (not witnesses), witnesses
+            room = WITNESS_CAP - total
+            if room > 0:
+                witnesses += [(a, b) for b in _bits(missing)[:room]]
+            total += missing.bit_count()
+    return not total, total, witnesses
 
 
 def is_f_closed(R: BinaryRelation, mapping: dict):
-    """(a,b) in R implies (F a, F b) in R; witnesses are violating pairs.
+    """(a,b) in R implies (F a, F b) in R, as ``(ok, count, witnesses)``: the
+    exact number of violating pairs of R and the first WITNESS_CAP of them in
+    sorted order.
 
     ``mapping`` maps ids to int ids; an image outside R's ids has an empty row.
     """
-    rows, witnesses = R._rows, []
+    rows, total, witnesses = R._rows, 0, []
     for a, bs in R._succ.items():
         fa = mapping[a]
         image = rows[fa] if 0 <= fa < len(rows) else 0
-        witnesses += [(a, b) for b in bs if (fb := mapping[b]) < 0 or not image >> fb & 1]
-    return (not witnesses), witnesses
+        failing = [b for b in bs if (fb := mapping[b]) < 0 or not image >> fb & 1]
+        if failing:
+            room = WITNESS_CAP - total
+            if room > 0:
+                witnesses += [(a, b) for b in failing[:room]]
+            total += len(failing)
+    return not total, total, witnesses
 
 
 @dataclass(frozen=True)
@@ -337,17 +351,15 @@ class RelationReport:
 
 
 def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict) -> RelationReport:
-    trans, trans_w = is_transitive(R)
-    comp, comp_w = is_complete(R, space)
-    fcl, fcl_w = is_f_closed(R, mapping)
-    found = {"transitive": trans_w, "complete": comp_w, "f_closed": fcl_w}
+    found = {"transitive": is_transitive(R), "complete": is_complete(R, space),
+             "f_closed": is_f_closed(R, mapping)}
     return RelationReport(
-        transitive=trans,
-        complete=comp,
-        f_closed=fcl,
+        transitive=found["transitive"][0],
+        complete=found["complete"][0],
+        f_closed=found["f_closed"][0],
         bd_self_closed=True,
-        counterexample_counts={k: len(w) for k, w in found.items()},
-        counterexamples={k: w[:WITNESS_CAP] for k, w in found.items()},
+        counterexample_counts={k: total for k, (_, total, _) in found.items()},
+        counterexamples={k: kept for k, (_, _, kept) in found.items()},
         diagnostics=relation_diagnostics(R, space),
         bd_justification=check_bd_self_closed(space),
     )

@@ -74,8 +74,8 @@ def picard_iterate(
     inadmissible = (sid, fmap[sid]) not in pairs
     if inadmissible and not allow_inadmissible_start:
         raise StartNotAdmissible(
-            f"start point id {sid} is not in the admissible set M(F;R); "
-            "pass allow_inadmissible_start to record the violation and proceed"
+            f"start {start.value!r} (point id {sid}) is not in the admissible set M(F;R): "
+            f"it is not related to its image {points[fmap[sid]].value!r}"
         )
 
     ids = [sid]

@@ -6,6 +6,14 @@ computed these quantities before its relations carried int rows.
 
 from collections import deque
 
+from relfix.bmetric import WITNESS_CAP
+
+
+def predicate_result(full):
+    """What a relation predicate returns when ``full`` is its full witness list:
+    the verdict, the exact count and the first WITNESS_CAP witnesses."""
+    return not full, len(full), full[:WITNESS_CAP]
+
 
 def reference_closure(R):
     # Warshall on the pair set, testing every (i, k), (k, j) membership

@@ -217,7 +217,8 @@ def test_solve_with_start_override(capsys):
 def test_inadmissible_start_is_input_error(capsys):
     code, _, err = run(capsys, "solve", EX, "--start", "4")
     assert code == 2
-    assert "admissible" in err
+    assert "start 4.0 (point id 3) is not in the admissible set" in err
+    assert "allow_inadmissible_start" not in err
 
 
 def test_missing_file(capsys):

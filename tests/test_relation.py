@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from relfix.relation import (
 from conftest import example_map, example_relation, example_space
 from instance_gen import random_problem, random_relation_and_map
 from pair_set_reference import (
+    predicate_result,
     reference_closure,
     reference_complete_witnesses,
     reference_diagnostics,
@@ -67,10 +69,8 @@ def test_singleton_closure():
 
 def test_is_transitive(ex):
     _, R = ex
-    ok, w = is_transitive(R)
-    assert ok and not w
-    ok, w = is_transitive(BinaryRelation({(0, 1), (1, 2)}))
-    assert not ok and (0, 1, 2) in w
+    assert is_transitive(R) == (True, 0, [])
+    assert is_transitive(BinaryRelation({(0, 1), (1, 2)})) == (False, 1, [(0, 1, 2)])
 
 
 def test_transitive_closure(ex):
@@ -88,8 +88,8 @@ def test_is_complete(ex):
     assert is_complete(R, space)[0]
     full = BinaryRelation({(a, b) for a in range(4) for b in range(4)})
     assert is_complete(full, space)[0]
-    ok, w = is_complete(BinaryRelation(frozenset()), space)
-    assert not ok and (0, 1) in w
+    ok, count, w = is_complete(BinaryRelation(frozenset()), space)
+    assert not ok and count == 6 and (0, 1) in w
 
 
 def test_is_f_closed(ex):
@@ -98,8 +98,8 @@ def test_is_f_closed(ex):
     assert is_f_closed(R, fmap)[0]
     assert is_f_closed(BinaryRelation(frozenset()), fmap)[0]  # vacuous
     small = vp(space, [(3, 4)])
-    ok, w = is_f_closed(small, fmap)
-    assert not ok
+    ok, count, w = is_f_closed(small, fmap)
+    assert not ok and count == 1
     assert w == [(space.point_by_value(3).id, space.point_by_value(4).id)]
 
 
@@ -199,18 +199,17 @@ def test_index_queries_match_pair_scans(R):
     D = BinaryRelation(C.pairs)
     assert C._rows == D._rows and C._cols == D._cols
     assert list(C._succ.items()) == list(D._succ.items())
-    witnesses = reference_transitivity_witnesses(R)
-    assert is_transitive(R) == (not witnesses, witnesses)
+    assert is_transitive(R) == predicate_result(reference_transitivity_witnesses(R))
     for a in range(-1, 7):
         assert R.successors(a) == sorted(b for (x, b) in R.pairs if x == a)
 
 
 def test_returned_lists_do_not_alias_the_caches():
     R = BinaryRelation({(0, 1), (1, 2)})
-    ok, w = is_transitive(R)
+    w = is_transitive(R)[2]
     w.append((9, 9, 9))
     w.clear()
-    assert is_transitive(R) == (False, [(0, 1, 2)])
+    assert is_transitive(R) == (False, 1, [(0, 1, 2)])
     succ = R.successors(0)
     succ.append(5)
     assert R.successors(0) == [1]
@@ -263,7 +262,7 @@ def test_successor_index_walks_the_sorted_pairs(R, mapping):
     assert R.sorted_pairs() == ref and len(R) == len(ref)
 
     f_w = [(a, b) for a, b in ref if (mapping[a], mapping[b]) not in R.pairs]
-    assert is_f_closed(R, mapping) == (not f_w, f_w)
+    assert is_f_closed(R, mapping) == predicate_result(f_w)
 
     space = BMetricSpace.from_values(range(6))
     diag = relation_diagnostics(R, space)
@@ -278,8 +277,7 @@ def test_successor_index_walks_the_sorted_pairs(R, mapping):
     assert (diag.reflexive, diag.irreflexive, diag.symmetric, diag.antisymmetric) == tuple(
         not w for w in ref_w.values())
 
-    t_w = reference_transitivity_witnesses(R)
-    assert is_transitive(R) == (not t_w, t_w)
+    assert is_transitive(R) == predicate_result(reference_transitivity_witnesses(R))
 
 
 def test_value_pairs_map_endpoints_as_point_by_value(monkeypatch):
@@ -316,10 +314,10 @@ def test_queries_answer_foreign_ids():
         assert find_path(R, src, dst) is None
     assert not related(R, -1, 0) and R.successors(-1) == [] and R.successors(2 ** 40) == []
     # images outside R's ids, negative or huge, relate nothing
-    assert is_f_closed(R, {0: 7, 1: 9, 2: 0}) == (False, [(0, 1), (1, 2)])
-    assert is_f_closed(R, {0: -1, 1: 0, 2: 1}) == (False, [(0, 1)])
-    assert is_f_closed(R, {0: 0, 1: 1, 2: 2 ** 40}) == (False, [(1, 2)])
-    assert is_f_closed(R, {0: 0, 1: 1, 2: 2}) == (True, [])
+    assert is_f_closed(R, {0: 7, 1: 9, 2: 0}) == (False, 2, [(0, 1), (1, 2)])
+    assert is_f_closed(R, {0: -1, 1: 0, 2: 1}) == (False, 1, [(0, 1)])
+    assert is_f_closed(R, {0: 0, 1: 1, 2: 2 ** 40}) == (False, 1, [(1, 2)])
+    assert is_f_closed(R, {0: 0, 1: 1, 2: 2}) == (True, 0, [])
 
 
 def check_against_pair_sets(R, n, mapping):
@@ -331,12 +329,9 @@ def check_against_pair_sets(R, n, mapping):
     assert [(a, b) for a, row in enumerate(reach) for b in range(len(reach)) if row >> b & 1] \
         == sorted(closure)
 
-    t_w = reference_transitivity_witnesses(R)
-    assert is_transitive(R) == (not t_w, t_w)
-    c_w = reference_complete_witnesses(R, n)
-    assert is_complete(R, space) == (not c_w, c_w)
-    f_w = reference_f_closed_witnesses(R, mapping)
-    assert is_f_closed(R, mapping) == (not f_w, f_w)
+    assert is_transitive(R) == predicate_result(reference_transitivity_witnesses(R))
+    assert is_complete(R, space) == predicate_result(reference_complete_witnesses(R, n))
+    assert is_f_closed(R, mapping) == predicate_result(reference_f_closed_witnesses(R, mapping))
 
     diag = relation_diagnostics(R, space)
     ref_w = reference_diagnostics(R, n)
@@ -349,6 +344,16 @@ def check_against_pair_sets(R, n, mapping):
         for dst in (-1, 0, n // 2, n - 1, n):
             path = find_path(R, src, dst)
             assert (path and path.nodes) == reference_find_path(R, src, dst)
+
+
+def layered(n):
+    """Three blocks of n // 3 ids, every id of the first related to every id of
+    the second and every id of the second to every id of the third: (n // 3) ** 3
+    failing transitivity triples, (n // 3) ** 2 in each row of the first block."""
+    k = n // 3
+    first, second, third = range(k), range(k, 2 * k), range(2 * k, 3 * k)
+    return BinaryRelation({(a, b) for a in first for b in second}
+                          | {(b, c) for b in second for c in third})
 
 
 @st.composite
@@ -373,9 +378,25 @@ def dense_relations(draw):
           dict.fromkeys(range(24), 0)))
 # rows wider than 256 bits: 44,847 completeness and 299 reflexivity witnesses
 @example((300, BinaryRelation({(0, 299), (299, 5), (5, 0), (7, 7)}), {a: a for a in range(300)}))
+# 81 transitivity triples per failing row, so the cap of 256 falls inside the fourth row
+@example((27, layered(27), {a: (a + 9) % 27 for a in range(27)}))
 def test_bitset_readers_match_the_pair_set_code(case):
     n, R, mapping = case
     check_against_pair_sets(R, n, mapping)
+
+
+def test_transitivity_is_counted_without_listing_every_triple():
+    # 64 ** 3 = 262,144 failing triples, of which only the first WITNESS_CAP are built
+    R = layered(192)
+    tracemalloc.start()
+    try:
+        got = is_transitive(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == predicate_result(reference_transitivity_witnesses(R))
+    assert got[1] == 262_144
+    assert peak < 2 ** 20, f"is_transitive peaked at {peak / 2 ** 20:.1f} MB"
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@
 Every list in a report keeps the first WITNESS_CAP entries of the full list,
 in scan order, next to an exact count; the contraction ledger's JSON view
 keeps its scalars and its first WITNESS_CAP failing rows, each with all seven
-quantities.  The full lists here come from the library predicates, the
+quantities.  The full lists here come from the pair-set references, the
 verdict's in-memory columns, and references written in the test.
 """
 
@@ -16,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 from relfix.bmetric import WITNESS_CAP, BMetricSpace
 from relfix.contraction import ContractionProblem, Potential, SelfMap, verify_contraction
 from relfix.problemfile import ProblemBundle, SolverBlock
-from relfix.relation import BinaryRelation, find_path, is_complete, is_f_closed, is_transitive
+from relfix.relation import BinaryRelation, find_path
 from relfix.report import _plain, run_command
 from relfix.simulation import SimulationFunction
 from relfix.solver import RelationBroken, enumerate_fixed_points
 
 from instance_gen import random_problem
+from pair_set_reference import (reference_complete_witnesses, reference_f_closed_witnesses,
+                                reference_transitivity_witnesses)
 
 COLUMNS = ("sigma", "rho", "d_sigma_fsigma", "d_pair", "d_image_pair", "s_arg", "zeta_value")
 
@@ -44,8 +46,9 @@ def check_bounded_view(problem: ContractionProblem) -> dict:
     doc = as_json(report)
     space, R, mapping = problem.space, problem.relation, problem.map.mapping
 
-    full = {"transitive": is_transitive(R)[1], "complete": is_complete(R, space)[1],
-            "f_closed": is_f_closed(R, mapping)[1]}
+    full = {"transitive": reference_transitivity_witnesses(R),
+            "complete": reference_complete_witnesses(R, len(space)),
+            "f_closed": reference_f_closed_witnesses(R, mapping)}
     rel = doc["relation"]
     assert rel["counterexamples"] == {k: first(w) for k, w in full.items()}
     assert rel["counterexample_counts"] == {k: len(w) for k, w in full.items()}

@@ -319,7 +319,7 @@ def test_certify_does_not_scan_transitivity(monkeypatch):
     # fixed-points shape: complete relation, every even point fixed, so all
     # 15 pairs of the 6 fixed points are connected and checked for uniqueness;
     # the uniqueness check needs path existence only
-    from relfix import relation
+    from relfix import contraction, relation
 
     n = 12
     space = BMetricSpace.from_values(range(n), s=2.0)
@@ -331,19 +331,24 @@ def test_certify_does_not_scan_transitivity(monkeypatch):
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
     scans = Counter()
-    scan = relation._transitivity_witnesses
+    scan = relation.is_transitive
 
     def counting_scan(R):
         scans[id(R)] += 1
         return scan(R)
 
-    monkeypatch.setattr(relation, "_transitivity_witnesses", counting_scan)
+    for module in (relation, contraction):
+        monkeypatch.setattr(module, "is_transitive", counting_scan)
     cert = certify(problem, picard_iterate(problem, space.points[0]))
     assert len(cert.fixed_points) == 6
     assert len(cert.contradictions) == 15
     assert all(c["note"].endswith("a counterexample to the paper's uniqueness clause")
                for c in cert.contradictions)
     assert not scans
+    # both patches are live: each report reads transitivity once
+    relation.build_relation_report(space, problem.relation, problem.map.mapping)
+    contraction.verify_all_hypotheses(problem)
+    assert list(scans.values()) == [2]
 
 
 def reference_certificate(problem, verdict):
