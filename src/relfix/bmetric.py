@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from operator import attrgetter, gt, truediv
+from itertools import chain, compress, islice
+from operator import attrgetter, gt, sub, truediv
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
@@ -76,15 +76,20 @@ class BMetricSpace:
             raise ValueError("point values too far apart: a distance is not a finite float")
         object.__setattr__(self, "_d", d)
         by_value = sorted(self.points, key=attrgetter("value"))
-        object.__setattr__(self, "_by_value", ([p.value for p in by_value], by_value))
+        keys = [p.value for p in by_value]
+        object.__setattr__(self, "_by_value", (keys, by_value))
+        # with every gap above VALUE_ATOL a value names at most one point at
+        # the default tolerance, so an exact hit is the bisect path's answer
+        spread = min(map(sub, keys[1:], keys), default=math.inf) > VALUE_ATOL
+        object.__setattr__(self, "_exact", dict(zip(keys, by_value)) if spread else None)
 
     def _distance_matrix(self) -> tuple:
         vals = [p.value for p in self.points]
         if self.metric == "squared-difference":
-            return tuple(tuple((va - vb) ** 2 for vb in vals) for va in vals)
+            return tuple([tuple([(va - vb) ** 2 for vb in vals]) for va in vals])
         if self.metric == "absolute-difference":
-            return tuple(tuple(abs(va - vb) for vb in vals) for va in vals)
-        return tuple(tuple(row) for row in self.table)
+            return tuple([tuple([abs(va - vb) for vb in vals]) for va in vals])
+        return tuple([tuple(row) for row in self.table])
 
     @classmethod
     def from_values(cls, values, **kw) -> "BMetricSpace":
@@ -99,9 +104,17 @@ class BMetricSpace:
     def point_by_value(self, value: float, atol: float = VALUE_ATOL) -> Point:
         """The lowest-id point with abs(point value - value) <= atol.
 
-        Sorted values before ``value``'s insertion point differ from it by <= 0,
-        the rest by >= 0, and rounding is monotone: the matches are one run there.
+        A value equal to a point's is looked up in ``_exact`` when the space
+        has that index and atol is the default.  Otherwise the sorted values
+        are bisected: those before ``value``'s insertion point differ from it
+        by <= 0, the rest by >= 0, and rounding is monotone, so the matches
+        are one run there.
         """
+        exact = self._exact
+        if exact is not None and atol == VALUE_ATOL:
+            p = exact.get(value)
+            if p is not None:
+                return p
         keys, pts = self._by_value
         lo = hi = bisect_left(keys, value)
         while lo > 0 and abs(keys[lo - 1] - value) <= atol:
@@ -122,10 +135,11 @@ class BMetricSpace:
         gap = getattr(self, "_gap", None)
         if gap is None:
             if self.metric == "table":
-                rows = (row[:i] + row[i + 1:] for i, row in enumerate(self._d))
+                rows = [row[:i] + row[i + 1:] for i, row in enumerate(self._d)]
             else:
-                rows = (row[i + 1:] for i, row in enumerate(self._d))
-            gap = min((v for row in rows for v in row if v > 0), default=math.inf)
+                rows = [row[i + 1:] for i, row in enumerate(self._d)]
+            # every entry is finite and >= 0, so filter(None) keeps the positive ones
+            gap = min(filter(None, chain.from_iterable(rows)), default=math.inf)
             object.__setattr__(self, "_gap", gap)
         return gap
 

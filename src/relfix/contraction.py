@@ -20,6 +20,7 @@ from operator import gt
 from .bmetric import WITNESS_CAP, BMetricSpace, FORMULA_METRICS, _int_id, _pid
 from .relation import (
     BinaryRelation,
+    RelationReport,
     check_bd_self_closed,
     is_f_closed,
     is_transitive,
@@ -221,12 +222,25 @@ class HypothesisReport:
     all_hypotheses_ok: bool
 
 
-def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None) -> HypothesisReport:
-    """Aggregate every hypothesis of the existence theorem into one report."""
+def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None,
+                          relation: RelationReport | None = None) -> HypothesisReport:
+    """Aggregate every hypothesis of the existence theorem into one report.
+
+    ``relation``, when given, is ``build_relation_report`` of this problem's
+    space, relation and map: its F-closedness and transitivity results are
+    read from it, so R is not scanned again.  Without it both are scanned.
+    """
     space, R, F = problem.space, problem.relation, problem.map
     mfr = compute_mfr(space, R, F)
-    fcl, fcl_count, fcl_w = is_f_closed(R, F.mapping)
-    trans, trans_count, trans_w = is_transitive(R)
+    if relation is None:
+        fcl, fcl_count, fcl_w = is_f_closed(R, F.mapping)
+        trans, trans_count, trans_w = is_transitive(R)
+    else:
+        # the lists are copied, so the two reports never share one
+        counts, kept = relation.counterexample_counts, relation.counterexamples
+        fcl, fcl_count, fcl_w = relation.f_closed, counts["f_closed"], list(kept["f_closed"])
+        trans, trans_count, trans_w = (relation.transitive, counts["transitive"],
+                                       list(kept["transitive"]))
 
     contraction = verify_contraction(problem, tol)
 

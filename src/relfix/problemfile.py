@@ -2,9 +2,11 @@
 
 A problem file is a sequence of ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment.  Sections: space, relation, map, potential,
-zeta, solver.  Repeated keys (``row``, ``piece``, ``pair``) accumulate in
-order.  Point-valued fields always refer to points by their value, which is
-how fixtures are written and diffed.
+zeta, solver.  Repeated keys (``row``, ``piece``, ``pair``/``pairs``)
+accumulate in order; every other key may appear once per section, and each
+point at most once among the ``[map]`` and among the ``[potential]``
+entries.  Point-valued fields always refer to points by their value, which
+is how fixtures are written and diffed.
 """
 
 from __future__ import annotations
@@ -116,6 +118,13 @@ def _flag(text: str, line: int) -> bool:
     raise ProblemFileError(f"expected true/false, got {text!r}", line)
 
 
+def _once(seen: dict, key: str, line: int):
+    """Record the line of a single-valued key; a second one raises, naming both."""
+    first = seen.setdefault(key, line)
+    if first != line:
+        raise ProblemFileError(f"{key!r} is set twice, on lines {first} and {line}", line)
+
+
 def parse_problem(text: str) -> ProblemFile:
     """Parse problem-file text; the first error raises with its line number.
 
@@ -156,9 +165,10 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def _parse_space(items) -> SpaceBlock:
-    points, metric, rows, s = None, "squared-difference", [], 1.0
+    points, metric, rows, s, seen = None, "squared-difference", [], 1.0, {}
     for key, value, line in items:
         if key == "points":
+            _once(seen, key, line)
             points = tuple(_num(v, line) for v in value.split())
             if not points:
                 raise ProblemFileError("points list is empty", line)
@@ -169,10 +179,12 @@ def _parse_space(items) -> SpaceBlock:
                     raise ProblemFileError(
                         f"duplicate point values {lo!r} and {hi!r}: at most {VALUE_ATOL!r} apart", line)
         elif key == "metric":
+            _once(seen, key, line)
             metric = value
         elif key == "row":
             rows.append(tuple(_num(v, line) for v in value.split()))
         elif key == "s":
+            _once(seen, key, line)
             s = _num(value, line)
             if s < 1:
                 raise ProblemFileError("s >= 1 required", line)
@@ -184,7 +196,7 @@ def _parse_space(items) -> SpaceBlock:
 
 
 def _parse_relation(items) -> RelationBlock:
-    pairs, tc, sc = [], False, False
+    pairs, tc, sc, seen = [], False, False, {}
     for key, value, line in items:
         if key in ("pairs", "pair"):
             # [text, a, b, text, a, b, ..., text]: the two groups of each match
@@ -203,8 +215,10 @@ def _parse_relation(items) -> RelationBlock:
                     _num(a, line), _num(b, line)
                 raise
         elif key == "transitive-closure":
+            _once(seen, key, line)
             tc = _flag(value, line)
         elif key == "symmetric-closure":
+            _once(seen, key, line)
             sc = _flag(value, line)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [relation]", line)
@@ -235,9 +249,10 @@ def _parse_map(items) -> MapBlock:
 
 
 def _parse_potential(items) -> PotentialBlock:
-    entries, coeff = [], None
+    entries, coeff, seen = [], None, {}
     for key, value, line in items:
         if key == "formula":
+            _once(seen, key, line)
             parts = value.split()
             if len(parts) != 2 or parts[0] != "linear":
                 raise ProblemFileError("potential formula must be 'linear C'", line)
@@ -259,28 +274,32 @@ def _parse_potential(items) -> PotentialBlock:
 
 
 def _parse_zeta(items) -> ZetaBlock:
-    family, lam, mu, mu_line = "linear", None, None, None
+    family, lam, mu, seen = "linear", None, None, {}
     for key, value, line in items:
         if key == "family":
+            _once(seen, key, line)
             if value not in FAMILIES:
                 expected = " or ".join(FAMILIES)
                 raise ProblemFileError(f"unknown zeta family {value!r}, expected {expected}", line)
             family = value
         elif key == "lambda":
+            _once(seen, key, line)
             lam = _num(value, line)
         elif key == "mu":
-            mu, mu_line = _num(value, line), line
+            _once(seen, key, line)
+            mu = _num(value, line)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [zeta]", line)
     if family == "linear" and mu is not None:
-        raise ProblemFileError("the linear zeta family takes no mu", mu_line)
+        raise ProblemFileError("the linear zeta family takes no mu", seen["mu"])
     return ZetaBlock(family=family, lam=lam, mu=mu)
 
 
 def _parse_solver(items) -> SolverBlock:
-    start = None
+    start, seen = None, {}
     for key, value, line in items:
         if key == "start":
+            _once(seen, key, line)
             start = _num(value, line)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [solver]", line)
@@ -293,6 +312,19 @@ class ProblemBundle:
 
     problem: ContractionProblem
     solver: SolverBlock
+
+
+def _one_entry_per_point(space: BMetricSpace, section: str, by_id: dict, entries: tuple):
+    """Raise when two of ``entries`` name one point; ``by_id`` holds one item per
+    point they name, so the search runs only when it is the shorter."""
+    if len(by_id) == len(entries):
+        return
+    seen = set()
+    for value, _ in entries:
+        p = space.point_by_value(value)
+        if p.id in seen:
+            raise ProblemFileError(f"point {p.value!r} has two [{section}] entries")
+        seen.add(p.id)
 
 
 def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBundle:
@@ -321,12 +353,14 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
         else:
             for src, img in pf.map.entries:
                 mapping[space.point_by_value(src).id] = space.point_by_value(img).id
+            _one_entry_per_point(space, "map", mapping, pf.map.entries)
 
         where = "potential key"
         if pf.potential.linear_coeff is not None:
             values = {p.id: pf.potential.linear_coeff * p.value for p in space.points}
         else:
             values = {space.point_by_value(v).id: x for v, x in pf.potential.entries}
+            _one_entry_per_point(space, "potential", values, pf.potential.entries)
     except UnknownPointError as exc:
         raise ProblemFileError(f"{where} {exc.args[0]} is not a point of the space") from None
     if pf.relation.symmetric_closure:

@@ -7,7 +7,8 @@ set when (a, b) is in R, ``_cols[b]`` is the int whose bit a is, and
 its successors, so walking it yields the pairs in ``sorted(pairs)`` order.
 ``_index`` builds the rows from ``_succ``; a relation given as pairs groups
 them into ``_succ`` first, while the transitive closure reads ``_succ``
-straight off its reach rows, with no pair set to group or sort.
+straight off its reach rows, with no pair set to group or sort, and keeps
+those rows, so ``_index`` builds only its columns.
 Closure, transitivity, completeness, F-closedness and the diagnostics are
 word operations on the rows; ``pairs`` serves membership tests.  Each
 predicate and the diagnostics count their witnesses exactly, with
@@ -74,24 +75,33 @@ class BinaryRelation:
         self._index(pairs, _grouped(pairs))
 
     @classmethod
-    def _of_ids(cls, pairs: frozenset, succ: dict) -> "BinaryRelation":
+    def _of_ids(cls, pairs: frozenset, succ: dict, rows: list | None = None) -> "BinaryRelation":
         """A relation of id pairs taken from a space or from another relation,
-        so already valid: the index is built from ``succ`` without checking them."""
+        so already valid: the index is built from ``succ`` (and ``rows``, when
+        given) without checking them."""
         R = object.__new__(cls)
-        R._index(pairs, succ)
+        R._index(pairs, succ, rows)
         return R
 
-    def _index(self, pairs: frozenset, succ: dict):
+    def _index(self, pairs: frozenset, succ: dict, rows: list | None = None):
         """Set ``pairs`` and build the index from ``succ``, their successor index;
-        _rows and _cols span ids 0..max id."""
-        size = max(max(succ, default=-1), max([bs[-1] for bs in succ.values()], default=-1)) + 1
-        rows, cols = [0] * size, [0] * size
-        for a, bs in succ.items():
-            row, bit = 0, 1 << a
-            for b in bs:
-                row |= 1 << b
-                cols[b] |= bit
-            rows[a] = row
+        _rows and _cols span ids 0..max id.  ``rows``, when given, are the
+        pairs' rows already, and only the columns are built."""
+        if rows is None:
+            size = max(max(succ, default=-1), max([bs[-1] for bs in succ.values()], default=-1)) + 1
+            rows, cols = [0] * size, [0] * size
+            for a, bs in succ.items():
+                row, bit = 0, 1 << a
+                for b in bs:
+                    row |= 1 << b
+                    cols[b] |= bit
+                rows[a] = row
+        else:
+            cols = [0] * len(rows)
+            for a, bs in succ.items():
+                bit = 1 << a
+                for b in bs:
+                    cols[b] |= bit
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_cols", tuple(cols))
@@ -156,8 +166,10 @@ def reach_rows(R: BinaryRelation) -> list:
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
     """Smallest transitive superset of R; idempotent."""
-    succ = {a: _bits(row) for a, row in enumerate(reach_rows(R)) if row}
-    return BinaryRelation._of_ids(frozenset([(a, b) for a, bs in succ.items() for b in bs]), succ)
+    rows = reach_rows(R)
+    succ = {a: _bits(row) for a, row in enumerate(rows) if row}
+    return BinaryRelation._of_ids(frozenset([(a, b) for a, bs in succ.items() for b in bs]),
+                                  succ, rows)
 
 
 def is_transitive(R: BinaryRelation):
@@ -210,11 +222,19 @@ def is_f_closed(R: BinaryRelation, mapping: dict):
     sorted order.
 
     ``mapping`` maps ids to int ids; an image outside R's ids has an empty row.
+    Row a passes when the bits of its successors' images lie in F a's row;
+    only failing rows are scanned pair by pair.
     """
     rows, total, witnesses = R._rows, 0, []
+    size = len(rows)
+    # id b -> the bit of F b; -1, which no row contains, when F b has no row
+    # (or no image), so its row takes the pair-by-pair path
+    image_bit = [1 << fb if 0 <= (fb := mapping.get(b, -1)) < size else -1 for b in range(size)]
     for a, bs in R._succ.items():
         fa = mapping[a]
-        image = rows[fa] if 0 <= fa < len(rows) else 0
+        image = rows[fa] if 0 <= fa < size else 0
+        if not reduce(or_, map(image_bit.__getitem__, bs)) & ~image:
+            continue
         failing = [b for b in bs if (fb := mapping[b]) < 0 or not image >> fb & 1]
         if failing:
             room = WITNESS_CAP - total

@@ -87,9 +87,10 @@ def run_command(
         ok = report["bmetric_axioms"].all_ok and report["zeta_axioms"].all_ok
     verdict = None
     if command in ("verify", "report"):
-        hyp = verify_all_hypotheses(problem, tol)
+        # the hypotheses read F-closedness and transitivity off the relation report
         report["relation"] = build_relation_report(problem.space, problem.relation,
                                                    problem.map.mapping)
+        hyp = verify_all_hypotheses(problem, tol, report["relation"])
         report["hypotheses"] = hyp
         if problem.zeta.family == "linear":
             threshold = linear_lambda_threshold(hyp.contraction)

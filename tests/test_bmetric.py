@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import math
@@ -568,6 +569,45 @@ def test_point_by_value_matches_the_linear_scan(steps, base, spacing):
                     space.point_by_value(value, atol)
             else:
                 assert space.point_by_value(value, atol) == expected
+
+
+def point_by_value_bisect(space, value, atol):
+    """Reference: the bisect over the sorted values, with no exact-value index."""
+    keys, pts = space._by_value
+    lo = hi = bisect.bisect_left(keys, value)
+    while lo > 0 and abs(keys[lo - 1] - value) <= atol:
+        lo -= 1
+    while hi < len(keys) and abs(keys[hi] - value) <= atol:
+        hi += 1
+    return min(pts[lo:hi], key=lambda p: p.id, default=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 5e-13, 1.0 + 1e-12,
+                                           1.0 + 2e-12, -2.5, 1e6]),
+                          st.floats(-4.0, 4.0)), min_size=1, max_size=8))
+@example([1.0, 2.0, 3.0])               # spread: the index answers exact hits
+@example([0.0, -0.0, 1.0])              # 0.0 and -0.0 are one value: no index
+@example([1.0, 1.0 + 5e-13, 3.0])       # within VALUE_ATOL: no index
+@example([-0.0, 1.0, 1.0 + 2e-12])      # just above VALUE_ATOL apart: an index
+def test_value_index_agrees_with_the_bisect_path(values):
+    space = BMetricSpace.from_values(values)
+    ordered = sorted(values)
+    spread = all(hi - lo > bmetric.VALUE_ATOL for lo, hi in zip(ordered, ordered[1:]))
+    assert (space._exact is not None) == spread
+    queries = [math.nan, math.inf, -math.inf]
+    for v in values:
+        for offset in (0.0, -0.0, 5e-13, -5e-13, bmetric.VALUE_ATOL, -bmetric.VALUE_ATOL, 1e-6):
+            q = v + offset
+            queries += [q, -q, math.nextafter(q, math.inf), math.nextafter(q, -math.inf)]
+    for value in queries:
+        for atol in (0.0, bmetric.VALUE_ATOL, 1e-6, -1.0, math.nan):
+            expected = point_by_value_bisect(space, value, atol)
+            if expected is None:
+                with pytest.raises(UnknownPointError):
+                    space.point_by_value(value, atol)
+            else:
+                assert space.point_by_value(value, atol) is expected
 
 
 def test_caches_are_not_fields():

@@ -183,3 +183,64 @@ def test_stray_text_between_pairs_is_rejected(pairs, stray, tmp_path, capsys):
     path.write_text(text)
     assert main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("space", "points", "1 2 3 4"), ("space", "metric", "squared-difference"), ("space", "s", "2"),
+    ("relation", "transitive-closure", "false"), ("relation", "symmetric-closure", "false"),
+    ("potential", "formula", "linear 3"),
+    ("zeta", "family", "linear"), ("zeta", "lambda", "0.9"), ("zeta", "mu", "1"),
+    ("solver", "start", "3"),
+])
+def test_single_valued_key_set_twice_is_rejected(section, key, value, tmp_path, capsys):
+    # the key goes right under its header; where the fixture lacks it, twice
+    text = read("example-3-1.problem")
+    lines = text.splitlines()
+    header = lines.index(f"[{section}]") + 1
+    present = any(line.startswith(f"{key} = ") for line in lines)
+    added = f"{key} = {value}\n" * (1 if present else 2)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{added}")
+    first = header + 1
+    second = next(i for i, line in enumerate(text.splitlines(), 1)
+                  if i > first and line.startswith(f"{key} = "))
+    message = f"line {second}: {key!r} is set twice, on lines {first} and {second}"
+    with pytest.raises(ProblemFileError, match=re.escape(message)) as exc:
+        parse_problem(text)
+    assert exc.value.line == second
+    path = tmp_path / "twice.problem"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+EXPLICIT = ("[space]\npoints = 1 2 3\n[relation]\npairs = (1,1) (2,1)\n"
+            "[map]\n1 = 1\n2 = 1\n3 = 2\n[potential]\n1 = 0\n2 = 1\n3 = 2\n"
+            "[zeta]\nfamily = linear\nlambda = 0.5\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("2 = 1\n", "2 = 1\n2 = 3\n", "point 2.0 has two [map] entries"),
+    ("2 = 1\n", "2 = 1\n2.0 = 1\n", "point 2.0 has two [map] entries"),  # 2 and 2.0 are one point
+    ("3 = 2\n[p", "2.0000000000001 = 3\n3 = 2\n[p",                   # within VALUE_ATOL of 2
+     "point 2.0 has two [map] entries"),
+    ("3 = 2\n[z", "3 = 2\n3.0 = 5\n[z", "point 3.0 has two [potential] entries"),
+])
+def test_two_entries_for_one_point_are_rejected(old, new, message):
+    text = EXPLICIT.replace(old, new, 1)
+    assert text != EXPLICIT
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        build_problem(parse_problem(text))
+
+
+def test_repeatable_keys_accumulate():
+    assert build_problem(parse_problem(EXPLICIT)).problem.map.mapping == {0: 0, 1: 0, 2: 1}
+    text = read("example-3-1.problem")
+    one = build_problem(parse_problem(text)).problem.relation
+    split = text.replace("(2,4) (3,1)", "(2,4)\npair = (3,1)")
+    assert build_problem(parse_problem(split)).problem.relation == one
+    table = ("[space]\npoints = 0 1\nmetric = table\nrow = 0 1\nrow = 1 0\n[relation]\n"
+             "pairs = (0,1)\n[map]\npiece = [0,0] -> 0\npiece = (0,1] -> 0\n"
+             "[potential]\nformula = linear 1\n[zeta]\nfamily = linear\nlambda = 0.5\n")
+    problem = build_problem(parse_problem(table)).problem
+    assert problem.space._d == ((0.0, 1.0), (1.0, 0.0))
+    assert problem.map.mapping == {0: 0, 1: 0}

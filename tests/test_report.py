@@ -9,6 +9,7 @@ verdict's in-memory columns, and references written in the test.
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,3 +150,43 @@ def test_lists_above_the_cap_keep_their_first_entries_and_exact_counts(build, n,
              **{k: cert[k] for k in ("contradiction_count", "unconnected_count") if k in cert}}
     assert {k: found[k] for k in counts} == counts
     assert max(counts.values()) > WITNESS_CAP
+
+
+def test_each_relation_predicate_scans_once_per_op(monkeypatch):
+    # the hypotheses read F-closedness and transitivity off the relation report
+    from relfix import contraction, relation
+
+    # R relates every distinct pair and (0, 0), so it is not transitive, and F
+    # sends (1, 2) to (3, 3), so it is not F-closed; the orbit of 0 stays at 0
+    n = 24
+    problem = integer_problem(n, {(a, b) for a in range(n) for b in range(n) if a != b} | {(0, 0)},
+                              {k: 3 if k in (1, 2) else 0 for k in range(n)},
+                              dict.fromkeys(range(n), 0.0))
+    space, R, mapping = problem.space, problem.relation, problem.map.mapping
+    scans = Counter()
+    for name in ("is_transitive", "is_f_closed"):
+        def counting_scan(*args, _scan=getattr(relation, name), _name=name):
+            scans[_name] += 1
+            return _scan(*args)
+        for module in (relation, contraction):
+            monkeypatch.setattr(module, name, counting_scan)
+    once = {"is_transitive": 1, "is_f_closed": 1}
+    for command in ("report", "verify"):
+        scans.clear()
+        report, ok = run_command(command, ProblemBundle(problem=problem, solver=SolverBlock()))
+        assert scans == once and not ok
+        rel, hyp = report["relation"], report["hypotheses"]
+        for key, full in (("transitive", reference_transitivity_witnesses(R)),
+                          ("f_closed", reference_f_closed_witnesses(R, mapping))):
+            assert getattr(hyp, key) is getattr(rel, key) is False
+            assert getattr(hyp, f"{key}_witness_count") == rel.counterexample_counts[key] == len(full)
+            assert getattr(hyp, f"{key}_witnesses") == rel.counterexamples[key] == full[:WITNESS_CAP]
+    # library callers that pass no relation report still get both scans
+    scans.clear()
+    hyp = contraction.verify_all_hypotheses(problem)
+    assert scans == once
+    scans.clear()
+    rel = relation.build_relation_report(space, R, mapping)
+    assert scans == once
+    assert (hyp.transitive_witnesses, hyp.f_closed_witnesses) == (
+        rel.counterexamples["transitive"], rel.counterexamples["f_closed"])
