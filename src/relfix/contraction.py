@@ -192,9 +192,13 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
     family is infeasible.  The rows' t and s_arg do not depend on zeta or
     the tolerance, so any verdict of the problem serves.
     """
-    s, d_image, s_args, lo = verdict.s, verdict.d_image_pair, verdict.s_arg, 0.0
-    for i in verdict.active_rows:
-        t, s_arg = s * d_image[i], s_args[i]
+    s, lo = verdict.s, 0.0
+    # one walk of the columns; a row is active when d_sigma_fsigma > 0
+    for d_self, d_image, s_arg in zip(verdict.d_sigma_fsigma, verdict.d_image_pair,
+                                      verdict.s_arg):
+        if not d_self > 0:
+            continue
+        t = s * d_image
         if s_arg > 0:
             q = t / s_arg
             if q > lo:

@@ -199,8 +199,22 @@ def _parse_relation(items) -> RelationBlock:
     pairs, tc, sc, seen = [], False, False, {}
     for key, value, line in items:
         if key in ("pairs", "pair"):
-            # [text, a, b, text, a, b, ..., text]: the two groups of each match
-            # between the texts around it
+            # a well-formed line is the tokens ( a , b ) repeated: padding the
+            # punctuation with spaces lets str.split, whose whitespace is the
+            # regex's \s, tokenise it, and float converts a and b
+            tokens = value.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+            k = len(tokens) // 5
+            if (k and len(tokens) == 5 * k and tokens[::5] == ["("] * k
+                    and tokens[2::5] == [","] * k and tokens[4::5] == [")"] * k):
+                try:
+                    # converted in full first, so a bad token adds no pair
+                    pairs += list(zip(map(float, tokens[1::5]), map(float, tokens[3::5])))
+                    continue
+                except ValueError:
+                    pass
+            # any other line, or a bad number, takes the regex split, which
+            # writes every pairs error: [text, a, b, text, a, b, ..., text],
+            # the two groups of each match between the texts around it
             parts = _PAIR_RE.split(value)
             if len(parts) == 1:
                 raise ProblemFileError("expected pairs like (1,2) (2,3)", line)

@@ -231,9 +231,11 @@ def certify(
     contradiction.
 
     Connectivity is read off one reachability closure of R (``reach_rows``),
-    so the counts cost no path search; a path, shortest from a to b when
-    one exists and else from b to a, is found only for each listed
-    contradiction.
+    so the counts cost no path search.  Each listed contradiction carries a
+    path, shortest from a to b when one exists and else from b to a: a
+    related pair is its own path, read off R's row, and only the other
+    pairs search one.  The "passes only by tolerance" test reads the
+    verdict's zeta column.
     """
     if trace.terminated_by != "exact-fixed-point":
         raise ValueError("trace did not end at a fixed point; cannot certify")
@@ -256,16 +258,19 @@ def certify(
         if verdict is None:
             verdict = verify_contraction(problem)
         contraction_ok = verdict.ok and verdict.active_count > 0
-        # a passing verdict gives every active row a zeta value; one below 0
-        # passes only by the tolerance
-        if contraction_ok and any(verdict.zeta_value[i] < 0 for i in verdict.active_rows):
+        # a passing verdict gives every active row a zeta value and every
+        # vacuous row None; one below 0 passes only by the tolerance (filter
+        # drops None and zeros, and no zero is below 0)
+        if contraction_ok and min(filter(None, verdict.zeta_value), default=0.0) < 0:
             note = ("connected fixed points under a verdict that passes only by "
                     "tolerance; data inconsistent")
         else:
             note = ("connected fixed points under a passing contraction verdict: "
                     "a counterexample to the paper's uniqueness clause")
-        reach = reach_rows(problem.relation)
-        reach += [0] * (len(space) - len(reach))
+        # ContractionProblem keeps R's rows within the space; pad both to it
+        pad = [0] * (len(space) - len(problem.relation._rows))
+        rows = [*problem.relation._rows, *pad]
+        reach = reach_rows(problem.relation) + pad
         ids = sorted(fp_ids)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
@@ -281,11 +286,15 @@ def certify(
                 if contraction_ok:
                     cert.contradiction_count += 1
                     if len(cert.contradictions) < WITNESS_CAP:
-                        check = verify_uniqueness_condition(problem, src, dst)
+                        # find_path's first case: a related pair is its own path
+                        if rows[src] >> dst & 1:
+                            path = (src, dst)
+                        else:
+                            path = verify_uniqueness_condition(problem, src, dst).path.nodes
                         cert.contradictions.append(
                             {
                                 "pair": (values[a], values[b]),
-                                "path": check.path.value_nodes(space),
+                                "path": [values[k] for k in path],
                                 "note": note,
                             }
                         )

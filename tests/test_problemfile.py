@@ -1,10 +1,15 @@
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from relfix import problemfile
 from relfix.cli import main
 from relfix.problemfile import (
+    _PAIR_RE,
     ProblemFileError,
+    _num,
+    _parse_relation,
     build_problem,
     parse_problem,
 )
@@ -183,6 +188,91 @@ def test_stray_text_between_pairs_is_rejected(pairs, stray, tmp_path, capsys):
     path.write_text(text)
     assert main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def reference_pairs(value: str, line: int) -> tuple:
+    """The regex split that tokenised every pairs line before the C-level
+    tokeniser, as a tuple of float pairs or the ProblemFileError it raises."""
+    parts = _PAIR_RE.split(value)
+    if len(parts) == 1:
+        raise ProblemFileError("expected pairs like (1,2) (2,3)", line)
+    stray = " ".join(parts[::3]).split()
+    if stray:
+        raise ProblemFileError(f"stray text {stray[0]!r} between pairs", line)
+    sources, targets = parts[1::3], parts[2::3]
+    try:
+        return tuple(zip(map(float, sources), map(float, targets)))
+    except ValueError:
+        for a, b in zip(sources, targets):
+            _num(a, line), _num(b, line)
+        raise
+
+
+def parsed_pairs(parse, value: str) -> str:
+    """The pairs ``parse`` reads from one line, or its error text; repr keeps
+    nan and the sign of zero comparable."""
+    try:
+        return repr(parse(value))
+    except ProblemFileError as exc:
+        return f"error: {exc}"
+
+
+# the regex's \s and str.split agree on these; U+200B is not whitespace
+SPACES = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x1f", "\x85", "\u00a0", "\u2003",
+                          "\u3000", "\u200b"])
+NUMBERS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "+inf", "Infinity", "+1.5", "-0", "1e400", "1_000", ".5",
+                     "5.", "", "x", "1.2.3", "--1", "\u0663"]),
+)
+PAIR = st.tuples(st.lists(SPACES, min_size=6, max_size=6), NUMBERS, NUMBERS).map(
+    lambda t: "{}({}{a}{},{}{b}{}){}".format(*t[0], a=t[1], b=t[2]))
+FRAGMENT = st.one_of(PAIR, SPACES, st.sampled_from([
+    "(", ")", ",", "((1,2))", "(1,2", "1,2)", "(1,(2,3))", "(1,2,3)", "()", "(,)", "x", "(1 2)",
+    "(1 2 3)", "(1,2 3", "(1,2("]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(PAIR, min_size=1, max_size=6).map("".join),
+                 st.lists(FRAGMENT, max_size=8).map("".join)))
+@example("(1,2)\u00a0(3,\u30004)")
+@example("(nan, inf) (-0,+1e400)")
+@example("(1,2) (3,4")
+@example("((1,2))")
+@example("(1,2)(3,\u200b4)")
+@example("(1 2 3)")
+@example("(1,2 3")
+@example("")
+def test_pairs_line_reads_as_the_regex_split_reads_it(value):
+    line = 7
+    assert (parsed_pairs(lambda v: _parse_relation([("pairs", v, line)]).pairs, value)
+            == parsed_pairs(lambda v: reference_pairs(v, line), value))
+
+
+class OnePairSplit:
+    """Stands in for _PAIR_RE: every line splits into the one pair (7, 8)."""
+
+    def split(self, value):
+        return ["", "7", "8", ""]
+
+
+def test_a_bad_third_number_is_named_and_keeps_no_pair(monkeypatch, tmp_path, capsys):
+    # the line is well formed, so the tokeniser converts it and fails on 'x'
+    text = read("example-3-1.problem").replace(
+        "pairs = (1,1) (1,2) (1,3) (1,4) (2,1) (2,2) (2,3) (2,4) (3,1) (3,2) (3,3) (3,4)",
+        "pairs = (1,2) (x,3) (3,4)\npair = (4,4)")
+    message = "line 11: expected a number, got 'x'"
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        parse_problem(text)
+    path = tmp_path / "bad.problem"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    # the regex split reads the failed line afresh: the tokeniser's (1, 2) is gone
+    monkeypatch.setattr(problemfile, "_PAIR_RE", OnePairSplit())
+    items = [("pairs", "(1,2) (x,3) (3,4)", 11), ("pair", "(4,4)", 12)]
+    assert _parse_relation(items).pairs == ((7.0, 8.0), (4.0, 4.0))
 
 
 @pytest.mark.parametrize("section, key, value", [

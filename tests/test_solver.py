@@ -1,13 +1,15 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from relfix import solver
 from relfix.bmetric import WITNESS_CAP, BMetricSpace, distance
 from relfix.relation import BinaryRelation
-from relfix.contraction import (ContractionProblem, Potential, SelfMap, compute_mfr,
-                                verify_contraction)
+from relfix.contraction import (ContractionProblem, ContractionVerdict, Potential, SelfMap,
+                                compute_mfr, verify_contraction)
 from relfix.simulation import SimulationFunction
 from relfix.solver import (
     CertificationError,
@@ -23,7 +25,8 @@ from relfix.solver import (
 from conftest import FIXTURES, example_map, example_problem, example_space
 from instance_gen import random_problem
 from pair_set_reference import reference_find_path
-from relfix.problemfile import build_problem, parse_problem
+from relfix.problemfile import ProblemBundle, SolverBlock, build_problem, parse_problem
+from relfix.report import run_command
 
 
 def load_fixture(name):
@@ -417,6 +420,103 @@ def test_certify_matches_the_two_way_bfs_loop(problem, tol):
     assert [(c["pair"], c["path"]) for c in cert.contradictions] == connected[:WITNESS_CAP]
     assert cert.unconnected_count == len(unconnected)
     assert cert.unconnected_pairs == unconnected[:WITNESS_CAP]
+
+
+COUNTEREXAMPLE = "a counterexample to the paper's uniqueness clause"
+INCONSISTENT = "passes only by tolerance; data inconsistent"
+
+
+def test_certify_reads_signed_zero_zeta_as_a_pass():
+    # fixed points 0 and 2 are related; the active rows (1,1) and (3,3) have
+    # t = 0 and s_arg = drop * 0, which is 0.0 for drop > 0 and -0.0 for drop < 0
+    problem = ContractionProblem(
+        space=BMetricSpace.from_values(range(4), s=2.0),
+        relation=BinaryRelation({(0, 0), (0, 2), (1, 1), (3, 3)}),
+        map=SelfMap({0: 0, 1: 0, 2: 2, 3: 2}),
+        potential=Potential({0: 0.0, 1: 5.0, 2: 5.0, 3: 0.0}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+    verdict = verify_contraction(problem)
+    assert verdict.ok and verdict.active_count == 2
+    zetas = [z for z in verdict.zeta_value if z is not None]
+    assert zetas == [0.0, 0.0]
+    assert [math.copysign(1.0, z) for z in zetas] == [1.0, -1.0]
+    cert = certify(problem, picard_iterate(problem, problem.space.points[0]), verdict)
+    assert [(c["pair"], c["path"]) for c in cert.contradictions] == [((0.0, 2.0), [0.0, 2.0])]
+    assert cert.contradictions[0]["note"].endswith(COUNTEREXAMPLE)
+
+
+def test_certify_reads_a_tiny_negative_zeta_as_passing_only_by_tolerance():
+    # the one active row (1, 3): s_arg = drop * d(1, 3) = 4 * drop and
+    # t = 2 * d(0, 2) = 8, so zeta = 0.5 * s_arg - 8 sits just below 0
+    problem = ContractionProblem(
+        space=BMetricSpace.from_values(range(4), s=2.0),
+        relation=BinaryRelation({(0, 0), (0, 2), (1, 3)}),
+        map=SelfMap({0: 0, 1: 0, 2: 2, 3: 2}),
+        potential=Potential({0: 0.0, 1: 4.0 - 5e-13, 2: 0.0, 3: 0.0}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+    assert not verify_contraction(problem, tol=0.0).ok
+    verdict = verify_contraction(problem, tol=1e-9)
+    assert verdict.ok and verdict.active_count == 1
+    (zeta,) = [z for z in verdict.zeta_value if z is not None]
+    assert -2e-12 < zeta < -5e-13
+    cert = certify(problem, picard_iterate(problem, problem.space.points[0]), verdict)
+    assert [c["pair"] for c in cert.contradictions] == [(0.0, 2.0)]
+    assert cert.contradictions[0]["note"].endswith(INCONSISTENT)
+
+
+def count_calls(monkeypatch):
+    """Count certify's path searches and every read of ContractionVerdict.active_rows."""
+    calls = Counter()
+    search, rows = solver.verify_uniqueness_condition, ContractionVerdict.active_rows
+
+    def counting_search(problem, a, b):
+        calls["search"] += 1
+        return search(problem, a, b)
+
+    def counting_rows(verdict):
+        calls["active_rows"] += 1
+        return rows.fget(verdict)
+
+    monkeypatch.setattr(solver, "verify_uniqueness_condition", counting_search)
+    monkeypatch.setattr(ContractionVerdict, "active_rows", property(counting_rows))
+    return calls
+
+
+def test_certify_reads_related_pairs_and_the_zeta_column_in_one_pass(monkeypatch):
+    calls = count_calls(monkeypatch)
+    problem = complete_even_fixed(24)
+    cert = certify(problem, picard_iterate(problem, problem.space.points[0]))
+    assert cert.contradiction_count == len(cert.contradictions) == 66
+    assert all(c["path"] == list(c["pair"]) and c["note"].endswith(COUNTEREXAMPLE)
+               for c in cert.contradictions)
+    # the whole report, certificate and lambda threshold included
+    report, ok = run_command("report", ProblemBundle(problem=problem, solver=SolverBlock()))
+    assert report["certificate"].contradiction_count == 66 and not ok
+    assert not calls
+
+
+def test_certify_searches_once_per_pair_joined_through_other_points(monkeypatch):
+    # a descending chain 6 -> 5 -> ... -> 0 with every even point fixed: no two
+    # fixed points are related, so each path runs from b to a through odd points
+    n = 7
+    relation = BinaryRelation({(k + 1, k) for k in range(n - 1)})
+    problem = ContractionProblem(
+        space=BMetricSpace.from_values(range(n), s=2.0),
+        relation=relation,
+        map=SelfMap({k: k - k % 2 for k in range(n)}),
+        potential=Potential({k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+    calls = count_calls(monkeypatch)
+    trace = picard_iterate(problem, problem.space.points[0], allow_inadmissible_start=True)
+    cert = certify(problem, trace)
+    assert calls == {"search": 6}
+    expected = [((a, b), [float(k) for k in reference_find_path(relation, b, a)])
+                for a in range(0, n, 2) for b in range(a + 2, n, 2)]
+    assert [(c["pair"], c["path"]) for c in cert.contradictions] == expected
+    assert all(len(c["path"]) > 2 for c in cert.contradictions)
 
 
 def test_readme_library_example():
