@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import attrgetter, gt, sub, truediv
@@ -17,10 +18,10 @@ class UnknownPointError(KeyError):
     """Raised when a point id or value does not belong to the space."""
 
 
-@dataclass(frozen=True)
-class Point:
-    id: int
-    value: float
+class Point(namedtuple("Point", "id value")):
+    """A point of a space: its int ``id`` in 0..n-1 and its float ``value``."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,11 @@ def main(argv=None) -> int:
         return 2
 
     # serialise before writing anything, so a quantity that overflowed to
-    # +-inf on finite input is an input error, not a truncated report
+    # +-inf on finite input is an input error, not a truncated report;
+    # run_command builds a tree, so the encoder skips its cycle check
     try:
-        encoded = json.dumps(report, default=_plain, sort_keys=args.json, allow_nan=False)
+        encoded = json.dumps(report, default=_plain, sort_keys=args.json, allow_nan=False,
+                             check_circular=False)
     except ValueError as exc:
         print(f"relfix: {args.file}: a report quantity is not finite: {exc}", file=sys.stderr)
         return 2

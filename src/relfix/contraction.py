@@ -13,6 +13,7 @@ proof's telescoping step.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import gt
@@ -25,7 +26,6 @@ from .relation import (
     is_f_closed,
     is_transitive,
     find_path,
-    Path,
 )
 from .simulation import SimulationFunction
 
@@ -97,7 +97,7 @@ class ContractionProblem:
 
 
 def compute_mfr(space: BMetricSpace, relation: BinaryRelation, fmap: SelfMap) -> list:
-    """Admissible starting points: those related to their own image."""
+    """Admissible starting points, in id order: those related to their own image."""
     return [p for p in space.points if (p.id, fmap(p)) in relation.pairs]
 
 
@@ -213,6 +213,7 @@ class HypothesisReport:
     """Each witness list keeps its first WITNESS_CAP entries; its count is exact."""
 
     mfr: list                      # admissible start point values, in point-id order
+    mfr_points: list = field(metadata=IN_MEMORY)  # compute_mfr's points, read for the start
     mfr_nonempty: bool
     f_closed: bool
     f_closed_witness_count: int
@@ -251,6 +252,7 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None,
     all_ok = bool(mfr) and fcl and trans and contraction.ok
     return HypothesisReport(
         mfr=[p.value for p in mfr],
+        mfr_points=mfr,
         mfr_nonempty=bool(mfr),
         f_closed=fcl,
         f_closed_witness_count=fcl_count,
@@ -265,10 +267,10 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None,
     )
 
 
-@dataclass
-class UniquenessCheck:
-    path_exists: bool
-    path: Path | None
+class UniquenessCheck(namedtuple("UniquenessCheck", "path_exists path")):
+    """Whether R joins the two points (``path_exists``), and the ``Path`` or None."""
+
+    __slots__ = ()
 
 
 def verify_uniqueness_condition(problem: ContractionProblem, a, b) -> UniquenessCheck:

@@ -12,7 +12,7 @@ is how fixtures are written and diffed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bmetric import VALUE_ATOL, BMetricSpace, UnknownPointError
 from .relation import BinaryRelation, symmetric_closure, transitive_closure
@@ -29,13 +29,11 @@ class ProblemFileError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class Piece:
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-    image: float
+class Piece(namedtuple("Piece", "lo hi lo_closed hi_closed image")):
+    """A piecewise map row: points between ``lo`` and ``hi`` (an end is included
+    when its flag is true) map to the point at ``image``."""
+
+    __slots__ = ()
 
     def contains(self, v: float) -> bool:
         above = v > self.lo or (self.lo_closed and v == self.lo)
@@ -43,53 +41,49 @@ class Piece:
         return above and below
 
 
-@dataclass(frozen=True)
-class SpaceBlock:
-    points: tuple
-    metric: str = "squared-difference"
-    rows: tuple = ()
-    s: float = 1.0
+class SpaceBlock(namedtuple("SpaceBlock", "points metric rows s",
+                            defaults=("squared-difference", (), 1.0))):
+    """``[space]``: the point values, the metric name, the table rows and s."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RelationBlock:
-    pairs: tuple
-    transitive_closure: bool = False
-    symmetric_closure: bool = False
+class RelationBlock(namedtuple("RelationBlock", "pairs transitive_closure symmetric_closure",
+                               defaults=(False, False))):
+    """``[relation]``: the (source, target) value pairs and the two closure flags."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MapBlock:
-    entries: tuple = ()
-    pieces: tuple = ()
+class MapBlock(namedtuple("MapBlock", "entries pieces", defaults=((), ()))):
+    """``[map]``: (source, image) value entries or ``Piece`` rows, never both."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PotentialBlock:
-    entries: tuple = ()
-    linear_coeff: float | None = None
+class PotentialBlock(namedtuple("PotentialBlock", "entries linear_coeff", defaults=((), None))):
+    """``[potential]``: (point, value) entries or a linear coefficient, never both."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ZetaBlock:
-    family: str = "linear"
-    lam: float | None = None
-    mu: float | None = None
+class ZetaBlock(namedtuple("ZetaBlock", "family lam mu", defaults=("linear", None, None))):
+    """``[zeta]``: the family name and its coefficients; None leaves one unset."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolverBlock:
-    start: float | None = None
+class SolverBlock(namedtuple("SolverBlock", "start", defaults=(None,))):
+    """``[solver]``: the start point value, or None for the lowest admissible id."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    space: SpaceBlock
-    relation: RelationBlock
-    map: MapBlock
-    potential: PotentialBlock
-    zeta: ZetaBlock
-    solver: SolverBlock = SolverBlock()
+class ProblemFile(namedtuple("ProblemFile", "space relation map potential zeta solver",
+                             defaults=(SolverBlock(),))):
+    """A parsed problem file: one block per section."""
+
+    __slots__ = ()
 
 
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
@@ -320,12 +314,10 @@ def _parse_solver(items) -> SolverBlock:
     return SolverBlock(start=start)
 
 
-@dataclass
-class ProblemBundle:
+class ProblemBundle(namedtuple("ProblemBundle", "problem solver")):
     """A fully assembled problem plus solver options, ready for the modules."""
 
-    problem: ContractionProblem
-    solver: SolverBlock
+    __slots__ = ()
 
 
 def _one_entry_per_point(space: BMetricSpace, section: str, by_id: dict, entries: tuple):

@@ -20,7 +20,7 @@ with no memo, so concurrent use is safe.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count
@@ -244,9 +244,10 @@ def is_f_closed(R: BinaryRelation, mapping: dict):
     return not total, total, witnesses
 
 
-@dataclass(frozen=True)
-class Path:
-    nodes: tuple
+class Path(namedtuple("Path", "nodes")):
+    """A walk along related pairs: the tuple of point ids it visits, both ends included."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -11,7 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import math
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from .bmetric import Point, UnknownPointError, verify_bmetric_axioms
@@ -37,6 +37,14 @@ def _plain(obj) -> dict:
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
+def _utc_isoformat(ns: int) -> str:
+    """``ns`` nanoseconds after the epoch as ``datetime.isoformat()`` writes the
+    UTC datetime: microseconds truncated, and left out when they are 0."""
+    sec, us = divmod(ns // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(sec))
+    return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
+
+
 def header(input_bytes: bytes) -> dict:
     # generated_at is the only nondeterministic field; consumers comparing
     # reports should drop the header
@@ -44,20 +52,24 @@ def header(input_bytes: bytes) -> dict:
         "toolkit_version": __version__,
         "schema_version": SCHEMA_VERSION,
         "input_digest": hashlib.sha256(input_bytes).hexdigest(),
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "generated_at": _utc_isoformat(time.time_ns()),
     }
 
 
-def _start_point(bundle: ProblemBundle, start) -> Point:
-    """The point at ``start``, else at ``[solver] start``, else the lowest id in M(F;R)."""
+def _start_point(bundle: ProblemBundle, start, mfr: list | None = None) -> Point:
+    """The point at ``start``, else at ``[solver] start``, else the lowest id in M(F;R).
+
+    ``mfr`` is ``compute_mfr``'s list when the caller has it; otherwise it is
+    computed here."""
     problem = bundle.problem
     if start is None:
         start = bundle.solver.start
     if start is None:
-        mfr = compute_mfr(problem.space, problem.relation, problem.map)
+        if mfr is None:
+            mfr = compute_mfr(problem.space, problem.relation, problem.map)
         if not mfr:
             raise ValueError("M(F;R) is empty: no admissible starting point")
-        return min(mfr, key=lambda p: p.id)
+        return mfr[0]  # compute_mfr lists the points in id order
     try:
         return problem.space.point_by_value(float(start))
     except UnknownPointError:
@@ -85,7 +97,7 @@ def run_command(
         report["bmetric_axioms"] = verify_bmetric_axioms(problem.space, tol)
         report["zeta_axioms"] = check_zeta_axioms(problem.zeta)
         ok = report["bmetric_axioms"].all_ok and report["zeta_axioms"].all_ok
-    verdict = None
+    verdict = mfr = None
     if command in ("verify", "report"):
         # the hypotheses read F-closedness and transitivity off the relation report
         report["relation"] = build_relation_report(problem.space, problem.relation,
@@ -97,9 +109,9 @@ def run_command(
             # JSON has no infinity; null means no lambda passes
             report["linear_lambda_threshold"] = threshold if threshold < math.inf else None
         ok = ok and hyp.all_hypotheses_ok
-        verdict = hyp.contraction
+        verdict, mfr = hyp.contraction, hyp.mfr_points
     if command in ("solve", "certify", "report"):
-        trace = picard_iterate(problem, _start_point(bundle, start))
+        trace = picard_iterate(problem, _start_point(bundle, start, mfr))
         report["trace"] = trace
         if trace.steps:
             report["ratio_diagnostics"] = ratio_diagnostics(trace, tol=problem.default_tol())

@@ -9,16 +9,18 @@ verdict's in-memory columns, and references written in the test.
 
 import json
 import random
+import time
 from collections import Counter
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relfix.bmetric import WITNESS_CAP, BMetricSpace
 from relfix.contraction import ContractionProblem, Potential, SelfMap, verify_contraction
 from relfix.problemfile import ProblemBundle, SolverBlock
 from relfix.relation import BinaryRelation, find_path
-from relfix.report import _plain, run_command
+from relfix.report import _plain, _utc_isoformat, header, run_command
 from relfix.simulation import SimulationFunction
 from relfix.solver import RelationBroken, enumerate_fixed_points
 
@@ -190,3 +192,22 @@ def test_each_relation_predicate_scans_once_per_op(monkeypatch):
     assert scans == once
     assert (hyp.transitive_witnesses, hyp.f_closed_witnesses) == (
         rel.counterexamples["transitive"], rel.counterexamples["f_closed"])
+
+
+# every nanosecond count up to the last second of year 9999
+@given(st.integers(min_value=0, max_value=253_402_300_800 * 10**9 - 1))
+@example(0)
+@example(1_760_000_000 * 10**9 + 999)         # microsecond 0: no fraction is written
+@example(1_760_000_000 * 10**9 + 1_000)       # microsecond 1
+@example(951_782_400 * 10**9 + 999_999_999)   # 2000-02-29, microsecond 999999
+def test_generated_at_is_the_isoformat_of_the_utc_datetime(ns):
+    sec, rest = divmod(ns, 10**9)
+    expected = datetime.fromtimestamp(sec, timezone.utc).replace(microsecond=rest // 1000)
+    assert _utc_isoformat(ns) == expected.isoformat()
+
+
+def test_header_time_reads_back_as_an_aware_utc_datetime():
+    before = time.time()
+    stamp = datetime.fromisoformat(header(b"")["generated_at"])
+    assert stamp.tzinfo == timezone.utc
+    assert before - 1 <= stamp.timestamp() <= time.time()

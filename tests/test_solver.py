@@ -519,6 +519,36 @@ def test_certify_searches_once_per_pair_joined_through_other_points(monkeypatch)
     assert all(len(c["path"]) > 2 for c in cert.contradictions)
 
 
+def test_each_command_computes_the_admissible_set_once(monkeypatch):
+    # report starts from the first admissible point its hypotheses listed
+    from relfix import contraction, report
+    calls = Counter()
+
+    def counting_mfr(*args, _mfr=contraction.compute_mfr):
+        calls["compute_mfr"] += 1
+        return _mfr(*args)
+
+    for module in (contraction, report):
+        monkeypatch.setattr(module, "compute_mfr", counting_mfr)
+    # the fixed-points shape, but 0 is unrelated to itself and 1 maps to 2, so
+    # the lowest admissible point is 1 and its orbit stays in R
+    n = 24
+    problem = ContractionProblem(
+        space=BMetricSpace.from_values(range(n), s=2.0),
+        relation=BinaryRelation({(a, b) for a in range(n) for b in range(n)} - {(0, 0)}),
+        map=SelfMap({k: 2 if k == 1 else k - k % 2 for k in range(n)}),
+        potential=Potential({k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)}),
+        zeta=SimulationFunction(family="linear", lam=0.5),
+    )
+    bundle = ProblemBundle(problem=problem, solver=SolverBlock())
+    for command in ("report", "certify", "verify", "solve"):
+        calls.clear()
+        doc, _ = run_command(command, bundle)
+        assert calls == {"compute_mfr": 1}, command
+        if command != "verify":
+            assert doc["trace"].orbit == [1.0, 2.0, 2.0], command
+
+
 def test_readme_library_example():
     problem = load_fixture("example-3-1.problem").problem
     trace = picard_iterate(problem, problem.space.point_by_value(3.0))
