@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import attrgetter, gt, sub, truediv
+
+from .records import fresh, record
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
@@ -24,7 +25,7 @@ class Point(namedtuple("Point", "id value")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BMetricSpace:
     """A finite point set with a distance function and relaxation coefficient s >= 1.
 
@@ -34,7 +35,7 @@ class BMetricSpace:
 
     Construction materialises the n x n distance matrix that every
     distance read goes through.  Every distance must be a finite float.  The
-    matrix is a plain instance attribute, so equality, hashing and ``fields``
+    matrix is a plain instance attribute, so equality, hashing and ``_fields``
     see only the declared fields.
     """
 
@@ -180,7 +181,7 @@ def default_axiom_tol(space: BMetricSpace) -> float:
     return 1e-12 if space.metric in FORMULA_METRICS else 0.0
 
 
-@dataclass
+@record
 class AxiomReport:
     """Axiom verdicts; each witness list holds the first WITNESS_CAP of its exact count."""
 
@@ -191,11 +192,11 @@ class AxiomReport:
     s: float
     tol: float
     identity_witness_count: int = 0
-    identity_witnesses: list = field(default_factory=list)
+    identity_witnesses: list = fresh(list)
     symmetry_witness_count: int = 0
-    symmetry_witnesses: list = field(default_factory=list)
+    symmetry_witnesses: list = fresh(list)
     triangle_witness_count: int = 0
-    triangle_witnesses: list = field(default_factory=list)
+    triangle_witnesses: list = fresh(list)
 
     @property
     def all_ok(self) -> bool:

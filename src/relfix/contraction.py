@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import gt
 
 from .bmetric import WITNESS_CAP, BMetricSpace, FORMULA_METRICS, _int_id, _pid
+from .records import IN_MEMORY, record
 from .relation import (
     BinaryRelation,
     RelationReport,
@@ -30,7 +30,7 @@ from .relation import (
 from .simulation import SimulationFunction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SelfMap:
     """Total self-map on the space's points, as an id -> id table."""
 
@@ -53,7 +53,7 @@ class SelfMap:
                 raise ValueError(f"map image {j} of point id {i} is outside the space")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Potential:
     """Nonnegative point-wise potential driving the descent argument."""
 
@@ -75,7 +75,7 @@ class Potential:
                 raise ValueError(f"potential not total: no value for point id {i}")
 
 
-@dataclass
+@record
 class ContractionProblem:
     space: BMetricSpace
     relation: BinaryRelation
@@ -101,11 +101,7 @@ def compute_mfr(space: BMetricSpace, relation: BinaryRelation, fmap: SelfMap) ->
     return [p for p in space.points if (p.id, fmap(p)) in relation.pairs]
 
 
-# field metadata: the field stays on the object but not in the report body
-IN_MEMORY = {"report": False}
-
-
-@dataclass
+@record
 class ContractionVerdict:
     """The ledger as one list per quantity, indexed by row: the related pairs in
     sorted_pairs() order.  Row i has t = s * d_image_pair[i]; it is active when
@@ -124,14 +120,14 @@ class ContractionVerdict:
     active_count: int
     failing_count: int
     failing_rows: dict
-    failing: list = field(metadata=IN_MEMORY)
-    sigma: list = field(metadata=IN_MEMORY)
-    rho: list = field(metadata=IN_MEMORY)
-    d_sigma_fsigma: list = field(metadata=IN_MEMORY)
-    d_pair: list = field(metadata=IN_MEMORY)
-    d_image_pair: list = field(metadata=IN_MEMORY)
-    s_arg: list = field(metadata=IN_MEMORY)
-    zeta_value: list = field(metadata=IN_MEMORY)
+    failing: list = IN_MEMORY
+    sigma: list = IN_MEMORY
+    rho: list = IN_MEMORY
+    d_sigma_fsigma: list = IN_MEMORY
+    d_pair: list = IN_MEMORY
+    d_image_pair: list = IN_MEMORY
+    s_arg: list = IN_MEMORY
+    zeta_value: list = IN_MEMORY
 
     # a property, not a field: the criterion 7 sweep digest hashes vars(verdict)
     @property
@@ -208,12 +204,12 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
     return lo
 
 
-@dataclass
+@record
 class HypothesisReport:
     """Each witness list keeps its first WITNESS_CAP entries; its count is exact."""
 
     mfr: list                      # admissible start point values, in point-id order
-    mfr_points: list = field(metadata=IN_MEMORY)  # compute_mfr's points, read for the start
+    mfr_points: list = IN_MEMORY  # compute_mfr's points, read for the start
     mfr_nonempty: bool
     f_closed: bool
     f_closed_witness_count: int

@@ -21,12 +21,12 @@ with no memo, so concurrent use is safe.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count
 from operator import or_
 
 from .bmetric import WITNESS_CAP, BMetricSpace, _pid
+from .records import fresh, record
 
 # a space of 2**16 points already has a 2**32-entry distance matrix, so no
 # space relfix can build holds a larger id, and no row asks for a huge int
@@ -46,7 +46,7 @@ def _bits(mask: int) -> tuple:
     return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinaryRelation:
     """A relation as a frozen set of (source id, target id) pairs.
 
@@ -304,7 +304,7 @@ def check_bd_self_closed(space: BMetricSpace) -> str:
     )
 
 
-@dataclass
+@record
 class RelationDiagnostics:
     """Each list in ``witnesses`` keeps its first WITNESS_CAP entries; ``witness_counts``
     holds the exact totals under the same keys."""
@@ -313,8 +313,8 @@ class RelationDiagnostics:
     irreflexive: bool
     symmetric: bool
     antisymmetric: bool
-    witness_counts: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
+    witness_counts: dict = fresh(dict)
+    witnesses: dict = fresh(dict)
 
 
 def _capped_ids(mask: int) -> tuple[int, list]:
@@ -356,7 +356,7 @@ def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiag
     )
 
 
-@dataclass
+@record
 class RelationReport:
     """Each list in ``counterexamples`` keeps its first WITNESS_CAP entries;
     ``counterexample_counts`` holds the exact totals under the same keys."""

@@ -1,14 +1,12 @@
-"""Structured report assembly: a dict of the result dataclasses in a stable
+"""Structured report assembly: a dict of the result records in a stable
 order, encoded once with ``json.dumps(report, default=_plain)``.
 
 The report body is bounded: every witness list holds its first WITNESS_CAP
-entries next to an exact count, and a field whose metadata sets ``report``
-to False (the contraction ledger's columns) stays on the object only."""
+entries next to an exact count, and a field declared IN_MEMORY (the
+contraction ledger's columns) stays on the object only."""
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import hashlib
 import math
 import time
@@ -26,15 +24,13 @@ SCHEMA_VERSION = 4
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    # TypeError unless a dataclass
-    return tuple(f.name for f in dataclasses.fields(cls) if f.metadata.get("report", True))
-
-
 def _plain(obj) -> dict:
-    """``json.dumps(default=)`` hook: one report dataclass as a dict of its report fields."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+    """``json.dumps(default=)`` hook: one report record as a dict of its report fields."""
+    try:
+        names = type(obj)._report_fields
+    except AttributeError:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable") from None
+    return {name: getattr(obj, name) for name in names}
 
 
 def _utc_isoformat(ns: int) -> str:
@@ -86,7 +82,7 @@ def run_command(
     """Run one CLI command; returns (report, pass) with pass driving the exit code.
 
     ``report`` runs every other command's checks and judges its certificate on
-    the ledger its hypotheses printed.  The report holds dataclasses; encode it
+    the ledger its hypotheses printed.  The report holds records; encode it
     with ``json.dumps(report, default=_plain)``."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")

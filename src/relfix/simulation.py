@@ -13,12 +13,13 @@ closed-form verdict:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from .records import fresh, record
 
 FAMILIES = ("linear", "scaled")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimulationFunction:
     """A two-argument function zeta(t, s) from one of two families.
 
@@ -54,12 +55,12 @@ def evaluate(zeta: SimulationFunction, t: float, s_arg: float) -> float:
     return zeta.lam * s_arg - zeta.t_coeff * t
 
 
-@dataclass
+@record
 class ZetaAxiomReport:
     zeta1_ok: bool
     zeta2_ok: bool
     zeta3_ok: bool
-    zeta2_witnesses: list = field(default_factory=list)
+    zeta2_witnesses: list = fresh(list)
 
     @property
     def all_ok(self) -> bool:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .bmetric import WITNESS_CAP, BMetricSpace, Point
+from .records import fresh, record
 from .relation import reach_rows
 from .contraction import (
     ContractionProblem,
@@ -27,7 +26,7 @@ class RelationBroken(RuntimeError):
         super().__init__(f"orbit pair {pair} left the relation; F-closedness premise is broken")
 
 
-@dataclass
+@record
 class IterationTrace:
     orbit: list                 # point values sigma_0 .. sigma_N
     orbit_ids: list
@@ -125,7 +124,7 @@ def _estimate_rho(steps):
     return rho, ratios[last_above + 1][0]
 
 
-@dataclass
+@record
 class RatioDiagnostics:
     per_index_bound_ok: bool
     per_index_witnesses: list
@@ -194,7 +193,7 @@ class CertificationError(RuntimeError):
     """The trace's terminal point fails a cross-check against the oracle."""
 
 
-@dataclass
+@record
 class FixedPointCertificate:
     """``contradictions`` and ``unconnected_pairs`` keep their first WITNESS_CAP
     entries in (a, b) order; the counts are exact."""
@@ -203,9 +202,9 @@ class FixedPointCertificate:
     solver_result: float
     unique: bool
     contradiction_count: int = 0
-    contradictions: list = field(default_factory=list)
+    contradictions: list = fresh(list)
     unconnected_count: int = 0
-    unconnected_pairs: list = field(default_factory=list)
+    unconnected_pairs: list = fresh(list)
 
 
 def certify(

@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -615,6 +614,6 @@ def test_caches_are_not_fields():
     b = BMetricSpace.from_values([1, 2, 3], s=2.0)
     assert a == b and hash(a) == hash(b)
     assert a != BMetricSpace.from_values([1, 2, 4], s=2.0)
-    assert [f.name for f in dataclasses.fields(BMetricSpace)] == [
+    assert list(BMetricSpace._fields) == [
         "points", "metric", "table", "s"]
     assert "_d" not in repr(a)

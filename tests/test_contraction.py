@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -233,13 +232,13 @@ def test_threshold_from_ledger_matches_pair_walk(seed, flat, data):
     if flat:
         # a constant potential zeroes every s_arg: any active row with t > 0 gives inf
         flat_phi = Potential({i: 1.0 for i in range(len(problem.space))})
-        problem = dataclasses.replace(problem, potential=flat_phi)
+        problem = problem._replace(potential=flat_phi)
     threshold = linear_lambda_threshold(verify_contraction(problem))
     assert threshold == threshold_by_pair_walk(problem)
     if threshold < 1:
         lam = data.draw(st.floats(threshold, 1, exclude_min=True, exclude_max=True))
         zeta = SimulationFunction(family="linear", lam=lam)
-        assert verify_contraction(dataclasses.replace(problem, zeta=zeta), tol=0.0).ok
+        assert verify_contraction(problem._replace(zeta=zeta), tol=0.0).ok
 
 
 @given(st.floats(min_value=2 / 3 + 1e-9, max_value=1 - 1e-9))
