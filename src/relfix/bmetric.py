@@ -35,8 +35,8 @@ class BMetricSpace:
 
     Construction materialises the n x n distance matrix that every
     distance read goes through.  Every distance must be a finite float.  The
-    matrix is a plain instance attribute, so equality, hashing and ``_fields``
-    see only the declared fields.
+    matrix and its largest entry ``_dmax`` are plain instance attributes, so
+    equality, hashing and ``_fields`` see only the declared fields.
     """
 
     points: tuple[Point, ...]
@@ -74,9 +74,11 @@ class BMetricSpace:
         except OverflowError:
             d = None
         # finite values can still be too far apart for a float distance
-        if d is None or not math.isfinite(max(map(max, d))):
+        dmax = math.inf if d is None else max(map(max, d))
+        if not math.isfinite(dmax):
             raise ValueError("point values too far apart: a distance is not a finite float")
         object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_dmax", dmax)
         by_value = sorted(self.points, key=attrgetter("value"))
         keys = [p.value for p in by_value]
         object.__setattr__(self, "_by_value", (keys, by_value))
@@ -525,7 +527,7 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
             num, den = 1, 1
         min_feasible_s = num / den
         s_num, s_den = s.as_integer_ratio()
-        bound = math.ldexp(max(map(max, d)), -49) + math.ldexp(s + 1, -1072)
+        bound = math.ldexp(space._dmax, -49) + math.ldexp(s + 1, -1072)
         covered = s_num * den >= num * s_den
         # cheapest first: the exact comparison, the bound, then one O(n**2) pass
         if not (covered and tol > bound):

@@ -7,9 +7,17 @@ contraction ledger's columns) stays on the object only."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
+
+# the built-in SHA-256 first: hashlib maps OpenSSL's libcrypto, megabytes of RSS, for one digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .bmetric import Point, UnknownPointError, verify_bmetric_axioms
@@ -47,7 +55,7 @@ def header(input_bytes: bytes) -> dict:
     return {
         "toolkit_version": __version__,
         "schema_version": SCHEMA_VERSION,
-        "input_digest": hashlib.sha256(input_bytes).hexdigest(),
+        "input_digest": sha256(input_bytes).hexdigest(),
         "generated_at": _utc_isoformat(time.time_ns()),
     }
 

@@ -617,3 +617,4 @@ def test_caches_are_not_fields():
     assert list(BMetricSpace._fields) == [
         "points", "metric", "table", "s"]
     assert "_d" not in repr(a)
+    assert a._dmax == max(map(max, a._d)) == 4.0

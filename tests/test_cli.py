@@ -7,12 +7,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import relfix
 from relfix.cli import _parser, main
 from relfix.contraction import verify_contraction
 from relfix.problemfile import build_problem, parse_problem
-from relfix.report import _plain, run_command
+from relfix.report import _plain, header, run_command
 
 from conftest import FIXTURES
 
@@ -484,6 +485,32 @@ def test_main_can_be_called_repeatedly_in_one_process(capsys):
     assert "invalid choice" in capsys.readouterr().err
     code, out, _ = run(capsys, "report", EX, "--json")
     assert code == 0 and report_body(out) == golden
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=4096))
+@example(b"")
+def test_header_digest_is_hashlibs_sha256(data):
+    assert header(data)["input_digest"] == hashlib.sha256(data).hexdigest()
+
+
+# with both built-in SHA-256 modules blocked, report.py falls back to hashlib
+FALLBACK_CHECK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import relfix.cli
+assert "_hashlib" in sys.modules
+sys.exit(relfix.cli.main(["report", sys.argv[1], "--json"]))
+"""
+
+
+def test_header_digest_falls_back_to_hashlib():
+    env = {"PYTHONPATH": str(pathlib.Path(relfix.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-B", "-c", FALLBACK_CHECK, EX],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    raw = (FIXTURES / "example-3-1.problem").read_bytes()
+    assert json.loads(proc.stdout)["header"]["input_digest"] == hashlib.sha256(raw).hexdigest()
 
 
 def test_byte_order_mark_is_accepted(tmp_path, capsys):

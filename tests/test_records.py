@@ -5,8 +5,8 @@ same order, the same defaults, repr and hash, and no assignment.  The result
 and model classes are built by ``relfix.records.record``; each is checked
 against a reference dataclass made from its old declaration.  Importing
 ``relfix.cli`` builds none of them as a dataclass and loads none of
-``datetime``, ``typing``, ``dataclasses``, ``inspect``, ``ast``, ``dis`` and
-``tokenize``."""
+``datetime``, ``typing``, ``dataclasses``, ``inspect``, ``ast``, ``dis``,
+``tokenize``, ``hashlib`` and ``_hashlib``."""
 
 import dataclasses
 import json
@@ -332,8 +332,8 @@ def test_plain_encodes_the_report_fields_only():
 IMPORT_CHECK = """
 import json, sys
 import relfix.cli
-loaded = sorted({"datetime", "typing", "dataclasses", "inspect", "ast", "dis", "tokenize"}
-                & set(sys.modules))
+loaded = sorted({"datetime", "typing", "dataclasses", "inspect", "ast", "dis", "tokenize",
+                 "hashlib", "_hashlib"} & set(sys.modules))
 import dataclasses
 from relfix import bmetric, contraction, problemfile, relation, simulation, solver
 records = [bmetric.Point, relation.Path, contraction.UniquenessCheck, problemfile.Piece,
