@@ -22,6 +22,7 @@ from .records import IN_MEMORY, record
 from .relation import (
     BinaryRelation,
     RelationReport,
+    _bits,
     check_bd_self_closed,
     is_f_closed,
     is_transitive,
@@ -98,7 +99,8 @@ class ContractionProblem:
 
 def compute_mfr(space: BMetricSpace, relation: BinaryRelation, fmap: SelfMap) -> list:
     """Admissible starting points, in id order: those related to their own image."""
-    return [p for p in space.points if (p.id, fmap(p)) in relation.pairs]
+    rows = relation._rows
+    return [p for p in space.points if p.id < len(rows) and rows[p.id] >> fmap(p) & 1]
 
 
 @record
@@ -148,8 +150,8 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
     values = [p.value for p in problem.space.points]
     fmap, phi = problem.map.mapping, problem.potential.values
     sigma, rho, d_self, d_pair, d_image, s_arg = [], [], [], [], [], []
-    # the ordered successor index walks the pairs in sorted_pairs() order
-    for a, bs in problem.relation._succ.items():
+    # the rows' bits, walked in id order, are the pairs in sorted_pairs() order
+    for a, bs in enumerate(map(_bits, problem.relation._rows)):
         fa, row, k = fmap[a], d[a], len(bs)
         pair, drop = [row[b] for b in bs], phi[a] - phi[fa]
         sigma += [values[a]] * k

@@ -1,21 +1,16 @@
 """Binary relations over a finite b-metric space and the relational hypotheses.
 
-Relations are stored as frozen sets of ordered point-id pairs, with one
-bitset index built at construction: ``_rows[a]`` is an int whose bit b is
-set when (a, b) is in R, ``_cols[b]`` is the int whose bit a is, and
-``_succ`` maps each source, in ascending order, to the ascending tuple of
-its successors, so walking it yields the pairs in ``sorted(pairs)`` order.
-``_index`` builds the rows from ``_succ``; a relation given as pairs groups
-them into ``_succ`` first, while the transitive closure reads ``_succ``
-straight off its reach rows, with no pair set to group or sort, and keeps
-those rows, so ``_index`` builds only its columns.
+A relation is stored as its bit rows, its one index: ``_rows[a]`` is an
+int whose bit b is set when (a, b) is in R.  ``_cols``, their transpose, is
+built with them: ``_cols[b]`` is the int whose bit a is.  Both span ids
+0..max id, so relations with the same pairs have the same rows, and walking
+each row's bits in id order yields the pairs in ``sorted(pairs)`` order.
 Closure, transitivity, completeness, F-closedness and the diagnostics are
-word operations on the rows; ``pairs`` serves membership tests.  Each
-predicate and the diagnostics count their witnesses exactly, with
-``bit_count`` where a row gives them, and build only the first WITNESS_CAP
-of each kind, so no witness list grows with R.  A bit position is an id,
-so ids must lie in [0, ID_LIMIT).  Every query is a read-only function
-with no memo, so concurrent use is safe.
+word operations on the rows.  Each predicate and the diagnostics count their
+witnesses exactly, with ``bit_count`` where a row gives them, and build only
+the first WITNESS_CAP of each kind, so no witness list grows with R.  A bit
+position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
+read-only function with no memo, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -46,20 +41,18 @@ def _bits(mask: int) -> tuple:
     return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
 
 
-@record(frozen=True)
 class BinaryRelation:
-    """A relation as a frozen set of (source id, target id) pairs.
+    """A relation on point ids, held as its bit rows and their columns (see
+    the module docstring).  Ids must be integers in [0, ID_LIMIT).
 
-    ``_rows``, ``_cols`` and ``_succ`` are the one index (see the module
-    docstring); they are plain attributes, so equality, hashing and ``repr``
-    see only ``pairs``.  Ids must be integers in [0, ID_LIMIT).
+    Equality and hashing read the rows, and instances are immutable.
+    ``pairs``, the frozen set of (source id, target id) pairs, is built from
+    the rows on each read.
     """
 
-    pairs: frozenset
-
-    def __post_init__(self):
-        pairs = []
-        for a, b in self.pairs:
+    def __init__(self, pairs):
+        ids = []
+        for a, b in pairs:
             try:
                 ia, ib = int(a), int(b)
             except (OverflowError, ValueError):  # int() refuses inf and nan
@@ -70,42 +63,25 @@ class BinaryRelation:
             # checked before any shift: a negative id has no bit, a huge one a huge row
             if not (0 <= ia < ID_LIMIT and 0 <= ib < ID_LIMIT):
                 raise ValueError(f"point ids must lie in [0, {ID_LIMIT}), got the pair {(a, b)!r}")
-            pairs.append((ia, ib))
-        pairs = frozenset(pairs)
-        self._index(pairs, _grouped(pairs))
+            ids.append((ia, ib))
+        self._index(_rows_of(ids, max(map(max, ids), default=-1) + 1))
 
     @classmethod
-    def _of_ids(cls, pairs: frozenset, succ: dict, rows: list | None = None) -> "BinaryRelation":
-        """A relation of id pairs taken from a space or from another relation,
-        so already valid: the index is built from ``succ`` (and ``rows``, when
-        given) without checking them."""
+    def _of_rows(cls, rows: list) -> "BinaryRelation":
+        """The relation with these bit rows, which span ids 0..max id; they come
+        from a space or from another relation, so they are not checked."""
         R = object.__new__(cls)
-        R._index(pairs, succ, rows)
+        R._index(rows)
         return R
 
-    def _index(self, pairs: frozenset, succ: dict, rows: list | None = None):
-        """Set ``pairs`` and build the index from ``succ``, their successor index;
-        _rows and _cols span ids 0..max id.  ``rows``, when given, are the
-        pairs' rows already, and only the columns are built."""
-        if rows is None:
-            size = max(max(succ, default=-1), max([bs[-1] for bs in succ.values()], default=-1)) + 1
-            rows, cols = [0] * size, [0] * size
-            for a, bs in succ.items():
-                row, bit = 0, 1 << a
-                for b in bs:
-                    row |= 1 << b
-                    cols[b] |= bit
-                rows[a] = row
-        else:
-            cols = [0] * len(rows)
-            for a, bs in succ.items():
-                bit = 1 << a
-                for b in bs:
-                    cols[b] |= bit
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_cols", tuple(cols))
-        object.__setattr__(self, "_succ", succ)
+    def _index(self, rows: list):
+        """Keep the rows and build their transpose, the columns."""
+        cols = [0] * len(rows)
+        for a, row in enumerate(rows):
+            bit = 1 << a
+            for b in _bits(row):
+                cols[b] |= bit
+        vars(self).update(_rows=tuple(rows), _cols=tuple(cols))
 
     @classmethod
     def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
@@ -119,36 +95,53 @@ class BinaryRelation:
             if ib is None:
                 ib = ids[b] = space.point_by_value(b).id
             pairs.append((ia, ib))
-        pairs = frozenset(pairs)
-        return cls._of_ids(pairs, _grouped(pairs))
+        return cls._of_rows(_rows_of(pairs, max(ids.values(), default=-1) + 1))
+
+    @property
+    def pairs(self) -> frozenset:
+        return frozenset(self.sorted_pairs())
 
     def sorted_pairs(self) -> list:
-        return [(a, b) for a, bs in self._succ.items() for b in bs]
+        return [(a, b) for a, row in enumerate(self._rows) for b in _bits(row)]
 
     def successors(self, a) -> list:
-        return list(self._succ.get(_pid(a), ()))
+        a, rows = _pid(a), self._rows
+        return list(_bits(rows[a])) if 0 <= a < len(rows) else []
 
     def __len__(self):
-        return len(self.pairs)
+        return sum(map(int.bit_count, self._rows))
+
+    def __eq__(self, other):
+        return self._rows == other._rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(pairs={frozenset(self.sorted_pairs())!r})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete {name!r} of a BinaryRelation")
+
+    __delattr__ = __setattr__
 
 
-def _grouped(pairs: frozenset) -> dict:
-    """The successor index of a set of id pairs: each source, ascending, to the
-    ascending tuple of its successors."""
-    succ = {}
+def _rows_of(pairs: list, size: int) -> list:
+    """The bit rows of a list of valid id pairs below ``size``."""
+    rows = [0] * size
     for a, b in pairs:
-        succ.setdefault(a, []).append(b)
-    return {a: tuple(sorted(succ[a])) for a in sorted(succ)}
+        rows[a] |= 1 << b
+    return rows
 
 
 def related(R: BinaryRelation, a, b) -> bool:
-    return (_pid(a), _pid(b)) in R.pairs
+    a, b, rows = _pid(a), _pid(b), R._rows
+    return 0 <= a < len(rows) and b >= 0 and rows[a] >> b & 1 == 1
 
 
 def symmetric_closure(R: BinaryRelation) -> BinaryRelation:
     """R union its inverse, making every related pair comparable both ways."""
-    pairs = R.pairs | frozenset((b, a) for a, b in R.pairs)
-    return BinaryRelation._of_ids(pairs, _grouped(pairs))
+    return BinaryRelation._of_rows(list(map(or_, R._rows, R._cols)))
 
 
 def reach_rows(R: BinaryRelation) -> list:
@@ -166,10 +159,7 @@ def reach_rows(R: BinaryRelation) -> list:
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
     """Smallest transitive superset of R; idempotent."""
-    rows = reach_rows(R)
-    succ = {a: _bits(row) for a, row in enumerate(rows) if row}
-    return BinaryRelation._of_ids(frozenset([(a, b) for a, bs in succ.items() for b in bs]),
-                                  succ, rows)
+    return BinaryRelation._of_rows(reach_rows(R))
 
 
 def is_transitive(R: BinaryRelation):
@@ -181,9 +171,9 @@ def is_transitive(R: BinaryRelation):
     leaves row a; only failing rows are scanned pair by pair.
     """
     rows, total, witnesses = R._rows, 0, []
-    for a, bs in R._succ.items():
+    for a, bs in enumerate(map(_bits, rows)):
         row_a = rows[a]
-        if reduce(or_, map(rows.__getitem__, bs)) & ~row_a:
+        if reduce(or_, map(rows.__getitem__, bs), 0) & ~row_a:
             for b in bs:
                 missing = rows[b] & ~row_a
                 if missing:
@@ -230,7 +220,9 @@ def is_f_closed(R: BinaryRelation, mapping: dict):
     # id b -> the bit of F b; -1, which no row contains, when F b has no row
     # (or no image), so its row takes the pair-by-pair path
     image_bit = [1 << fb if 0 <= (fb := mapping.get(b, -1)) < size else -1 for b in range(size)]
-    for a, bs in R._succ.items():
+    for a, bs in enumerate(map(_bits, rows)):
+        if not bs:
+            continue
         fa = mapping[a]
         image = rows[fa] if 0 <= fa < size else 0
         if not reduce(or_, map(image_bit.__getitem__, bs)) & ~image:
@@ -265,15 +257,15 @@ def find_path(R: BinaryRelation, source, target) -> Path | None:
     the smallest intermediate ids deterministically; a pair of R is its own
     shortest path.
     """
-    src, dst = _pid(source), _pid(target)
-    if (src, dst) in R.pairs:
+    src, dst, rows = _pid(source), _pid(target), R._rows
+    row = rows[src] if 0 <= src < len(rows) else 0
+    if dst >= 0 and row >> dst & 1:
         return Path((src, dst))
-    succ = R._succ
-    parent = dict.fromkeys(succ.get(src, ()), src)
+    parent = dict.fromkeys(_bits(row), src)
     queue = deque(parent)
     while queue:
         node = queue.popleft()
-        for b in succ.get(node, ()):
+        for b in _bits(rows[node]):
             if b == dst:
                 nodes = [node]
                 while nodes[-1] != src:
@@ -330,7 +322,7 @@ def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiag
     bounded however large R is.
     """
     rows, cols = R._rows, R._cols
-    loops = sum(1 << a for a in R._succ if rows[a] >> a & 1)
+    loops = sum(1 << a for a, row in enumerate(rows) if row >> a & 1)
     found = {
         "reflexive": _capped_ids(~loops & ((1 << len(space)) - 1)),
         "irreflexive": _capped_ids(loops),
@@ -338,8 +330,7 @@ def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiag
         "antisymmetric": [0, []],  # (a, b) and (b, a) in R, a != b
     }
     one_way, two_way = found["symmetric"], found["antisymmetric"]
-    for a in R._succ:
-        row, col = rows[a], cols[a]
+    for a, (row, col) in enumerate(zip(rows, cols)):
         for tally, mask in ((one_way, row & ~col), (two_way, row & col & ~(1 << a))):
             if mask:
                 room = WITNESS_CAP - tally[0]

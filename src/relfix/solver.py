@@ -68,9 +68,11 @@ def picard_iterate(
     space = problem.space
     # ContractionProblem validated every image into [0, n): the tables are read directly
     fmap, d, phi = problem.map.mapping, space._d, problem.potential.values
-    pairs, points = problem.relation.pairs, space.points
+    points, R = space.points, problem.relation
+    # ContractionProblem keeps R's rows within the space; pad them to it
+    rows = [*R._rows, *[0] * (len(space) - len(R._rows))]
     sid = start.id
-    inadmissible = (sid, fmap[sid]) not in pairs
+    inadmissible = not rows[sid] >> fmap[sid] & 1
     if inadmissible and not allow_inadmissible_start:
         raise StartNotAdmissible(
             f"start {start.value!r} (point id {sid}) is not in the admissible set M(F;R): "
@@ -83,7 +85,7 @@ def picard_iterate(
     while True:
         cur = ids[-1]
         nxt = fmap[cur]
-        if (cur, nxt) not in pairs and not inadmissible:
+        if not rows[cur] >> nxt & 1 and not inadmissible:
             raise RelationBroken((points[cur].value, points[nxt].value))
         ids.append(nxt)
         steps.append(d[cur][nxt])

@@ -1,7 +1,8 @@
 """The pair-set code that the bitset index replaced, kept as test references.
 
 Each function reads only ``R.pairs`` and plain Python sets, the way relfix
-computed these quantities before its relations carried int rows.
+computed these quantities before its relations carried int rows.  ``R.pairs``
+builds its set from the rows on each read, so each function reads it once.
 """
 
 from collections import deque
@@ -29,31 +30,34 @@ def reference_closure(R):
 
 
 def reference_transitivity_witnesses(R):
-    succ = {}
-    for a, b in R.pairs:
+    pairs, succ = R.pairs, {}
+    for a, b in pairs:
         succ.setdefault(a, set()).add(b)
-    return [(a, b, c) for a, b in sorted(R.pairs) for c in sorted(succ.get(b, ()))
+    return [(a, b, c) for a, b in sorted(pairs) for c in sorted(succ.get(b, ()))
             if c not in succ.get(a, ())]
 
 
 def reference_complete_witnesses(R, n):
     # the n**2 pair probe
+    pairs = R.pairs
     return [(a, b) for a in range(n) for b in range(a + 1, n)
-            if (a, b) not in R.pairs and (b, a) not in R.pairs]
+            if (a, b) not in pairs and (b, a) not in pairs]
 
 
 def reference_f_closed_witnesses(R, mapping):
-    return [(a, b) for a, b in sorted(R.pairs) if (mapping[a], mapping[b]) not in R.pairs]
+    pairs = R.pairs
+    return [(a, b) for a, b in sorted(pairs) if (mapping[a], mapping[b]) not in pairs]
 
 
 def reference_diagnostics(R, n):
     """The full witness list of each diagnostic kind, in scan order."""
-    ref = sorted(R.pairs)
+    pairs = R.pairs
+    ref = sorted(pairs)
     return {
-        "reflexive": [a for a in range(n) if (a, a) not in R.pairs],
+        "reflexive": [a for a in range(n) if (a, a) not in pairs],
         "irreflexive": [a for a, b in ref if a == b],
-        "symmetric": [(a, b) for a, b in ref if (b, a) not in R.pairs],
-        "antisymmetric": [(a, b) for a, b in ref if a != b and (b, a) in R.pairs],
+        "symmetric": [(a, b) for a, b in ref if (b, a) not in pairs],
+        "antisymmetric": [(a, b) for a, b in ref if a != b and (b, a) in pairs],
     }
 
 

@@ -165,12 +165,13 @@ def test_criterion_7_oracle_equivalence_sweep():
         oracle = {p.id for p in enumerate_fixed_points(problem.space, problem.map)}
         assert oracle, "hypotheses verified but no fixed point exists"
         starts = compute_mfr(problem.space, problem.relation, problem.map)
+        pairs = problem.relation.pairs
         for start in starts:
             trace = picard_iterate(problem, start)
             assert trace.terminated_by == "exact-fixed-point"
             assert trace.terminal_id in oracle
             for a, b in zip(trace.orbit_ids, trace.orbit_ids[1:]):
-                assert (a, b) in problem.relation.pairs
+                assert (a, b) in pairs
     assert verified > 0, "sweep never exercised a verified instance"
     assert time.perf_counter() - started < 30.0
     _stamp("7 (oracle sweep)", started)

@@ -1,9 +1,11 @@
-"""relfix's 27 record classes keep the behaviour of the dataclasses they replaced.
+"""relfix's 26 record classes keep the behaviour of the dataclasses they replaced.
 
 The plain value records are named tuples with the same field names in the
 same order, the same defaults, repr and hash, and no assignment.  The result
 and model classes are built by ``relfix.records.record``; each is checked
-against a reference dataclass made from its old declaration.  Importing
+against a reference dataclass made from its old declaration.  The 27th old
+dataclass, ``BinaryRelation``, is a hand-written class holding bit rows
+(tests/test_relation.py checks its equality, hash, repr and frozenness).  Importing
 ``relfix.cli`` builds none of them as a dataclass and loads none of
 ``datetime``, ``typing``, ``dataclasses``, ``inspect``, ``ast``, ``dis``,
 ``tokenize``, ``hashlib`` and ``_hashlib``."""
@@ -137,7 +139,6 @@ OLD_DECLARATIONS = {
                                     ("unconnected_count", 0), ("unconnected_pairs", LIST)]),
     BMetricSpace: (True, ["points", ("metric", "squared-difference"), ("table", None),
                           ("s", 1.0)]),
-    BinaryRelation: (True, ["pairs"]),
     SelfMap: (True, ["mapping"]),
     Potential: (True, ["values"]),
     ContractionProblem: (False, ["space", "relation", "map", "potential", "zeta"]),
@@ -146,11 +147,10 @@ OLD_DECLARATIONS = {
 CLASSES = list(OLD_DECLARATIONS)
 FROZEN = [cls for cls in CLASSES if OLD_DECLARATIONS[cls][0]]
 
-# valid values for the required fields of the six validated core types
+# valid values for the required fields of the five validated core types
 POINTS = (Point(0, 0.0), Point(1, 2.0))
 CORE = {
     BMetricSpace: {"points": POINTS},
-    BinaryRelation: {"pairs": frozenset({(0, 1), (1, 1)})},
     SelfMap: {"mapping": {0: 1, 1: 1}},
     Potential: {"values": {0: 1.0, 1: 0.0}},
     SimulationFunction: {"family": "linear", "lam": 0.5},

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -197,10 +199,11 @@ def test_index_queries_match_pair_scans(R):
     # the closure's index, read off its reach rows, is the index of its own pairs
     D = BinaryRelation(C.pairs)
     assert C._rows == D._rows and C._cols == D._cols
-    assert list(C._succ.items()) == list(D._succ.items())
+    assert C.sorted_pairs() == D.sorted_pairs() == sorted(C.pairs)
     assert is_transitive(R) == predicate_result(reference_transitivity_witnesses(R))
+    ref = sorted(R.pairs)
     for a in range(-1, 7):
-        assert R.successors(a) == sorted(b for (x, b) in R.pairs if x == a)
+        assert R.successors(a) == [b for (x, b) in ref if x == a]
 
 
 def test_returned_lists_do_not_alias_the_caches():
@@ -219,8 +222,59 @@ def test_relation_caches_are_not_fields():
     a, b = BinaryRelation({(0, 1), (1, 2)}), BinaryRelation({(1, 2), (0, 1)})
     is_transitive(a)
     assert a == b and hash(a) == hash(b)
-    assert list(BinaryRelation._fields) == ["pairs"]
-    assert "_succ" not in repr(a) and "_transitivity" not in repr(a)
+    # the bit rows and their columns are the only state; no query leaves a memo
+    assert vars(a) == {"_rows": (2, 4, 0), "_cols": (0, 1, 2)}
+    assert repr(a) == "BinaryRelation(pairs=frozenset({(0, 1), (1, 2)}))"
+
+
+# point values 0.0 .. 40.0, so a value pair names the id pair of the same numbers
+SPACE_41 = BMetricSpace.from_values(range(41))
+
+
+@settings(max_examples=150)
+@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))
+@example(set())
+@example({(0, 5), (1, 5), (1, 0)})  # the largest id occurs only as a target
+@example({(0, 1), (1, 2), (40, 40)})
+def test_every_construction_of_one_pair_set_is_one_relation(pairs):
+    # rows span ids 0..max id, so the rows, and with them equality, hash and
+    # repr, depend on the pair set alone, not on how the relation was built
+    R = BinaryRelation(pairs)
+    closure = reference_closure(R)
+    symmetric = frozenset(pairs) | {(b, a) for a, b in pairs}
+    built = {
+        frozenset(pairs): [R, BinaryRelation(sorted(pairs, reverse=True)), vp(SPACE_41, pairs)],
+        closure: [transitive_closure(R), BinaryRelation(closure), vp(SPACE_41, closure),
+                  transitive_closure(BinaryRelation(closure))],
+        symmetric: [symmetric_closure(R), BinaryRelation(symmetric), vp(SPACE_41, symmetric),
+                    symmetric_closure(BinaryRelation(symmetric))],
+    }
+    for expected, relations in built.items():
+        first = relations[0]
+        for S in relations:
+            got = S.pairs
+            assert type(got) is frozenset and got == expected
+            assert all(type(a) is int and type(b) is int for a, b in got)
+            assert S == first and hash(S) == hash(first) and repr(S) == repr(first)
+            assert vars(S) == vars(first) and len(S) == len(expected)
+            # the columns are the rows' transpose: the rows of the inverse
+            assert S._cols == BinaryRelation({(b, a) for a, b in got})._rows
+    for expected, relations in built.items():
+        assert (relations[0] == R) == (expected == frozenset(pairs))
+
+
+def test_a_relation_is_immutable_and_copies_by_value():
+    R = BinaryRelation([(0, 1), (2, 0)])
+    for name in ("_rows", "_cols", "pairs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(R, name, ())
+        with pytest.raises(AttributeError):
+            delattr(R, name)
+    assert vars(R) == {"_rows": (2, 0, 1), "_cols": (4, 1, 0)}
+    assert BinaryRelation(pairs={(2, 0), (0, 1)}) == R
+    assert R != R.pairs and R.__eq__(R.pairs) is NotImplemented
+    for twin in (copy.copy(R), copy.deepcopy(R), pickle.loads(pickle.dumps(R))):
+        assert twin == R and hash(twin) == hash(R) and vars(twin) == vars(R)
 
 
 def test_non_integral_ids_rejected():
@@ -249,10 +303,11 @@ maps = st.lists(st.integers(0, 5), min_size=6, max_size=6).map(lambda images: di
 @example(BinaryRelation(frozenset()), dict.fromkeys(range(6), 0))
 @example(BinaryRelation(((True, 2.0), (1, 2), (0.0, False))), dict(enumerate([1, 1, 2, 3, 4, 5])))
 def test_successor_index_walks_the_sorted_pairs(R, mapping):
-    ref = sorted(R.pairs)
-    assert all(type(a) is int and type(b) is int for a, b in R.pairs)
-    assert [(a, b) for a, bs in R._succ.items() for b in bs] == ref
-    assert all(type(bs) is tuple for bs in R._succ.values())
+    pairs = R.pairs
+    ref = sorted(pairs)
+    assert all(type(a) is int and type(b) is int for a, b in pairs)
+    assert [(a, b) for a in range(-1, 7) for b in R.successors(a)] == ref
+    assert all(type(R.successors(a)) is list for a in range(-1, 7))
 
     listed = R.sorted_pairs()
     assert listed == ref
@@ -260,16 +315,16 @@ def test_successor_index_walks_the_sorted_pairs(R, mapping):
     listed.clear()
     assert R.sorted_pairs() == ref and len(R) == len(ref)
 
-    f_w = [(a, b) for a, b in ref if (mapping[a], mapping[b]) not in R.pairs]
+    f_w = [(a, b) for a, b in ref if (mapping[a], mapping[b]) not in pairs]
     assert is_f_closed(R, mapping) == predicate_result(f_w)
 
     space = BMetricSpace.from_values(range(6))
     diag = relation_diagnostics(R, space)
     ref_w = {
-        "reflexive": [a for a in range(6) if (a, a) not in R.pairs],
+        "reflexive": [a for a in range(6) if (a, a) not in pairs],
         "irreflexive": [a for a, b in ref if a == b],
-        "symmetric": [(a, b) for a, b in ref if (b, a) not in R.pairs],
-        "antisymmetric": [(a, b) for a, b in ref if a != b and (b, a) in R.pairs],
+        "symmetric": [(a, b) for a, b in ref if (b, a) not in pairs],
+        "antisymmetric": [(a, b) for a, b in ref if a != b and (b, a) in pairs],
     }
     assert diag.witnesses == ref_w
     assert diag.witness_counts == {kind: len(w) for kind, w in ref_w.items()}

@@ -61,12 +61,12 @@ def check_bounded_view(problem: ContractionProblem) -> dict:
         assert hyp[f"{key}_witnesses"] == first(full[key])
         assert hyp[f"{key}_witness_count"] == len(full[key])
 
-    pairs = R.sorted_pairs()
+    pairs, pair_set = R.sorted_pairs(), R.pairs
     diag = {
-        "reflexive": [a for a in range(len(space)) if (a, a) not in R.pairs],
+        "reflexive": [a for a in range(len(space)) if (a, a) not in pair_set],
         "irreflexive": [a for a, b in pairs if a == b],
-        "symmetric": [(a, b) for a, b in pairs if (b, a) not in R.pairs],
-        "antisymmetric": [(a, b) for a, b in pairs if a != b and (b, a) in R.pairs],
+        "symmetric": [(a, b) for a, b in pairs if (b, a) not in pair_set],
+        "antisymmetric": [(a, b) for a, b in pairs if a != b and (b, a) in pair_set],
     }
     assert rel["diagnostics"]["witnesses"] == {k: first(w) for k, w in diag.items()}
     assert rel["diagnostics"]["witness_counts"] == {k: len(w) for k, w in diag.items()}

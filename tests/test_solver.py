@@ -124,11 +124,11 @@ def test_orbit_is_the_prefix_up_to_the_first_repeat(case):
 
 def reference_orbit(problem, start):
     """The orbit loop reading through F(), distance() and phi(), one call per read."""
-    space, F, phi = problem.space, problem.map, problem.potential
+    space, F, phi, pairs = problem.space, problem.map, problem.potential, problem.relation.pairs
     ids, steps = [start.id], []
     while True:
         cur, nxt = ids[-1], F(ids[-1])
-        assert (cur, nxt) in problem.relation.pairs
+        assert (cur, nxt) in pairs
         steps.append(distance(space, cur, nxt))
         seen, ids = set(ids), ids + [nxt]
         if nxt in seen:
@@ -162,8 +162,9 @@ def test_start_must_be_a_point(problem, start):
 
 def test_r_preservation_along_trace(problem):
     trace = picard_iterate(problem, problem.space.point_by_value(3))
+    pairs = problem.relation.pairs
     for a, b in zip(trace.orbit_ids, trace.orbit_ids[1:]):
-        assert (a, b) in problem.relation.pairs
+        assert (a, b) in pairs
 
 
 def test_phi_descent_under_true_verdict(problem):
@@ -467,9 +468,11 @@ def test_certify_reads_a_tiny_negative_zeta_as_passing_only_by_tolerance():
 
 
 def count_calls(monkeypatch):
-    """Count certify's path searches and every read of ContractionVerdict.active_rows."""
+    """Count certify's path searches and every read of ContractionVerdict.active_rows
+    and of BinaryRelation.pairs, the pair set built from a relation's rows."""
     calls = Counter()
     search, rows = solver.verify_uniqueness_condition, ContractionVerdict.active_rows
+    pairs = BinaryRelation.pairs
 
     def counting_search(problem, a, b):
         calls["search"] += 1
@@ -479,9 +482,28 @@ def count_calls(monkeypatch):
         calls["active_rows"] += 1
         return rows.fget(verdict)
 
+    def counting_pairs(relation):
+        calls["pairs"] += 1
+        return pairs.fget(relation)
+
     monkeypatch.setattr(solver, "verify_uniqueness_condition", counting_search)
     monkeypatch.setattr(ContractionVerdict, "active_rows", property(counting_rows))
+    monkeypatch.setattr(BinaryRelation, "pairs", property(counting_pairs))
     return calls
+
+
+def test_a_report_never_builds_the_pair_set(monkeypatch):
+    # the build and every reader walk or test the relation's bit rows, so no
+    # op holds a set of |R| pairs beside them
+    calls = count_calls(monkeypatch)
+    bundles = [load_fixture(path.name) for path in sorted(FIXTURES.glob("*.problem"))]
+    rng = random.Random(5)
+    bundles += [ProblemBundle(problem=random_problem(rng), solver=SolverBlock())
+                for _ in range(8)]
+    for bundle in bundles:
+        run_command("report", bundle)
+    assert calls["pairs"] == 0
+    assert bundles[0].problem.relation.pairs and calls["pairs"] == 1  # the counter counts
 
 
 def test_certify_reads_related_pairs_and_the_zeta_column_in_one_pass(monkeypatch):
