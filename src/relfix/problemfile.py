@@ -87,7 +87,6 @@ class ProblemFile(namedtuple("ProblemFile", "space relation map potential zeta s
 
 
 _SECTION_RE = re.compile(r"^\[([a-z-]+)\]$")
-_KV_RE = re.compile(r"^([^=]+?)\s*=\s*(.*)$")
 _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 _PIECE_RE = re.compile(
     r"^([\[\(])\s*([^,\s]+)\s*,\s*([^\]\)\s]+)\s*([\]\)])\s*->\s*(\S+)$"
@@ -130,7 +129,7 @@ def parse_problem(text: str) -> ProblemFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
+        m = line[0] == "[" and _SECTION_RE.match(line)
         if m:
             current = m.group(1)
             if current not in _KNOWN_SECTIONS:
@@ -139,10 +138,12 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         if current is None:
             raise ProblemFileError("content before the first [section] header", lineno)
-        m = _KV_RE.match(line)
-        if not m:
+        # split at the first '='; the line is stripped, so the key is empty
+        # only when the line starts with '=', and only the inner ends need stripping
+        key, eq, value = line.partition("=")
+        if not (eq and key):
             raise ProblemFileError(f"expected 'key = value', got {line!r}", lineno)
-        sections[current].append((m.group(1).strip(), m.group(2).strip(), lineno))
+        sections[current].append((key.rstrip(), value.lstrip(), lineno))
 
     for required in ("space", "relation", "map", "potential", "zeta"):
         if required not in sections:
@@ -200,9 +201,11 @@ def _parse_relation(items) -> RelationBlock:
             k = len(tokens) // 5
             if (k and len(tokens) == 5 * k and tokens[::5] == ["("] * k
                     and tokens[2::5] == [","] * k and tokens[4::5] == [")"] * k):
+                sources, targets = tokens[1::5], tokens[3::5]
                 try:
-                    # converted in full first, so a bad token adds no pair
-                    pairs += list(zip(map(float, tokens[1::5]), map(float, tokens[3::5])))
+                    # each distinct token converted once, all before any pair is added
+                    number = {t: float(t) for t in {*sources, *targets}}
+                    pairs += zip(map(number.__getitem__, sources), map(number.__getitem__, targets))
                     continue
                 except ValueError:
                     pass

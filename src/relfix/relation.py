@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import reduce
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import or_
 
 from .bmetric import WITNESS_CAP, BMetricSpace, _pid
@@ -37,6 +37,11 @@ def _bits(mask: int) -> tuple:
     """The positions of the set bits of a nonnegative int, ascending."""
     if mask < 256:
         return _BYTE_BITS[mask]
+    # adding the lowest set bit carries through a single run of set bits,
+    # leaving none of them, so such a row is the range of its ends
+    low = mask & -mask
+    if not (mask + low) & mask:
+        return tuple(range(low.bit_length() - 1, mask.bit_length()))
     # the binary digits, least significant first, as 0/1 bytes
     return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
 
@@ -64,7 +69,7 @@ class BinaryRelation:
             if not (0 <= ia < ID_LIMIT and 0 <= ib < ID_LIMIT):
                 raise ValueError(f"point ids must lie in [0, {ID_LIMIT}), got the pair {(a, b)!r}")
             ids.append((ia, ib))
-        self._index(_rows_of(ids, max(map(max, ids), default=-1) + 1))
+        self._index(_rows_of(ids, max(chain.from_iterable(ids), default=-1) + 1))
 
     @classmethod
     def _of_rows(cls, rows: list) -> "BinaryRelation":

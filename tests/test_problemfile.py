@@ -6,8 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from relfix import problemfile
 from relfix.cli import main
 from relfix.problemfile import (
+    _KNOWN_SECTIONS,
     _PAIR_RE,
+    _SECTION_RE,
     ProblemFileError,
+    SolverBlock,
     _num,
     _parse_relation,
     build_problem,
@@ -273,6 +276,78 @@ def test_a_bad_third_number_is_named_and_keeps_no_pair(monkeypatch, tmp_path, ca
     monkeypatch.setattr(problemfile, "_PAIR_RE", OnePairSplit())
     items = [("pairs", "(1,2) (x,3) (3,4)", 11), ("pair", "(4,4)", 12)]
     assert _parse_relation(items).pairs == ((7.0, 8.0), (4.0, 4.0))
+
+
+def test_pairs_tokens_convert_as_float_and_equal_tokens_share_one_float():
+    grid = " ".join(f"({a},{b})" for a in range(24) for b in range(24))
+    for value in ("(-0.0,0.0)", "(1,1.0)", "(1e0,2)", "(-0.0, -0.0) (0.0,-0.0)", grid):
+        tokens = [t for pair in _PAIR_RE.findall(value) for t in pair]
+        got = [x for pair in _parse_relation([("pairs", value, 1)]).pairs for x in pair]
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, got)) == [repr(float(t)) for t in tokens]
+        first = {}
+        for token, x in zip(tokens, got):
+            assert first.setdefault(token, x) is x, token
+    assert len(grid.split()) == 576
+
+
+# every key = value line was split by this regex, both groups then stripped
+OLD_KV_RE = re.compile(r"^([^=]+?)\s*=\s*(.*)$")
+FIXTURE = read("example-3-1.problem")  # its last section is [solver]
+LAST_LINE = len(FIXTURE.splitlines()) + 1
+
+
+def solver_items(line: str):
+    """The items parse_problem hands the [solver] parser when ``line`` ends the
+    example fixture, or the error it raises."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problemfile, "_parse_solver", lambda items: seen.append(items) or SolverBlock())
+        try:
+            parse_problem(f"{FIXTURE}{line}\n")
+        except ProblemFileError as exc:
+            return f"error: {exc}"
+    return seen[0]
+
+
+def old_solver_items(raw: str):
+    """solver_items as the regex split gave them."""
+    items = [("start", "3", LAST_LINE - 1)]
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return items
+    m = _SECTION_RE.match(line)
+    if m:
+        if m.group(1) not in _KNOWN_SECTIONS:
+            return f"error: line {LAST_LINE}: unknown section [{m.group(1)}]"
+        return items
+    m = OLD_KV_RE.match(line)
+    if not m:
+        return f"error: line {LAST_LINE}: expected 'key = value', got {line!r}"
+    return items + [(m.group(1).strip(), m.group(2).strip(), LAST_LINE)]
+
+
+@pytest.mark.parametrize("line, item", [
+    ("=1", "error: line 27: expected 'key = value', got '=1'"),
+    ("a=", ("a", "")),
+    ("a = b = c", ("a", "b = c")),
+    ("[x] = 1", ("[x]", "1")),
+    ("a\u3000\x1f=\tb\u3000", ("a", "b")),
+    ("no equals here", "error: line 27: expected 'key = value', got 'no equals here'"),
+])
+def test_a_line_splits_at_its_first_equals_sign(line, item):
+    got = solver_items(line)
+    assert got == old_solver_items(line)
+    assert got == (item if isinstance(item, str) else [("start", "3", 26), (*item, 27)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="abkvyzAZ09=[]# \t\x1f\u3000", max_size=16))
+@example("[solver]")
+@example("[x]")
+@example("#=")
+def test_a_line_reads_as_the_regex_split_reads_it(line):
+    assert solver_items(line) == old_solver_items(line)
 
 
 @pytest.mark.parametrize("section, key, value", [

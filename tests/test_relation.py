@@ -11,6 +11,7 @@ from relfix.bmetric import WITNESS_CAP, BMetricSpace
 from relfix.relation import (
     ID_LIMIT,
     BinaryRelation,
+    _bits,
     check_bd_self_closed,
     find_path,
     is_complete,
@@ -360,6 +361,29 @@ def test_ids_outside_the_bit_range_are_refused():
     top = BinaryRelation({(ID_LIMIT - 1, 0)})
     assert top.successors(ID_LIMIT - 1) == [0]
     assert find_path(top, ID_LIMIT - 1, 0).nodes == (ID_LIMIT - 1, 0)
+
+
+# a row is most often one run of ids (a closure, a complete relation), so the
+# masks favour runs, single bits and a run with one stray bit beside them
+runs = st.builds(lambda k, lo: ((1 << k) - 1) << lo, st.integers(1, 350), st.integers(0, 350))
+single_bits = st.integers(0, 699).map(lambda i: 1 << i)
+run_and_stray = st.builds(lambda run, i: run | 1 << i, runs, st.integers(0, 699))
+masks = st.one_of(runs, single_bits, run_and_stray, st.integers(0, 2 ** 700))
+
+
+@settings(max_examples=400)
+@given(masks)
+@example(0)
+@example(255)
+@example(256)
+@example(257)
+@example((1 << 36) - 2)
+@example(((1 << 40) - 1) << (ID_LIMIT - 40))  # a run ending at the largest id
+@example(0b1011 << 300)
+def test_bits_are_the_set_bit_positions_in_order(mask):
+    got = _bits(mask)
+    assert type(got) is tuple
+    assert got == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def test_queries_answer_foreign_ids():
