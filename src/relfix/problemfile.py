@@ -201,11 +201,9 @@ def _parse_relation(items) -> RelationBlock:
             k = len(tokens) // 5
             if (k and len(tokens) == 5 * k and tokens[::5] == ["("] * k
                     and tokens[2::5] == [","] * k and tokens[4::5] == [")"] * k):
-                sources, targets = tokens[1::5], tokens[3::5]
                 try:
-                    # each distinct token converted once, all before any pair is added
-                    number = {t: float(t) for t in {*sources, *targets}}
-                    pairs += zip(map(number.__getitem__, sources), map(number.__getitem__, targets))
+                    # converted in full first, so a bad token adds no pair
+                    pairs += list(zip(map(float, tokens[1::5]), map(float, tokens[3::5])))
                     continue
                 except ValueError:
                     pass
