@@ -10,7 +10,8 @@ word operations on the rows.  Each predicate and the diagnostics count their
 witnesses exactly, with ``bit_count`` where a row gives them, and build only
 the first WITNESS_CAP of each kind, so no witness list grows with R.  A bit
 position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
-read-only function with no memo, so concurrent use is safe.
+read-only function; what it memoises (say, a result per distinct row value)
+lives only for that call, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ class BinaryRelation:
             if not (0 <= ia < ID_LIMIT and 0 <= ib < ID_LIMIT):
                 raise ValueError(f"point ids must lie in [0, {ID_LIMIT}), got the pair {(a, b)!r}")
             ids.append((ia, ib))
-        self._index(_rows_of(ids, max(chain.from_iterable(ids), default=-1) + 1))
+        rows = [0] * (max(chain.from_iterable(ids), default=-1) + 1)
+        for ia, ib in ids:
+            rows[ia] |= 1 << ib
+        self._index(rows)
 
     @classmethod
     def _of_rows(cls, rows: list) -> "BinaryRelation":
@@ -80,18 +84,22 @@ class BinaryRelation:
         return R
 
     def _index(self, rows: list):
-        """Keep the rows and build their transpose, the columns."""
-        cols = [0] * len(rows)
+        """Keep the rows and build their transpose, the columns.  Equal rows set
+        the same column bits, so each distinct row is walked once, with the ids
+        of every row equal to it."""
+        ids = {}
         for a, row in enumerate(rows):
-            bit = 1 << a
+            ids[row] = ids.get(row, 0) | 1 << a
+        cols = [0] * len(rows)
+        for row, mask in ids.items():
             for b in _bits(row):
-                cols[b] |= bit
+                cols[b] |= mask
         vars(self).update(_rows=tuple(rows), _cols=tuple(cols))
 
     @classmethod
     def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
         """Pairs of point values, each value looked up once; the first unknown one raises."""
-        ids, pairs = {}, []
+        ids, rows = {}, [0] * len(space)
         for a, b in value_pairs:
             ia = ids.get(a)
             if ia is None:
@@ -99,8 +107,10 @@ class BinaryRelation:
             ib = ids.get(b)
             if ib is None:
                 ib = ids[b] = space.point_by_value(b).id
-            pairs.append((ia, ib))
-        return cls._of_rows(_rows_of(pairs, max(ids.values(), default=-1) + 1))
+            rows[ia] |= 1 << ib
+        # rows span ids 0..max id, as every construction's do
+        del rows[max(ids.values(), default=-1) + 1:]
+        return cls._of_rows(rows)
 
     @property
     def pairs(self) -> frozenset:
@@ -129,14 +139,6 @@ class BinaryRelation:
         raise AttributeError(f"cannot assign to or delete {name!r} of a BinaryRelation")
 
     __delattr__ = __setattr__
-
-
-def _rows_of(pairs: list, size: int) -> list:
-    """The bit rows of a list of valid id pairs below ``size``."""
-    rows = [0] * size
-    for a, b in pairs:
-        rows[a] |= 1 << b
-    return rows
 
 
 def related(R: BinaryRelation, a, b) -> bool:
@@ -173,13 +175,14 @@ def is_transitive(R: BinaryRelation):
     ``count`` is the exact number of failing triples (a, b, c): (a, b) and
     (b, c) in R but (a, c) not.  ``witnesses`` holds the first WITNESS_CAP of
     them in sorted order.  Row a fails when the union of its successors' rows
-    leaves row a; only failing rows are scanned pair by pair.
+    leaves row a, which depends on the row's value alone, so each distinct
+    row is tested once; only failing rows are scanned pair by pair, in id order.
     """
     rows, total, witnesses = R._rows, 0, []
-    for a, bs in enumerate(map(_bits, rows)):
-        row_a = rows[a]
-        if reduce(or_, map(rows.__getitem__, bs), 0) & ~row_a:
-            for b in bs:
+    failing = {row for row in set(rows) if reduce(or_, map(rows.__getitem__, _bits(row)), 0) & ~row}
+    for a, row_a in enumerate(rows):
+        if row_a in failing:
+            for b in _bits(row_a):
                 missing = rows[b] & ~row_a
                 if missing:
                     room = WITNESS_CAP - total
@@ -216,24 +219,22 @@ def is_f_closed(R: BinaryRelation, mapping: dict):
     exact number of violating pairs of R and the first WITNESS_CAP of them in
     sorted order.
 
-    ``mapping`` maps ids to int ids; an image outside R's ids has an empty row.
-    Row a passes when the bits of its successors' images lie in F a's row;
-    only failing rows are scanned pair by pair.
+    ``mapping`` maps ids to int ids; an image outside R's ids, or a missing
+    one, has an empty row.  Row a passes when the bits of its successors'
+    images lie in F a's row; only failing rows are scanned pair by pair.
     """
     rows, total, witnesses = R._rows, 0, []
     size = len(rows)
     # id b -> the bit of F b; -1, which no row contains, when F b has no row
     # (or no image), so its row takes the pair-by-pair path
     image_bit = [1 << fb if 0 <= (fb := mapping.get(b, -1)) < size else -1 for b in range(size)]
-    for a, bs in enumerate(map(_bits, rows)):
-        if not bs:
-            continue
-        fa = mapping[a]
+    # the bits of a row's images depend on the row's value alone
+    images = {row: reduce(or_, map(image_bit.__getitem__, _bits(row)), 0) for row in set(rows)}
+    for a, row in enumerate(rows):
+        fa = mapping.get(a, -1)
         image = rows[fa] if 0 <= fa < size else 0
-        if not reduce(or_, map(image_bit.__getitem__, bs)) & ~image:
-            continue
-        failing = [b for b in bs if (fb := mapping[b]) < 0 or not image >> fb & 1]
-        if failing:
+        if images[row] & ~image:
+            failing = [b for b in _bits(row) if image_bit[b] & ~image]
             room = WITNESS_CAP - total
             if room > 0:
                 witnesses += [(a, b) for b in failing[:room]]

@@ -90,7 +90,7 @@ def run_command(
     """Run one CLI command; returns (report, pass) with pass driving the exit code.
 
     ``report`` runs every other command's checks and judges its certificate on
-    the ledger its hypotheses printed.  The report holds records; encode it
+    the ledger its hypotheses printed and the relation report it printed.  The report holds records; encode it
     with ``json.dumps(report, default=_plain)``."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
@@ -125,7 +125,7 @@ def run_command(
             if verdict is None:
                 verdict = verify_contraction(problem, tol)
             try:
-                cert = certify(problem, trace, verdict)
+                cert = certify(problem, trace, verdict, report.get("relation"))
             except CertificationError as exc:
                 report["certificate_error"] = str(exc)
                 ok = False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .bmetric import WITNESS_CAP, BMetricSpace, Point
 from .records import fresh, record
-from .relation import reach_rows
+from .relation import RelationReport, reach_rows
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -213,6 +213,7 @@ def certify(
     problem: ContractionProblem,
     trace: IterationTrace,
     verdict: ContractionVerdict | None = None,
+    relation: RelationReport | None = None,
 ) -> FixedPointCertificate:
     """Cross-check a terminated trace against the exhaustive fixed-point oracle.
 
@@ -232,7 +233,10 @@ def certify(
     contradiction.
 
     Connectivity is read off one reachability closure of R (``reach_rows``),
-    so the counts cost no path search.  Each listed contradiction carries a
+    so the counts cost no path search.  ``relation``, when given, is
+    ``build_relation_report`` of this problem's space, relation and map; when
+    it finds R transitive, R is its own closure and its rows are read as the
+    reach rows.  Each listed contradiction carries a
     path, shortest from a to b when one exists and else from b to a: a
     related pair is its own path, read off R's row, and only the other
     pairs search one.  The "passes only by tolerance" test reads the
@@ -271,7 +275,10 @@ def certify(
         # ContractionProblem keeps R's rows within the space; pad both to it
         pad = [0] * (len(space) - len(problem.relation._rows))
         rows = [*problem.relation._rows, *pad]
-        reach = reach_rows(problem.relation) + pad
+        if relation is not None and relation.transitive:
+            reach = rows  # a transitive R is its own closure
+        else:
+            reach = reach_rows(problem.relation) + pad
         ids = sorted(fp_ids)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:

@@ -194,6 +194,8 @@ def test_symmetric_closure_preserves_f_closedness(seed):
 @given(relations)
 @example(BinaryRelation(frozenset()))
 @example(BinaryRelation({(0, 1), (1, 2), (40, 40)}))  # an isolated high id
+@example(BinaryRelation({(a, b) for a in range(6) for b in range(6)}))  # six equal rows
+@example(BinaryRelation({(0, 2), (1, 2), (2, 3)}))  # two equal rows, both intransitive
 def test_index_queries_match_pair_scans(R):
     C = transitive_closure(R)
     assert C.pairs == reference_closure(R)
@@ -396,6 +398,10 @@ def test_queries_answer_foreign_ids():
     assert is_f_closed(R, {0: -1, 1: 0, 2: 1}) == (False, 1, [(0, 1)])
     assert is_f_closed(R, {0: 0, 1: 1, 2: 2 ** 40}) == (False, 1, [(1, 2)])
     assert is_f_closed(R, {0: 0, 1: 1, 2: 2}) == (True, 0, [])
+    # a missing image relates nothing either, for a source and for a target
+    S = BinaryRelation({(0, 1)})
+    assert is_f_closed(S, {0: 1}) == (False, 1, [(0, 1)])
+    assert is_f_closed(S, {1: 1}) == (False, 1, [(0, 1)])
 
 
 def check_against_pair_sets(R, n, mapping):
@@ -461,6 +467,52 @@ def dense_relations(draw):
 def test_bitset_readers_match_the_pair_set_code(case):
     n, R, mapping = case
     check_against_pair_sets(R, n, mapping)
+
+
+@st.composite
+def repeated_rows(draw):
+    """(n, R, F): R on ids 0..n-1 whose rows are drawn from a few row values, so
+    most rows repeat another; F may map outside."""
+    n = draw(st.integers(1, 24))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    p = draw(st.sampled_from([0.05, 0.3, 0.7]))
+    values = [sum(1 << b for b in range(n) if rng.random() < p)
+              for _ in range(draw(st.integers(1, 3)))]
+    rows = [rng.choice(values) for _ in range(n)]
+    pairs = {(a, b) for a, row in enumerate(rows) for b in range(n) if row >> b & 1}
+    mapping = {a: rng.randrange(-1, n + 2) for a in range(n)}
+    return n, BinaryRelation(pairs), mapping
+
+
+def blocks(n, k):
+    """The equivalence relation whose classes are the runs of k consecutive ids."""
+    return BinaryRelation({(a, b) for a in range(n) for b in range(n) if a // k == b // k})
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_rows())
+# the complete relation: one row value, every row transitive
+@example((24, BinaryRelation({(a, b) for a in range(24) for b in range(24)}),
+          {a: a - a % 2 for a in range(24)}))
+# a block equivalence relation, F swapping the blocks: every pair maps into R
+@example((12, blocks(12, 4), {a: (a + 4) % 12 for a in range(12)}))
+# F shifting by one: pairs across a block boundary leave R
+@example((12, blocks(12, 4), {a: (a + 1) % 12 for a in range(12)}))
+# rows 0..9 empty, so nine rows repeat the empty one
+@example((12, BinaryRelation({(10, 11), (11, 10)}), dict.fromkeys(range(12), 3)))
+# rows 0 and 1 are equal and both fail transitivity, (a, 2, 3), and F-closedness
+@example((4, BinaryRelation({(0, 2), (1, 2), (2, 3)}), {0: 3, 1: 3, 2: 0, 3: 0}))
+def test_bitset_readers_match_the_pair_set_code_on_repeated_rows(case):
+    n, R, mapping = case
+    check_against_pair_sets(R, n, mapping)
+
+
+def test_equal_failing_rows_each_list_their_witnesses():
+    R = BinaryRelation({(0, 2), (1, 2), (2, 3)})
+    assert R._rows[0] == R._rows[1]
+    assert is_transitive(R) == (False, 2, [(0, 2, 3), (1, 2, 3)])
+    assert is_f_closed(R, {0: 3, 1: 3, 2: 0, 3: 0}) == (False, 3, [(0, 2), (1, 2), (2, 3)])
+    assert R._cols == (0, 0, 3, 4)
 
 
 def test_transitivity_is_counted_without_listing_every_triple():

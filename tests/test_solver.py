@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from relfix import solver
 from relfix.bmetric import WITNESS_CAP, BMetricSpace, distance
-from relfix.relation import BinaryRelation
+from relfix.relation import BinaryRelation, build_relation_report
 from relfix.contraction import (ContractionProblem, ContractionVerdict, Potential, SelfMap,
                                 compute_mfr, verify_contraction)
 from relfix.simulation import SimulationFunction
@@ -421,6 +421,64 @@ def test_certify_matches_the_two_way_bfs_loop(problem, tol):
     assert [(c["pair"], c["path"]) for c in cert.contradictions] == connected[:WITNESS_CAP]
     assert cert.unconnected_count == len(unconnected)
     assert cert.unconnected_pairs == unconnected[:WITNESS_CAP]
+
+
+def certify_both_ways(problem, trace, verdict):
+    """certify with and without the relation report; the two must agree field for field."""
+    relation = build_relation_report(problem.space, problem.relation, problem.map.mapping)
+    given = certify(problem, trace, verdict, relation=relation)
+    assert vars(given) == vars(certify(problem, trace, verdict))
+    return relation, given
+
+
+@settings(max_examples=100, deadline=None)
+@given(fixed_point_problems(), st.sampled_from([None, 1e12]))
+@example(complete_even_fixed(24), None)
+# intransitive: a chain through unfixed points joins every pair of fixed points
+@example(ContractionProblem(
+    space=BMetricSpace.from_values(range(7), s=2.0),
+    relation=BinaryRelation({(k + 1, k) for k in range(6)}),
+    map=SelfMap({k: k - k % 2 for k in range(7)}),
+    potential=Potential({k: 0.0 if k % 2 == 0 else 1e6 for k in range(7)}),
+    zeta=SimulationFunction(family="linear", lam=0.5)), None)
+def test_certify_reads_the_same_certificate_off_the_relation_report(problem, tol):
+    trace = picard_iterate(problem, problem.space.points[0], allow_inadmissible_start=True)
+    certify_both_ways(problem, trace, verify_contraction(problem, tol))
+
+
+def test_certify_reads_the_relation_report_on_the_criterion_7_sweep():
+    # criterion 7's instances, verified or not, from every admissible start
+    rng = random.Random(20260823)
+    transitive_multi = 0
+    for _ in range(200):
+        problem = random_problem(rng)
+        verdict = verify_contraction(problem)
+        for start in compute_mfr(problem.space, problem.relation, problem.map):
+            trace = picard_iterate(problem, start)
+            if trace.terminated_by == "exact-fixed-point":
+                relation, cert = certify_both_ways(problem, trace, verdict)
+                transitive_multi += relation.transitive and not cert.unique
+    assert transitive_multi, "the sweep never read a transitive R's rows as its reach rows"
+
+
+def test_a_report_on_a_transitive_relation_builds_no_reach_rows(monkeypatch):
+    # the complete relation is transitive, and its 12 fixed points are pairwise related
+    calls = Counter()
+    reach = solver.reach_rows
+
+    def counting_reach(R):
+        calls["reach_rows"] += 1
+        return reach(R)
+
+    monkeypatch.setattr(solver, "reach_rows", counting_reach)
+    bundle = ProblemBundle(problem=complete_even_fixed(24), solver=SolverBlock())
+    report, _ = run_command("report", bundle)
+    assert report["relation"].transitive and report["certificate"].contradiction_count == 66
+    assert calls == {}
+    # the certify command prints no relation report, so it builds the closure
+    report, _ = run_command("certify", bundle)
+    assert report["certificate"].contradiction_count == 66
+    assert calls == {"reach_rows": 1}
 
 
 COUNTEREXAMPLE = "a counterexample to the paper's uniqueness clause"
