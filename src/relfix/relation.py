@@ -179,7 +179,8 @@ def is_transitive(R: BinaryRelation):
     row is tested once; only failing rows are scanned pair by pair, in id order.
     """
     rows, total, witnesses = R._rows, 0, []
-    failing = {row for row in set(rows) if reduce(or_, map(rows.__getitem__, _bits(row)), 0) & ~row}
+    failing = {row for row in set(rows)
+               if reduce(or_, map(rows.__getitem__, _bits(row)), 0) & ~row}
     for a, row_a in enumerate(rows):
         if row_a in failing:
             for b in _bits(row_a):

@@ -90,8 +90,8 @@ def run_command(
     """Run one CLI command; returns (report, pass) with pass driving the exit code.
 
     ``report`` runs every other command's checks and judges its certificate on
-    the ledger its hypotheses printed and the relation report it printed.  The report holds records; encode it
-    with ``json.dumps(report, default=_plain)``."""
+    the ledger its hypotheses printed and the relation report it printed.  The
+    report holds records; encode it with ``json.dumps(report, default=_plain)``."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     problem = bundle.problem
