@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count, repeat
-from operator import gt
 
 from .bmetric import WITNESS_CAP, BMetricSpace, FORMULA_METRICS, _int_id, _pid
 from .records import IN_MEMORY, record
@@ -105,15 +103,17 @@ def compute_mfr(space: BMetricSpace, relation: BinaryRelation, fmap: SelfMap) ->
 
 @record
 class ContractionVerdict:
-    """The ledger as one list per quantity, indexed by row: the related pairs in
-    sorted_pairs() order.  Row i has t = s * d_image_pair[i]; it is active when
-    d_sigma_fsigma[i] > 0.  zeta_value is None on vacuous rows and where
-    s_arg < 0 leaves zeta's domain; ``failing`` holds the failing row indices.
+    """The ledger's verdict over the related pairs, indexed by row: the pairs in
+    sorted_pairs() order.  Row i has t = s * d_image_pair and s_arg = (phi(sigma)
+    - phi(F sigma)) * d_pair; it is active when d_sigma_fsigma > 0.  Its zeta
+    value is None on vacuous rows and where t or s_arg < 0 leaves zeta's domain.
 
     The report body carries the scalars and ``failing_rows``: the first
-    WITNESS_CAP failing row indices under "row", and the seven columns at
-    those rows under their own names.  The full columns and ``failing`` grow
-    with |R| and stay on the object.
+    WITNESS_CAP failing row indices under "row", and each of those rows' seven
+    quantities under their own names.  In memory only: ``lambda_threshold``
+    (see ``linear_lambda_threshold``), ``zeta_min``, the smallest zeta value
+    computed (+inf when none is), and ``active_spans``, one (start, stop) range
+    of row indices per active source with related pairs.  No field grows with |R|.
     """
 
     ok: bool
@@ -122,62 +122,70 @@ class ContractionVerdict:
     active_count: int
     failing_count: int
     failing_rows: dict
-    failing: list = IN_MEMORY
-    sigma: list = IN_MEMORY
-    rho: list = IN_MEMORY
-    d_sigma_fsigma: list = IN_MEMORY
-    d_pair: list = IN_MEMORY
-    d_image_pair: list = IN_MEMORY
-    s_arg: list = IN_MEMORY
-    zeta_value: list = IN_MEMORY
+    lambda_threshold: float = IN_MEMORY
+    zeta_min: float = IN_MEMORY
+    active_spans: list = IN_MEMORY
 
-    # a property, not a field: the criterion 7 sweep digest hashes vars(verdict)
     @property
     def active_rows(self) -> list:
-        return list(compress(count(), map(gt, self.d_sigma_fsigma, repeat(0.0))))
+        return [i for start, stop in self.active_spans for i in range(start, stop)]
 
 
 def verify_contraction(problem: ContractionProblem, tol: float | None = None) -> ContractionVerdict:
-    """Evaluate the contraction inequality on every related pair.
+    """Evaluate the contraction inequality on every related pair, in one pass.
 
     Pairs with d(sigma, F sigma) = 0 are vacuous (the premise fails) and pass.
     An active pair passes when t, s_arg >= 0 and its zeta value is >= -tol, so
     a zero s_arg with a positive t fails, as zeta2 requires (zeta(t, 0) < -t).
+    A vacuous source's row only advances the row index by its pair count.
     """
     if tol is None:
         tol = problem.default_tol()
     d, s, zeta = problem.space._d, problem.space.s, problem.zeta
     values = [p.value for p in problem.space.points]
     fmap, phi = problem.map.mapping, problem.potential.values
-    sigma, rho, d_self, d_pair, d_image, s_arg = [], [], [], [], [], []
-    # the rows' bits, walked in id order, are the pairs in sorted_pairs() order
-    for a, bs in enumerate(map(_bits, problem.relation._rows)):
-        fa, row, k = fmap[a], d[a], len(bs)
-        pair, drop = [row[b] for b in bs], phi[a] - phi[fa]
-        sigma += [values[a]] * k
-        rho += [values[b] for b in bs]
-        d_self += [row[fa]] * k
-        d_pair += pair
-        d_image += [d[fa][fmap[b]] for b in bs]
-        s_arg += [drop * x for x in pair]
-    active = list(compress(count(), map(gt, d_self, repeat(0.0))))
     # simulation.evaluate's expression, inline; the guard is its domain check
-    lam, mu = zeta.lam, zeta.t_coeff
-    zeta_value, failing = [None] * len(sigma), []
-    for i in active:
-        t, sa = s * d_image[i], s_arg[i]
-        if t >= 0 and sa >= 0:
-            z = zeta_value[i] = lam * sa - mu * t
-            if z >= -tol:
-                continue
-        failing.append(i)
-    head = failing[:WITNESS_CAP]
-    columns = {"sigma": sigma, "rho": rho, "d_sigma_fsigma": d_self, "d_pair": d_pair,
-               "d_image_pair": d_image, "s_arg": s_arg, "zeta_value": zeta_value}
-    failing_rows = {"row": head, **{k: [c[i] for i in head] for k, c in columns.items()}}
+    lam, mu, floor = zeta.lam, zeta.t_coeff, -tol
+    lo, zeta_min, spans, head = 0.0, math.inf, [], []
+    start = failing = 0
+    # the rows' bits, walked in id order, are the pairs in sorted_pairs() order
+    for a, mask in enumerate(problem.relation._rows):
+        fa, row = fmap[a], d[a]
+        d_self = row[fa]
+        if not (mask and d_self > 0):
+            start += mask.bit_count()
+            continue
+        image, drop = d[fa], phi[a] - phi[fa]
+        bs = _bits(mask)
+        for i, b in enumerate(bs, start):
+            t, sa = s * image[fmap[b]], drop * row[b]
+            # linear_lambda_threshold's row constraint lambda * s_arg >= t
+            if sa > 0:
+                q = t / sa
+                if q > lo:
+                    lo = q
+            elif t > 0 or sa < 0:
+                lo = math.inf
+            if t >= 0 and sa >= 0:
+                z = lam * sa - mu * t
+                if z < zeta_min:
+                    zeta_min = z
+                if z >= floor:
+                    continue
+            else:
+                z = None
+            failing += 1
+            if len(head) < WITNESS_CAP:
+                head.append((i, values[a], values[b], d_self, row[b], image[fmap[b]], sa, z))
+        spans.append((start, start + len(bs)))
+        start += len(bs)
+    keys = ("row", "sigma", "rho", "d_sigma_fsigma", "d_pair", "d_image_pair", "s_arg",
+            "zeta_value")
+    failing_rows = dict(zip(keys, map(list, zip(*head)))) if head else {k: [] for k in keys}
     return ContractionVerdict(
-        ok=not failing, s=s, tol=tol, active_count=len(active), failing_count=len(failing),
-        failing_rows=failing_rows, failing=failing, **columns,
+        ok=not failing, s=s, tol=tol, active_count=sum(b - a for a, b in spans),
+        failing_count=failing, failing_rows=failing_rows, lambda_threshold=lo,
+        zeta_min=zeta_min, active_spans=spans,
     )
 
 
@@ -190,20 +198,7 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
     family is infeasible.  The rows' t and s_arg do not depend on zeta or
     the tolerance, so any verdict of the problem serves.
     """
-    s, lo = verdict.s, 0.0
-    # one walk of the columns; a row is active when d_sigma_fsigma > 0
-    for d_self, d_image, s_arg in zip(verdict.d_sigma_fsigma, verdict.d_image_pair,
-                                      verdict.s_arg):
-        if not d_self > 0:
-            continue
-        t = s * d_image
-        if s_arg > 0:
-            q = t / s_arg
-            if q > lo:
-                lo = q
-        elif t > 0 or s_arg < 0:
-            return math.inf
-    return lo
+    return verdict.lambda_threshold
 
 
 @record

@@ -2,8 +2,8 @@
 order, encoded once with ``json.dumps(report, default=_plain)``.
 
 The report body is bounded: every witness list holds its first WITNESS_CAP
-entries next to an exact count, and a field declared IN_MEMORY (the
-contraction ledger's columns) stays on the object only."""
+entries next to an exact count, and a field declared IN_MEMORY (such as the
+contraction verdict's lambda threshold) stays on the object only."""
 
 from __future__ import annotations
 

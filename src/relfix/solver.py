@@ -240,7 +240,7 @@ def certify(
     path, shortest from a to b when one exists and else from b to a: a
     related pair is its own path, read off R's row, and only the other
     pairs search one.  The "passes only by tolerance" test reads the
-    verdict's zeta column.
+    verdict's smallest zeta value.
     """
     if trace.terminated_by != "exact-fixed-point":
         raise ValueError("trace did not end at a fixed point; cannot certify")
@@ -263,10 +263,9 @@ def certify(
         if verdict is None:
             verdict = verify_contraction(problem)
         contraction_ok = verdict.ok and verdict.active_count > 0
-        # a passing verdict gives every active row a zeta value and every
-        # vacuous row None; one below 0 passes only by the tolerance (filter
-        # drops None and zeros, and no zero is below 0)
-        if contraction_ok and min(filter(None, verdict.zeta_value), default=0.0) < 0:
+        # a passing verdict computed a zeta value on every active row; one
+        # below 0 passes only by the tolerance (-0.0 is not below 0)
+        if contraction_ok and verdict.zeta_min < 0:
             note = ("connected fixed points under a verdict that passes only by "
                     "tolerance; data inconsistent")
         else:

@@ -25,6 +25,8 @@ from relfix.problemfile import build_problem, parse_problem
 
 from conftest import FIXTURES, example_problem, example_space
 from instance_gen import random_problem, random_relation_and_map
+from ledger_reference import (assert_verdict_matches, reference_active_rows, reference_ledger,
+                              reference_row)
 
 
 def _stamp(criterion, started: float):
@@ -57,7 +59,9 @@ def test_criterion_2_ledger_sharpness():
     assert verify_contraction(example_problem(lam=0.9)).ok
     failing = verify_contraction(example_problem(lam=0.5), tol=0.0)
     assert not failing.ok
-    witnesses = {(failing.sigma[i], failing.rho[i]) for i in failing.failing}
+    ledger = reference_ledger(example_problem(lam=0.5), tol=0.0)
+    assert_verdict_matches(failing, ledger)
+    witnesses = {(ledger["sigma"][i], ledger["rho"][i]) for i in ledger["failing"]}
     assert {(2.0, 3.0), (2.0, 4.0)} <= witnesses
 
     # independent reproduction of the threshold from raw distances:
@@ -83,10 +87,12 @@ def test_criterion_3_b_simulation_failure():
     # b-simulation value >= 0 there
     remark = load("remark-b-simulation.problem").problem
     space, F = remark.space, remark.map
-    ledger = verify_contraction(remark)
+    verdict, ledger = verify_contraction(remark), reference_ledger(remark)
+    assert verdict.active_rows == reference_active_rows(ledger)
     bounds = {
-        (ledger.sigma[i], ledger.rho[i]): ledger.d_pair[i] - ledger.s * ledger.d_image_pair[i]
-        for i in ledger.active_rows
+        (ledger["sigma"][i], ledger["rho"][i]):
+            ledger["d_pair"][i] - ledger["s"] * ledger["d_image_pair"][i]
+        for i in verdict.active_rows
     }
     assert bounds[(2.0, 4.0)] == -4.0
     for (a, b), bound in bounds.items():
@@ -98,9 +104,9 @@ def test_criterion_3_b_simulation_failure():
     two, four = space.point_by_value(2), space.point_by_value(4)
     assert distance(space, F(two), F(four)) == 2.0
     assert distance(space, two, four) == 2.0
-    ledger = verify_contraction(bundle.problem)
-    i = list(zip(ledger.sigma, ledger.rho)).index((2.0, 4.0))
-    assert ledger.d_image_pair[i] == ledger.d_pair[i] == 2.0
+    ledger = reference_ledger(bundle.problem)
+    i = reference_row(ledger, 2.0, 4.0)
+    assert ledger["d_image_pair"][i] == ledger["d_pair"][i] == 2.0
     assert time.perf_counter() - started < 1.0
     _stamp(3, started)
 

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import relfix
 from relfix.cli import _parser, main
-from relfix.contraction import verify_contraction
 from relfix.problemfile import build_problem, parse_problem
 from relfix.report import _plain, header, run_command
 
 from conftest import FIXTURES
+from ledger_reference import reference_ledger, reference_row
 
 EX = str(FIXTURES / "example-3-1.problem")
 EX_TEXT = (FIXTURES / "example-3-1.problem").read_text()
@@ -64,26 +64,26 @@ def test_axioms_with_s_override_fails(capsys):
 
 
 def fixture_ledger(name):
-    """The contraction verdict of a fixture, columns included."""
-    return verify_contraction(build_problem(parse_problem((FIXTURES / name).read_text())).problem)
+    """The column ledger of a fixture's contraction verdict."""
+    return reference_ledger(build_problem(parse_problem((FIXTURES / name).read_text())).problem)
 
 
 def test_verify_usual_metric_shows_ratio_one(capsys):
     code, _, _ = run(capsys, "verify", str(FIXTURES / "remark-usual-metric.problem"), "--json")
     assert code == 0
     ledger = fixture_ledger("remark-usual-metric.problem")
-    i = list(zip(ledger.sigma, ledger.rho)).index((2.0, 4.0))
-    assert ledger.d_image_pair[i] == 2.0
-    assert ledger.d_pair[i] == 2.0
-    assert ledger.d_image_pair[i] / ledger.d_pair[i] == 1.0
+    i = reference_row(ledger, 2.0, 4.0)
+    assert ledger["d_image_pair"][i] == 2.0
+    assert ledger["d_pair"][i] == 2.0
+    assert ledger["d_image_pair"][i] / ledger["d_pair"][i] == 1.0
 
 
 def test_b_simulation_bound_in_ledger(capsys):
     code, _, _ = run(capsys, "verify", str(FIXTURES / "remark-b-simulation.problem"), "--json")
     assert code == 0
     ledger = fixture_ledger("remark-b-simulation.problem")
-    i = list(zip(ledger.sigma, ledger.rho)).index((2.0, 4.0))
-    assert ledger.d_pair[i] - ledger.s * ledger.d_image_pair[i] == -4.0
+    i = reference_row(ledger, 2.0, 4.0)
+    assert ledger["d_pair"][i] - ledger["s"] * ledger["d_image_pair"][i] == -4.0
 
 
 JSON_COMMANDS = [["report"], ["axioms", "--s", "1"], ["verify"], ["solve"], ["certify"]]

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from relfix.bmetric import BMetricSpace, distance
+from relfix.bmetric import WITNESS_CAP, BMetricSpace, distance
 from relfix.relation import BinaryRelation
 from relfix.contraction import (
     ContractionProblem,
@@ -20,6 +21,8 @@ from relfix.simulation import SimulationFunction, evaluate
 
 from conftest import example_map, example_potential, example_problem, example_relation, example_space
 from instance_gen import random_problem
+from ledger_reference import (assert_verdict_matches, reference_active_rows,
+                              reference_ledger as column_ledger, reference_row)
 
 
 def brute_force_ledger(problem):
@@ -56,17 +59,20 @@ def reference_ledger(problem, tol):
 
 
 def assert_columns_match_reference(problem, tol):
-    verdict = verify_contraction(problem, tol)
+    """The column ledger against the per-pair reference, and the verdict against both."""
+    verdict, ledger = verify_contraction(problem, tol), column_ledger(problem, tol)
     rows, ok = reference_ledger(problem, tol)
-    columns = list(zip(verdict.sigma, verdict.rho, verdict.d_sigma_fsigma, verdict.d_pair,
-                       verdict.d_image_pair, verdict.s_arg, verdict.zeta_value))
+    columns = list(zip(ledger["sigma"], ledger["rho"], ledger["d_sigma_fsigma"],
+                       ledger["d_pair"], ledger["d_image_pair"], ledger["s_arg"],
+                       ledger["zeta_value"]))
     # repr tells -0.0 from 0.0: the columns must be bit-identical to the reference
     assert repr(columns) == repr(rows)
-    assert verdict.failing == [i for i, passed in enumerate(ok) if not passed]
-    assert verdict.failing_count == len(verdict.failing)
+    assert ledger["failing"] == [i for i, passed in enumerate(ok) if not passed]
+    assert verdict.failing_count == len(ledger["failing"])
     assert verdict.ok is all(ok)
     assert len(verdict.active_rows) == verdict.active_count == sum(r[2] > 0 for r in rows)
     assert (verdict.s, verdict.tol) == (problem.space.s, tol)
+    assert_verdict_matches(verdict, ledger)
 
 
 @st.composite
@@ -105,6 +111,88 @@ def test_ledger_columns_match_per_pair_reference_on_random_problems(tol):
 @given(ledger_problems(), st.sampled_from([0.0, 1e-9, 0.5]))
 def test_ledger_columns_match_per_pair_reference(problem, tol):
     assert_columns_match_reference(problem, tol)
+
+
+def integer_problem(n, pairs, mapping, phi, metric="absolute-difference", lam=0.5):
+    return ContractionProblem(
+        space=BMetricSpace.from_values(range(n), metric=metric, s=2.0),
+        relation=BinaryRelation(pairs), map=SelfMap(mapping), potential=Potential(phi),
+        zeta=SimulationFunction(family="linear", lam=lam))
+
+
+# F sends every point to 0 and phi rises towards 0: every active row has s_arg < 0
+NEGATIVE_DROPS = integer_problem(6, {(a, b) for a in range(6) for b in range(6) if a != b},
+                                 dict.fromkeys(range(6), 0), {k: float(6 - k) for k in range(6)})
+# the active rows (1, 1) and (3, 3) have t = 0 and s_arg = 0.0 and -0.0: zeta 0.0, then -0.0
+SIGNED_ZERO = integer_problem(4, {(0, 0), (0, 2), (1, 1), (3, 3)}, {0: 0, 1: 0, 2: 2, 3: 2},
+                              {0: 0.0, 1: 5.0, 2: 5.0, 3: 0.0}, metric="squared-difference")
+# (3, 3) and (1, 1) in that order: zeta -0.0 comes first
+SIGNED_ZERO_NEGATIVE_FIRST = integer_problem(4, {(1, 1), (3, 3)}, {0: 0, 1: 2, 2: 2, 3: 0},
+                                             {0: 0.0, 1: 0.0, 2: 5.0, 3: 5.0})
+# F is the identity: every row is vacuous
+VACUOUS = integer_problem(5, {(a, b) for a in range(5) for b in range(a, 5)},
+                          {k: k for k in range(5)}, dict.fromkeys(range(5), 1.0))
+# F steps down and phi is flat: every active row with F sigma != F rho has
+# s_arg = 0 < t and fails, 360 of the 380 active rows, more than WITNESS_CAP
+MANY_FAILING = integer_problem(20, {(a, b) for a in range(20) for b in range(20)},
+                               {k: max(k - 1, 0) for k in range(20)}, dict.fromkeys(range(20), 0.0))
+
+
+def test_the_fold_examples_reach_their_cases():
+    ledger = column_ledger(NEGATIVE_DROPS)
+    active = reference_active_rows(ledger)
+    assert active and all(ledger["s_arg"][i] < 0 and ledger["zeta_value"][i] is None
+                          for i in active)
+    assert linear_lambda_threshold(verify_contraction(NEGATIVE_DROPS)) == math.inf
+    for problem, signs in ((SIGNED_ZERO, [1.0, -1.0]), (SIGNED_ZERO_NEGATIVE_FIRST, [-1.0, 1.0])):
+        zetas = [z for z in column_ledger(problem)["zeta_value"] if z is not None]
+        assert zetas == [0.0, 0.0] and [math.copysign(1.0, z) for z in zetas] == signs
+        verdict = verify_contraction(problem)
+        assert math.copysign(1.0, verdict.zeta_min) == signs[0] and not verdict.zeta_min < 0
+    verdict = verify_contraction(VACUOUS)
+    assert len(VACUOUS.relation) == 15 and verdict.active_count == 0 and verdict.ok
+    assert (verdict.active_rows, verdict.zeta_min, verdict.lambda_threshold) == ([], math.inf, 0.0)
+    verdict = verify_contraction(MANY_FAILING)
+    assert verdict.failing_count == 360 > WITNESS_CAP == len(verdict.failing_rows["row"])
+    assert verdict.failing_rows["row"] == column_ledger(MANY_FAILING)["failing"][:WITNESS_CAP]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_problem(random.Random(seed))),
+       st.sampled_from([0.0, None, 1e-3]))
+@example(NEGATIVE_DROPS, None)
+@example(SIGNED_ZERO, 0.0)
+@example(SIGNED_ZERO_NEGATIVE_FIRST, 0.0)
+@example(VACUOUS, None)
+@example(MANY_FAILING, 1e-3)
+def test_the_one_pass_verdict_matches_the_column_ledger(problem, tol):
+    # None is the problem's default tolerance
+    assert_verdict_matches(verify_contraction(problem, tol), column_ledger(problem, tol))
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of traced allocations, in bytes, during one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_verdict_keeps_no_structure_that_grows_with_the_relation():
+    # the complete relation on 160 points with every even point fixed: 25,600
+    # rows, 12,800 of them active
+    n = 160
+    problem = integer_problem(n, {(a, b) for a in range(n) for b in range(n)},
+                              {k: k - k % 2 for k in range(n)},
+                              {k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)})
+    bound = 128 * 1024
+    assert traced_peak(verify_contraction, problem) < bound
+    # the column ledger's lists exceed the bound several times over
+    assert traced_peak(column_ledger, problem) > 16 * bound
+    verdict = verify_contraction(problem)
+    assert (verdict.active_count, verdict.failing_count, len(verdict.active_spans)) == (12800, 0, 80)
 
 
 def test_compute_mfr():
@@ -159,46 +247,51 @@ def test_relation_outside_the_space_rejected():
 
 
 def test_ledger_partition_and_counts(problem):
-    verdict = verify_contraction(problem)
-    assert len(verdict.sigma) == len(problem.relation)
+    verdict, ledger = verify_contraction(problem), column_ledger(problem)
+    assert len(ledger["sigma"]) == len(problem.relation)
     active = verdict.active_rows
-    vacuous = [i for i, d in enumerate(verdict.d_sigma_fsigma) if not d > 0]
-    assert len(active) + len(vacuous) == len(verdict.sigma)
+    assert active == reference_active_rows(ledger)
+    vacuous = [i for i, d in enumerate(ledger["d_sigma_fsigma"]) if not d > 0]
+    assert len(active) + len(vacuous) == len(ledger["sigma"])
     # active pairs are exactly those with first coordinate in {2, 3}
-    assert sorted({verdict.sigma[i] for i in active}) == [2.0, 3.0]
+    assert sorted({ledger["sigma"][i] for i in active}) == [2.0, 3.0]
     assert len(active) == verdict.active_count == 8
     # pairs starting at 1 are vacuous: d(1, F1) = 0
-    assert all(verdict.sigma[i] == 1.0 for i in vacuous)
-    assert all(verdict.zeta_value[i] is None for i in vacuous)
+    assert all(ledger["sigma"][i] == 1.0 for i in vacuous)
+    assert all(ledger["zeta_value"][i] is None for i in vacuous)
 
 
 def test_ledger_values_match_brute_force(problem):
     oracle = brute_force_ledger(problem)
-    verdict = verify_contraction(problem)
+    verdict, ledger = verify_contraction(problem), column_ledger(problem)
+    assert verdict.active_rows == reference_active_rows(ledger)
     for i in verdict.active_rows:
-        t, s_arg = oracle[(verdict.sigma[i], verdict.rho[i])]
-        assert verdict.s * verdict.d_image_pair[i] == t
-        assert verdict.s_arg[i] == s_arg
+        t, s_arg = oracle[(ledger["sigma"][i], ledger["rho"][i])]
+        assert verdict.s * ledger["d_image_pair"][i] == t
+        assert ledger["s_arg"][i] == s_arg
     # spot value from the oracle: pair (2,3) has t = 2*d(1,2) = 2, s_arg = 3*d(2,3) = 3
     assert oracle[(2.0, 3.0)] == (2.0, 3.0)
 
 
 def test_contraction_passes_at_09(problem):
-    verdict = verify_contraction(problem)
+    verdict, ledger = verify_contraction(problem), column_ledger(problem)
     assert verdict.ok
-    row23 = list(zip(verdict.sigma, verdict.rho)).index((2.0, 3.0))
-    assert verdict.zeta_value[row23] == pytest.approx(0.7)
+    assert_verdict_matches(verdict, ledger)
+    row23 = reference_row(ledger, 2.0, 3.0)
+    assert ledger["zeta_value"][row23] == pytest.approx(0.7)
 
 
 def test_contraction_fails_at_05():
-    verdict = verify_contraction(example_problem(lam=0.5))
+    problem = example_problem(lam=0.5)
+    verdict, ledger = verify_contraction(problem), column_ledger(problem)
     assert not verdict.ok
-    failing = {(verdict.sigma[i], verdict.rho[i]) for i in verdict.failing}
+    assert_verdict_matches(verdict, ledger)
+    failing = {(ledger["sigma"][i], ledger["rho"][i]) for i in ledger["failing"]}
     assert {(2.0, 3.0), (2.0, 4.0)} <= failing
-    assert verdict.failing_count == len(verdict.failing)
-    row23 = list(zip(verdict.sigma, verdict.rho)).index((2.0, 3.0))
-    assert row23 in verdict.failing
-    assert verdict.zeta_value[row23] == pytest.approx(-0.5)
+    assert verdict.failing_count == len(ledger["failing"])
+    row23 = reference_row(ledger, 2.0, 3.0)
+    assert row23 in verdict.failing_rows["row"]
+    assert ledger["zeta_value"][row23] == pytest.approx(-0.5)
 
 
 def test_lambda_threshold_is_two_thirds(problem):
@@ -265,7 +358,9 @@ def test_potential_scale_covariance(c):
         zeta=SimulationFunction(family="linear", lam=lam / c),
     )
     plain = example_problem(lam=lam)
-    assert verify_contraction(scaled, tol=1e-9).failing == verify_contraction(plain, tol=1e-9).failing
+    assert column_ledger(scaled, tol=1e-9)["failing"] == column_ledger(plain, tol=1e-9)["failing"]
+    assert (verify_contraction(scaled, tol=1e-9).failing_rows["row"]
+            == verify_contraction(plain, tol=1e-9).failing_rows["row"])
 
 
 def test_vacuous_when_map_is_identity_on_support():
@@ -295,11 +390,12 @@ def test_definition_sensitive_flagging():
         potential=Potential({0: 3.0, 1: 6.0, 2: 6.0, 3: 12.0}),  # phi(3) = phi(F3)
         zeta=SimulationFunction(family="linear", lam=0.9),
     )
-    verdict = verify_contraction(problem)
-    row34 = list(zip(verdict.sigma, verdict.rho)).index((3.0, 4.0))
-    assert verdict.s_arg[row34] == 0 < verdict.s * verdict.d_image_pair[row34]
-    assert row34 in verdict.failing
+    verdict, ledger = verify_contraction(problem), column_ledger(problem)
+    row34 = reference_row(ledger, 3.0, 4.0)
+    assert ledger["s_arg"][row34] == 0 < verdict.s * ledger["d_image_pair"][row34]
+    assert row34 in ledger["failing"] and row34 in verdict.failing_rows["row"]
     assert not verdict.ok
+    assert_verdict_matches(verdict, ledger)
     assert linear_lambda_threshold(verdict) == math.inf
 
 

@@ -30,6 +30,7 @@ from relfix.solver import RelationBroken, StartNotAdmissible
 
 from conftest import FIXTURES
 from instance_gen import random_problem, random_relation_and_map
+from ledger_reference import assert_verdict_matches, reference_ledger
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -76,14 +77,17 @@ def _command_doc(command: str, bundle: ProblemBundle) -> dict:
 
 def sweep_7_digest() -> str:
     """Axioms, verify and certify reports over criterion 7's seeded sweep, each
-    followed by every field of the verify verdict, the ledger columns the
-    report body leaves out included."""
+    followed by the column ledger of the verify verdict: its report fields,
+    every failing row index and the seven columns the report body leaves out.
+    Each draw's verdict is checked against that ledger."""
     rng = random.Random(20260823)
     docs = []
     for _ in range(200):
         bundle = ProblemBundle(problem=random_problem(rng), solver=SolverBlock())
         reports = [_command_doc(c, bundle) for c in ("axioms", "verify", "certify")]
-        docs.append(reports + [vars(reports[1]["hypotheses"].contraction)])
+        ledger = reference_ledger(bundle.problem)
+        assert_verdict_matches(reports[1]["hypotheses"].contraction, ledger)
+        docs.append(reports + [ledger])
     text = _dump(docs)
     strict_loads(text)
     return hashlib.sha256(text.encode()).hexdigest()

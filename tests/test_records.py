@@ -120,10 +120,8 @@ OLD_DECLARATIONS = {
                              "counterexample_counts", "counterexamples", "diagnostics",
                              ("bd_justification", "")]),
     ContractionVerdict: (False, ["ok", "s", "tol", "active_count", "failing_count",
-                                 "failing_rows", ("failing", MEMORY), ("sigma", MEMORY),
-                                 ("rho", MEMORY), ("d_sigma_fsigma", MEMORY),
-                                 ("d_pair", MEMORY), ("d_image_pair", MEMORY),
-                                 ("s_arg", MEMORY), ("zeta_value", MEMORY)]),
+                                 "failing_rows", ("lambda_threshold", MEMORY),
+                                 ("zeta_min", MEMORY), ("active_spans", MEMORY)]),
     HypothesisReport: (False, ["mfr", ("mfr_points", MEMORY), "mfr_nonempty", "f_closed",
                                "f_closed_witness_count", "f_closed_witnesses", "transitive",
                                "transitive_witness_count", "transitive_witnesses",
@@ -329,7 +327,7 @@ def test_a_required_field_after_a_default_is_refused():
 
 
 def test_plain_encodes_the_report_fields_only():
-    verdict = ContractionVerdict(*range(14))
+    verdict = ContractionVerdict(*range(9))
     assert _plain(verdict) == dict(zip(ContractionVerdict._fields[:6], range(6)))
     for obj in (ContractionVerdict, POINTS[0], object()):
         with pytest.raises(TypeError):

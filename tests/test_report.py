@@ -4,7 +4,7 @@ Every list in a report keeps the first WITNESS_CAP entries of the full list,
 in scan order, next to an exact count; the contraction ledger's JSON view
 keeps its scalars and its first WITNESS_CAP failing rows, each with all seven
 quantities.  The full lists here come from the pair-set references, the
-verdict's in-memory columns, and references written in the test.
+column ledger reference, and references written in the test.
 """
 
 import json
@@ -25,11 +25,9 @@ from relfix.simulation import SimulationFunction
 from relfix.solver import RelationBroken, enumerate_fixed_points
 
 from instance_gen import random_problem
+from ledger_reference import COLUMNS, reference_ledger
 from pair_set_reference import (reference_complete_witnesses, reference_f_closed_witnesses,
                                 reference_transitivity_witnesses)
-
-COLUMNS = ("sigma", "rho", "d_sigma_fsigma", "d_pair", "d_image_pair", "s_arg", "zeta_value")
-
 
 def as_json(value):
     return json.loads(json.dumps(value, default=_plain))
@@ -71,13 +69,13 @@ def check_bounded_view(problem: ContractionProblem) -> dict:
     assert rel["diagnostics"]["witnesses"] == {k: first(w) for k, w in diag.items()}
     assert rel["diagnostics"]["witness_counts"] == {k: len(w) for k, w in diag.items()}
 
-    verdict = verify_contraction(problem)
+    verdict, columns = verify_contraction(problem), reference_ledger(problem)
     ledger = hyp["contraction"]
     assert set(ledger) == {"ok", "s", "tol", "active_count", "failing_count", "failing_rows"}
-    assert ledger["failing_count"] == len(verdict.failing)
-    head = verdict.failing[:WITNESS_CAP]
+    assert ledger["failing_count"] == len(columns["failing"])
+    head = columns["failing"][:WITNESS_CAP]
     assert ledger["failing_rows"] == as_json(
-        {"row": head, **{name: [getattr(verdict, name)[i] for i in head] for name in COLUMNS}})
+        {"row": head, **{name: [columns[name][i] for i in head] for name in COLUMNS}})
 
     if "certificate" in doc:
         cert = doc["certificate"]

@@ -24,6 +24,7 @@ from relfix.solver import (
 
 from conftest import FIXTURES, example_map, example_problem, example_space
 from instance_gen import random_problem
+from ledger_reference import assert_verdict_matches, reference_ledger
 from pair_set_reference import reference_find_path
 from relfix.problemfile import ProblemBundle, SolverBlock, build_problem, parse_problem
 from relfix.report import run_command
@@ -480,11 +481,14 @@ def test_certify_reads_signed_zero_zeta_as_a_pass():
         potential=Potential({0: 0.0, 1: 5.0, 2: 5.0, 3: 0.0}),
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
-    verdict = verify_contraction(problem)
+    verdict, ledger = verify_contraction(problem), reference_ledger(problem)
     assert verdict.ok and verdict.active_count == 2
-    zetas = [z for z in verdict.zeta_value if z is not None]
+    assert_verdict_matches(verdict, ledger)
+    zetas = [z for z in ledger["zeta_value"] if z is not None]
     assert zetas == [0.0, 0.0]
     assert [math.copysign(1.0, z) for z in zetas] == [1.0, -1.0]
+    # the first of two equal values is the smallest, as min() keeps it
+    assert math.copysign(1.0, verdict.zeta_min) == 1.0 and not verdict.zeta_min < 0
     cert = certify(problem, picard_iterate(problem, problem.space.points[0]), verdict)
     assert [(c["pair"], c["path"]) for c in cert.contradictions] == [((0.0, 2.0), [0.0, 2.0])]
     assert cert.contradictions[0]["note"].endswith(COUNTEREXAMPLE)
@@ -501,18 +505,21 @@ def test_certify_reads_a_tiny_negative_zeta_as_passing_only_by_tolerance():
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
     assert not verify_contraction(problem, tol=0.0).ok
-    verdict = verify_contraction(problem, tol=1e-9)
+    verdict, ledger = verify_contraction(problem, tol=1e-9), reference_ledger(problem, tol=1e-9)
     assert verdict.ok and verdict.active_count == 1
-    (zeta,) = [z for z in verdict.zeta_value if z is not None]
+    assert_verdict_matches(verdict, ledger)
+    (zeta,) = [z for z in ledger["zeta_value"] if z is not None]
     assert -2e-12 < zeta < -5e-13
+    assert verdict.zeta_min == zeta
     cert = certify(problem, picard_iterate(problem, problem.space.points[0]), verdict)
     assert [c["pair"] for c in cert.contradictions] == [(0.0, 2.0)]
     assert cert.contradictions[0]["note"].endswith(INCONSISTENT)
 
 
 def count_calls(monkeypatch):
-    """Count certify's path searches and every read of ContractionVerdict.active_rows
-    and of BinaryRelation.pairs, the pair set built from a relation's rows."""
+    """Count certify's path searches and every read of ContractionVerdict.active_rows,
+    the row index list expanded from the verdict's spans, and of
+    BinaryRelation.pairs, the pair set built from a relation's rows."""
     calls = Counter()
     search, rows = solver.verify_uniqueness_condition, ContractionVerdict.active_rows
     pairs = BinaryRelation.pairs
@@ -549,7 +556,7 @@ def test_a_report_never_builds_the_pair_set(monkeypatch):
     assert bundles[0].problem.relation.pairs and calls["pairs"] == 1  # the counter counts
 
 
-def test_certify_reads_related_pairs_and_the_zeta_column_in_one_pass(monkeypatch):
+def test_certify_reads_related_pairs_and_the_smallest_zeta_in_one_pass(monkeypatch):
     calls = count_calls(monkeypatch)
     problem = complete_even_fixed(24)
     cert = certify(problem, picard_iterate(problem, problem.space.points[0]))
