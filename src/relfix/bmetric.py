@@ -133,19 +133,14 @@ class BMetricSpace:
         """Smallest positive off-diagonal distance; +inf on a single-point space.
 
         A formula matrix is symmetric, so its upper triangle suffices; a table
-        may not be, so both of its triangles are read.  The scan runs on the
-        first call; the value is then kept on the space next to ``_d``.
+        may not be, so both of its triangles are read.
         """
-        gap = getattr(self, "_gap", None)
-        if gap is None:
-            if self.metric == "table":
-                rows = [row[:i] + row[i + 1:] for i, row in enumerate(self._d)]
-            else:
-                rows = [row[i + 1:] for i, row in enumerate(self._d)]
-            # every entry is finite and >= 0, so filter(None) keeps the positive ones
-            gap = min(filter(None, chain.from_iterable(rows)), default=math.inf)
-            object.__setattr__(self, "_gap", gap)
-        return gap
+        if self.metric == "table":
+            rows = [row[:i] + row[i + 1:] for i, row in enumerate(self._d)]
+        else:
+            rows = [row[i + 1:] for i, row in enumerate(self._d)]
+        # every entry is finite and >= 0, so filter(None) keeps the positive ones
+        return min(filter(None, chain.from_iterable(rows)), default=math.inf)
 
     def __len__(self):
         return len(self.points)
@@ -520,17 +515,18 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         triangle_count, worst = _triangle_scan(space, tol, triangle)
         min_feasible_s = max(worst, 1.0)
     else:
-        xs, q = _value_grid([p.value for p in pts])
+        # the value grid is built only where it is read: S* for squared-difference, the exact pass
+        grid, (num, den) = None, (1, 1)
         if space.metric == "squared-difference":
-            num, den = _squared_sup(sorted(set(xs)))
-        else:
-            num, den = 1, 1
+            grid = _value_grid([p.value for p in pts])
+            num, den = _squared_sup(sorted(set(grid[0])))
         min_feasible_s = num / den
         s_num, s_den = s.as_integer_ratio()
         bound = math.ldexp(space._dmax, -49) + math.ldexp(s + 1, -1072)
         covered = s_num * den >= num * s_den
         # cheapest first: the exact comparison, the bound, then one O(n**2) pass
         if not (covered and tol > bound):
+            xs, q = grid or _value_grid([p.value for p in pts])
             scale = None if math.isnan(tol) else _exact_scale(space, xs, q)
             if scale is None:
                 triangle_count, _ = _triangle_scan(space, tol, triangle)

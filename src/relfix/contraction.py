@@ -21,7 +21,6 @@ from .relation import (
     BinaryRelation,
     RelationReport,
     _bits,
-    check_bd_self_closed,
     is_f_closed,
     is_transitive,
     find_path,
@@ -203,19 +202,16 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
 
 @record
 class HypothesisReport:
-    """Each witness list keeps its first WITNESS_CAP entries; its count is exact."""
+    """The existence theorem's hypotheses.  F-closedness and transitivity are
+    verdicts only: their witnesses are the relation report's counterexamples.
+    Condition (iii) holds on every finite space; the relation report's
+    ``bd_justification`` says why."""
 
     mfr: list                      # admissible start point values, in point-id order
     mfr_points: list = IN_MEMORY  # compute_mfr's points, read for the start
     mfr_nonempty: bool
     f_closed: bool
-    f_closed_witness_count: int
-    f_closed_witnesses: list
     transitive: bool
-    transitive_witness_count: int
-    transitive_witnesses: list
-    condition_iii: str             # a finite space is always b-d-self-closed
-    condition_iii_note: str
     contraction: ContractionVerdict
     all_hypotheses_ok: bool
 
@@ -225,20 +221,15 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None,
     """Aggregate every hypothesis of the existence theorem into one report.
 
     ``relation``, when given, is ``build_relation_report`` of this problem's
-    space, relation and map: its F-closedness and transitivity results are
+    space, relation and map: its F-closedness and transitivity verdicts are
     read from it, so R is not scanned again.  Without it both are scanned.
     """
     space, R, F = problem.space, problem.relation, problem.map
     mfr = compute_mfr(space, R, F)
     if relation is None:
-        fcl, fcl_count, fcl_w = is_f_closed(R, F.mapping)
-        trans, trans_count, trans_w = is_transitive(R)
+        fcl, trans = is_f_closed(R, F.mapping)[0], is_transitive(R)[0]
     else:
-        # the lists are copied, so the two reports never share one
-        counts, kept = relation.counterexample_counts, relation.counterexamples
-        fcl, fcl_count, fcl_w = relation.f_closed, counts["f_closed"], list(kept["f_closed"])
-        trans, trans_count, trans_w = (relation.transitive, counts["transitive"],
-                                       list(kept["transitive"]))
+        fcl, trans = relation.f_closed, relation.transitive
 
     contraction = verify_contraction(problem, tol)
 
@@ -248,13 +239,7 @@ def verify_all_hypotheses(problem: ContractionProblem, tol: float | None = None,
         mfr_points=mfr,
         mfr_nonempty=bool(mfr),
         f_closed=fcl,
-        f_closed_witness_count=fcl_count,
-        f_closed_witnesses=fcl_w,
         transitive=trans,
-        transitive_witness_count=trans_count,
-        transitive_witnesses=trans_w,
-        condition_iii="bd-self-closed-verified",
-        condition_iii_note=check_bd_self_closed(space),
         contraction=contraction,
         all_hypotheses_ok=all_ok,
     )

@@ -362,11 +362,10 @@ class RelationReport:
     transitive: bool
     complete: bool
     f_closed: bool
-    bd_self_closed: bool  # always true on a finite space; see check_bd_self_closed
     counterexample_counts: dict
     counterexamples: dict
     diagnostics: RelationDiagnostics
-    bd_justification: str = ""
+    bd_justification: str = ""  # condition (iii) holds on every finite space; this says why
 
 
 def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict) -> RelationReport:
@@ -376,7 +375,6 @@ def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict)
         transitive=found["transitive"][0],
         complete=found["complete"][0],
         f_closed=found["f_closed"][0],
-        bd_self_closed=True,
         counterexample_counts={k: total for k, (_, total, _) in found.items()},
         counterexamples={k: kept for k, (_, _, kept) in found.items()},
         diagnostics=relation_diagnostics(R, space),

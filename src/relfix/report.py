@@ -28,7 +28,7 @@ from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 

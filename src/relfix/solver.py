@@ -15,7 +15,7 @@ from .contraction import (
 
 
 class StartNotAdmissible(ValueError):
-    """Start point is not related to its own image and no override was given."""
+    """Start point is not related to its own image: it is not in M(F;R)."""
 
 
 class RelationBroken(RuntimeError):
@@ -38,7 +38,6 @@ class IterationTrace:
     terminated_by: str          # exact-fixed-point | cycle
     rho: float | None = None    # max ratio over the tail of positive steps
     n0: int | None = None       # first index past which ratios stay <= rho
-    inadmissible_start: bool = False
 
     @property
     def positive_steps(self) -> list:
@@ -49,11 +48,7 @@ class IterationTrace:
         return self.orbit_ids[-1]
 
 
-def picard_iterate(
-    problem: ContractionProblem,
-    start: Point,
-    allow_inadmissible_start: bool = False,
-) -> IterationTrace:
+def picard_iterate(problem: ContractionProblem, start: Point) -> IterationTrace:
     """Iterate sigma_{n+1} = F sigma_n from an admissible start, recording the trace.
 
     On a finite space every orbit repeats a point within len(space) steps.
@@ -72,8 +67,7 @@ def picard_iterate(
     # ContractionProblem keeps R's rows within the space; pad them to it
     rows = [*R._rows, *[0] * (len(space) - len(R._rows))]
     sid = start.id
-    inadmissible = not rows[sid] >> fmap[sid] & 1
-    if inadmissible and not allow_inadmissible_start:
+    if not rows[sid] >> fmap[sid] & 1:
         raise StartNotAdmissible(
             f"start {start.value!r} (point id {sid}) is not in the admissible set M(F;R): "
             f"it is not related to its image {points[fmap[sid]].value!r}"
@@ -85,7 +79,7 @@ def picard_iterate(
     while True:
         cur = ids[-1]
         nxt = fmap[cur]
-        if not rows[cur] >> nxt & 1 and not inadmissible:
+        if not rows[cur] >> nxt & 1:
             raise RelationBroken((points[cur].value, points[nxt].value))
         ids.append(nxt)
         steps.append(d[cur][nxt])
@@ -107,7 +101,6 @@ def picard_iterate(
         terminated_by="exact-fixed-point" if terminal == ids[-2] else "cycle",
         rho=rho,
         n0=n0,
-        inadmissible_start=inadmissible,
     )
 
 

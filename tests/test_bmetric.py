@@ -17,7 +17,7 @@ from relfix.bmetric import (
     verify_bmetric_axioms,
 )
 from relfix.contraction import Potential, SelfMap
-from relfix.relation import BinaryRelation, check_bd_self_closed, find_path, related
+from relfix.relation import BinaryRelation, find_path, related
 
 from conftest import example_space
 
@@ -88,14 +88,19 @@ def test_absolute_difference_chain_skips_the_triangle_scan(monkeypatch):
         values.append(values[-1] + 0.5 * 0.9 ** k)
     space = BMetricSpace.from_values(values, metric="absolute-difference", s=1.0)
     forbid_triangle_scan(monkeypatch)
+    grids = count_calls(monkeypatch, "_value_grid")
     rep = verify_bmetric_axioms(space)
     assert rep.all_ok and rep.min_feasible_s == 1.0
+    # S* is 1 and the bound covers the default tol, so no value grid is built
+    assert not grids
 
 
 def test_squared_difference_at_its_sup_skips_the_triangle_scan(monkeypatch):
     forbid_triangle_scan(monkeypatch)
+    grids = count_calls(monkeypatch, "_value_grid")
     rep = verify_bmetric_axioms(example_space(s=2.0))
     assert rep.all_ok and rep.min_feasible_s == 2.0
+    assert len(grids) == 1  # read by S* only
 
 
 def count_calls(monkeypatch, name):
@@ -122,9 +127,11 @@ def count_calls(monkeypatch, name):
 def test_exact_integer_grid_skips_the_triangle_scan(monkeypatch, s, tol, counts):
     scans = count_calls(monkeypatch, "_triangle_scan")
     exact_counts = count_calls(monkeypatch, "_triangle_count")
+    grids = count_calls(monkeypatch, "_value_grid")
     rep = verify_bmetric_axioms(BMetricSpace.from_values(range(0, 96, 4), s=s), tol)
     assert len(scans) == 0
     assert len(exact_counts) == counts
+    assert len(grids) == 1  # S* and the exact pass read one grid
     assert rep.triangle_ok == (tol is None or tol >= 0)
 
 
@@ -445,14 +452,6 @@ def test_min_nonzero_distance_matches_pair_scan(space):
         if 0 < formula_distance(space, a, b) < best:
             best = formula_distance(space, a, b)
     assert space.min_nonzero_distance() == best
-
-
-def test_min_nonzero_distance_is_computed_once_per_space():
-    space = BMetricSpace.from_values([0, 3, 4])
-    assert space.min_nonzero_distance() == 1.0
-    object.__setattr__(space, "_d", None)  # a second scan would fail here
-    assert space.min_nonzero_distance() == 1.0
-    assert "minimal nonzero distance 1 > 0" in check_bd_self_closed(space)
 
 
 def test_identity_and_symmetry_witnesses_are_counted_while_scanning():

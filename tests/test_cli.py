@@ -43,7 +43,7 @@ def test_json_report(capsys):
     assert doc["overall_pass"] is True
     assert doc["certificate"]["unique"] is True
     assert doc["trace"]["orbit"] == [3.0, 2.0, 1.0, 1.0]
-    assert doc["header"]["schema_version"] == 4
+    assert doc["header"]["schema_version"] == 5
     assert len(doc["header"]["input_digest"]) == 64
 
 

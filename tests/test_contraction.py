@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relfix.bmetric import WITNESS_CAP, BMetricSpace, distance
-from relfix.relation import BinaryRelation
+from relfix.relation import BinaryRelation, build_relation_report
 from relfix.contraction import (
     ContractionProblem,
     Potential,
@@ -403,7 +403,10 @@ def test_verify_all_hypotheses_example(problem):
     rep = verify_all_hypotheses(problem)
     assert rep.all_hypotheses_ok
     assert rep.mfr == [1.0, 2.0, 3.0]
-    assert rep.condition_iii == "bd-self-closed-verified"
+    # condition (iii) is justified once, on the relation report
+    rel = build_relation_report(problem.space, problem.relation, problem.map.mapping)
+    assert rel.bd_justification.startswith(
+        "eventually-constant tails: minimal nonzero distance 1 > 0")
 
 
 def test_hypotheses_fail_on_non_f_closed_relation():
@@ -417,10 +420,31 @@ def test_hypotheses_fail_on_non_f_closed_relation():
     )
     rep = verify_all_hypotheses(problem)
     assert not rep.f_closed
-    assert rep.f_closed_witnesses == [
+    assert not rep.all_hypotheses_ok
+    # the witnesses are printed once, on the relation report
+    rel = build_relation_report(space, problem.relation, problem.map.mapping)
+    assert not rel.f_closed
+    assert rel.counterexample_counts["f_closed"] == 1
+    assert rel.counterexamples["f_closed"] == [
         (space.point_by_value(3).id, space.point_by_value(4).id)
     ]
-    assert not rep.all_hypotheses_ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@example(0, True)
+def test_hypotheses_read_off_the_relation_report_equal_the_scanned_ones(seed, thin):
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    if thin:
+        # a random subset of the closed relation need not be F-closed or transitive
+        pairs = problem.relation.sorted_pairs()
+        problem = problem._replace(relation=BinaryRelation(
+            frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))))
+    rel = build_relation_report(problem.space, problem.relation, problem.map.mapping)
+    scanned, read = verify_all_hypotheses(problem), verify_all_hypotheses(problem, relation=rel)
+    for name in type(scanned)._fields:
+        assert getattr(read, name) == getattr(scanned, name), name
 
 
 def test_hypotheses_fail_on_empty_relation():

@@ -5,10 +5,15 @@
 removed, plus one SHA-256 digest per seeded sweep of acceptance criteria 7
 and 8.  The fixture reports and criterion 7's documents must also be strict
 JSON: no ``NaN`` or ``Infinity`` token.  A change to how a quantity is computed (distance matrix, relation
-index, scan order) must leave all of them byte-identical.  Regenerate only
-when a report is meant to change, from the root of a checkout:
+index, scan order) must leave all of them byte-identical.  ``sweeps.json``
+also records the ``report.SCHEMA_VERSION`` the goldens were written at.
+Regenerate only when a report is meant to change, from the root of a checkout:
 
     PYTHONPATH=src:tests python3 tests/test_golden.py
+
+Regeneration writes nothing if a golden's key set changed while
+``SCHEMA_VERSION`` is still the recorded one: a report whose fields change
+bumps the schema.
 """
 
 import contextlib
@@ -25,7 +30,7 @@ from relfix.bmetric import BMetricSpace
 from relfix.cli import main
 from relfix.problemfile import ProblemBundle, SolverBlock
 from relfix.relation import build_relation_report, symmetric_closure, transitive_closure
-from relfix.report import _plain, run_command
+from relfix.report import SCHEMA_VERSION, _plain, run_command
 from relfix.solver import RelationBroken, StartNotAdmissible
 
 from conftest import FIXTURES
@@ -134,9 +139,52 @@ def test_sweep_digest_is_unchanged(sweep):
     assert SWEEPS[sweep]() == expected
 
 
+def test_goldens_record_the_schema_version():
+    assert json.loads((GOLDEN / "sweeps.json").read_text())["schema_version"] == SCHEMA_VERSION
+
+
+def key_paths(doc, prefix: str = "") -> set:
+    """Every key path of a JSON document: "a.b" for doc["a"]["b"], "a[].b"
+    for the key b of an element of the list doc["a"]."""
+    if isinstance(doc, dict):
+        return {path for k, v in doc.items()
+                for path in (f"{prefix}.{k}", *key_paths(v, f"{prefix}.{k}"))}
+    if isinstance(doc, list):
+        return set().union(*(key_paths(v, f"{prefix}[]") for v in doc))
+    return set()
+
+
+def check_regeneration(goldens: dict, golden_dir: pathlib.Path = GOLDEN) -> None:
+    """Exit, naming the files, when a new golden (name -> text) has another key
+    set than the committed one while SCHEMA_VERSION is the recorded one."""
+    recorded = golden_dir / "sweeps.json"
+    if not recorded.exists() or json.loads(recorded.read_text()).get("schema_version") != SCHEMA_VERSION:
+        return
+    changed = [name for name, text in sorted(goldens.items())
+               if (golden_dir / name).exists()
+               and key_paths(json.loads((golden_dir / name).read_text())) != key_paths(json.loads(text))]
+    if changed:
+        raise SystemExit(f"key sets changed in {', '.join(changed)} while SCHEMA_VERSION is still "
+                         f"{SCHEMA_VERSION}: bump relfix.report.SCHEMA_VERSION first; nothing written")
+
+
+def test_regeneration_refuses_a_key_change_without_a_schema_bump(tmp_path):
+    (tmp_path / "a.json").write_text('{"x": [{"y": 1}]}')
+    (tmp_path / "sweeps.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
+    check_regeneration({"a.json": '{"x": [{"y": 2}, {"y": 3}]}', "new.json": "{}"}, tmp_path)
+    for changed in ('{"x": [{"z": 1}]}', '{"x": [], "w": 0}'):
+        with pytest.raises(SystemExit, match="a.json"):
+            check_regeneration({"a.json": changed}, tmp_path)
+    (tmp_path / "sweeps.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION - 1}))
+    check_regeneration({"a.json": '{"z": 1}'}, tmp_path)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for stem in FIXTURE_NAMES:
-        for command in COMMANDS:
-            (GOLDEN / f"{stem}.{command}.json").write_text(fixture_report(stem, command))
-    (GOLDEN / "sweeps.json").write_text(_dump({name: fn() for name, fn in SWEEPS.items()}))
+    goldens = {f"{stem}.{command}.json": fixture_report(stem, command)
+               for stem in FIXTURE_NAMES for command in COMMANDS}
+    goldens["sweeps.json"] = _dump({"schema_version": SCHEMA_VERSION,
+                                    **{name: fn() for name, fn in SWEEPS.items()}})
+    check_regeneration(goldens)
+    for name, text in goldens.items():
+        (GOLDEN / name).write_text(text)

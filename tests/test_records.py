@@ -116,20 +116,16 @@ OLD_DECLARATIONS = {
     ZetaAxiomReport: (False, ["zeta1_ok", "zeta2_ok", "zeta3_ok", ("zeta2_witnesses", LIST)]),
     RelationDiagnostics: (False, ["reflexive", "irreflexive", "symmetric", "antisymmetric",
                                   ("witness_counts", DICT), ("witnesses", DICT)]),
-    RelationReport: (False, ["transitive", "complete", "f_closed", "bd_self_closed",
-                             "counterexample_counts", "counterexamples", "diagnostics",
-                             ("bd_justification", "")]),
+    RelationReport: (False, ["transitive", "complete", "f_closed", "counterexample_counts",
+                             "counterexamples", "diagnostics", ("bd_justification", "")]),
     ContractionVerdict: (False, ["ok", "s", "tol", "active_count", "failing_count",
                                  "failing_rows", ("lambda_threshold", MEMORY),
                                  ("zeta_min", MEMORY), ("active_spans", MEMORY)]),
     HypothesisReport: (False, ["mfr", ("mfr_points", MEMORY), "mfr_nonempty", "f_closed",
-                               "f_closed_witness_count", "f_closed_witnesses", "transitive",
-                               "transitive_witness_count", "transitive_witnesses",
-                               "condition_iii", "condition_iii_note", "contraction",
-                               "all_hypotheses_ok"]),
+                               "transitive", "contraction", "all_hypotheses_ok"]),
     IterationTrace: (False, ["orbit", "orbit_ids", "steps", "ratios", "phi_values",
                              "phi_limit_estimate", "residual", "terminated_by", ("rho", None),
-                             ("n0", None), ("inadmissible_start", False)]),
+                             ("n0", None)]),
     RatioDiagnostics: (False, ["per_index_bound_ok", "per_index_witnesses", "telescoping_ok",
                                "ratio_sum", "phi_budget", "rho", "n0", "geometric_decay_ok",
                                "asymptotics_exercised"]),

@@ -1,4 +1,4 @@
-"""The bounded report body (schema 4).
+"""The bounded report body (schema 5).
 
 Every list in a report keeps the first WITNESS_CAP entries of the full list,
 in scan order, next to an exact count; the contraction ledger's JSON view
@@ -56,8 +56,7 @@ def check_bounded_view(problem: ContractionProblem) -> dict:
 
     hyp = doc["hypotheses"]
     for key in ("transitive", "f_closed"):
-        assert hyp[f"{key}_witnesses"] == first(full[key])
-        assert hyp[f"{key}_witness_count"] == len(full[key])
+        assert hyp[key] == rel[key] == (not full[key])
 
     pairs, pair_set = R.sorted_pairs(), R.pairs
     diag = {
@@ -179,8 +178,9 @@ def test_each_relation_predicate_scans_once_per_op(monkeypatch):
         for key, full in (("transitive", reference_transitivity_witnesses(R)),
                           ("f_closed", reference_f_closed_witnesses(R, mapping))):
             assert getattr(hyp, key) is getattr(rel, key) is False
-            assert getattr(hyp, f"{key}_witness_count") == rel.counterexample_counts[key] == len(full)
-            assert getattr(hyp, f"{key}_witnesses") == rel.counterexamples[key] == full[:WITNESS_CAP]
+            assert getattr(hyp, key) == (rel.counterexample_counts[key] == 0)
+            assert rel.counterexample_counts[key] == len(full)
+            assert rel.counterexamples[key] == full[:WITNESS_CAP]
     # library callers that pass no relation report still get both scans
     scans.clear()
     hyp = contraction.verify_all_hypotheses(problem)
@@ -188,8 +188,7 @@ def test_each_relation_predicate_scans_once_per_op(monkeypatch):
     scans.clear()
     rel = relation.build_relation_report(space, R, mapping)
     assert scans == once
-    assert (hyp.transitive_witnesses, hyp.f_closed_witnesses) == (
-        rel.counterexamples["transitive"], rel.counterexamples["f_closed"])
+    assert (hyp.transitive, hyp.f_closed) == (rel.transitive, rel.f_closed)
 
 
 # every nanosecond count up to the last second of year 9999

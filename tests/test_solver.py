@@ -13,6 +13,7 @@ from relfix.contraction import (ContractionProblem, ContractionVerdict, Potentia
 from relfix.simulation import SimulationFunction
 from relfix.solver import (
     CertificationError,
+    IterationTrace,
     RelationBroken,
     StartNotAdmissible,
     _estimate_rho,
@@ -59,9 +60,6 @@ def test_inadmissible_start_rejected(problem):
     four = problem.space.point_by_value(4)
     with pytest.raises(StartNotAdmissible):
         picard_iterate(problem, four)
-    trace = picard_iterate(problem, four, allow_inadmissible_start=True)
-    assert trace.inadmissible_start
-    assert trace.orbit[-1] == 1.0
 
 
 def test_orbit_leaving_relation_aborts():
@@ -391,6 +389,17 @@ def fixed_point_problems(draw):
     )
 
 
+def fixed_start_trace(problem) -> IterationTrace:
+    """The exact-fixed-point trace of point 0, which need not be admissible;
+    certify reads its terminated_by, orbit_ids and residual."""
+    start = problem.space.points[0]
+    assert problem.map(start) == 0
+    phi = problem.potential(start)
+    return IterationTrace(orbit=[start.value] * 2, orbit_ids=[0, 0], steps=[0.0], ratios=[],
+                          phi_values=[phi, phi], phi_limit_estimate=phi, residual=0.0,
+                          terminated_by="exact-fixed-point")
+
+
 def complete_even_fixed(n):
     """The fixed-points shape: complete relation, every even point fixed."""
     return ContractionProblem(
@@ -423,7 +432,7 @@ def certify_both_ways(problem, trace, verdict):
     zeta=SimulationFunction(family="linear", lam=0.5)), 1e12)
 def test_certify_matches_the_two_way_bfs_loop(problem, tol):
     verdict = verify_contraction(problem, tol)
-    trace = picard_iterate(problem, problem.space.points[0], allow_inadmissible_start=True)
+    trace = fixed_start_trace(problem)
     _, cert = certify_both_ways(problem, trace, verdict)
     connected, unconnected = reference_certificate(problem, verdict)
     assert cert.contradiction_count == len(connected)
@@ -582,7 +591,7 @@ def test_certify_searches_once_per_pair_joined_through_other_points(monkeypatch)
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
     calls = count_calls(monkeypatch)
-    trace = picard_iterate(problem, problem.space.points[0], allow_inadmissible_start=True)
+    trace = fixed_start_trace(problem)
     cert = certify(problem, trace)
     assert calls == {"search": 6}
     expected = [((a, b), [float(k) for k in reference_find_path(relation, b, a)])
