@@ -1,9 +1,11 @@
 """Structured report assembly: a dict of the result records in a stable
 order, encoded once with ``json.dumps(report, default=_plain)``.
 
-The report body is bounded: every witness list holds its first WITNESS_CAP
-entries next to an exact count, and a field declared IN_MEMORY (such as the
-contraction verdict's lambda threshold) stays on the object only."""
+The body caps each witness list of the axioms, relation, ledger and
+certificate records at its first WITNESS_CAP entries next to an exact count;
+the per-point and per-step lists grow linearly in n.  A field declared
+IN_MEMORY (such as the contraction verdict's lambda threshold) stays on the
+object only."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
@@ -117,8 +119,7 @@ def run_command(
     if command in ("solve", "certify", "report"):
         trace = picard_iterate(problem, _start_point(bundle, start, mfr))
         report["trace"] = trace
-        if trace.steps:
-            report["ratio_diagnostics"] = ratio_diagnostics(trace, tol=problem.default_tol())
+        report["ratio_diagnostics"] = ratio_diagnostics(trace, tol=problem.default_tol())
         solved = trace.terminated_by == "exact-fixed-point"
         ok = ok and solved
         if solved and command != "solve":

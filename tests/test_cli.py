@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import relfix
 from relfix.cli import _parser, main
 from relfix.problemfile import build_problem, parse_problem
-from relfix.report import _plain, header, run_command
+from relfix.report import SCHEMA_VERSION, _plain, header, run_command
 
 from conftest import FIXTURES
 from ledger_reference import reference_ledger, reference_row
@@ -43,7 +43,7 @@ def test_json_report(capsys):
     assert doc["overall_pass"] is True
     assert doc["certificate"]["unique"] is True
     assert doc["trace"]["orbit"] == [3.0, 2.0, 1.0, 1.0]
-    assert doc["header"]["schema_version"] == 5
+    assert doc["header"]["schema_version"] == 6
     assert len(doc["header"]["input_digest"]) == 64
 
 
@@ -133,6 +133,13 @@ def test_readme_documents_every_option():
     section = readme[readme.index("## Command line"):readme.index("## Library")]
     options = {o for a in _parser()._actions for o in a.option_strings if o.startswith("--")}
     assert set(re.findall(r"--[a-z][a-z-]*", section)) == options - {"--help"}
+
+
+def test_readme_states_the_current_schema():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    stated = re.findall(r"schema_version`? (\d+)|\(schema (\d+)\)", readme)
+    assert len(stated) >= 2
+    assert {int(a or b) for a, b in stated} == {SCHEMA_VERSION}
 
 
 def test_plain_converts_only_dataclasses():

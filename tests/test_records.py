@@ -123,12 +123,11 @@ OLD_DECLARATIONS = {
                                  ("zeta_min", MEMORY), ("active_spans", MEMORY)]),
     HypothesisReport: (False, ["mfr", ("mfr_points", MEMORY), "mfr_nonempty", "f_closed",
                                "transitive", "contraction", "all_hypotheses_ok"]),
-    IterationTrace: (False, ["orbit", "orbit_ids", "steps", "ratios", "phi_values",
-                             "phi_limit_estimate", "residual", "terminated_by", ("rho", None),
-                             ("n0", None)]),
-    RatioDiagnostics: (False, ["per_index_bound_ok", "per_index_witnesses", "telescoping_ok",
-                               "ratio_sum", "phi_budget", "rho", "n0", "geometric_decay_ok",
-                               "asymptotics_exercised"]),
+    IterationTrace: (False, ["orbit", "orbit_ids", "steps", "phi_values", "residual",
+                             "terminated_by"]),
+    RatioDiagnostics: (False, ["ratios", "per_index_bound_ok", "per_index_witnesses",
+                               "telescoping_ok", "ratio_sum", "phi_budget", "rho", "n0",
+                               "geometric_decay_ok"]),
     FixedPointCertificate: (False, ["fixed_points", "solver_result", "unique",
                                     ("contradiction_count", 0), ("contradictions", LIST),
                                     ("unconnected_count", 0), ("unconnected_pairs", LIST)]),

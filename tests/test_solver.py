@@ -47,7 +47,7 @@ def test_orbit_from_3(problem):
 def test_orbit_from_fixed_start(problem):
     trace = picard_iterate(problem, problem.space.point_by_value(1))
     assert trace.orbit == [1.0, 1.0]
-    assert not trace.positive_steps
+    assert trace.steps == [0.0]
 
 
 def test_orbit_from_2(problem):
@@ -181,14 +181,30 @@ def test_ratio_diagnostics_short_trace(problem):
     assert diag.ratio_sum == pytest.approx(1.0)
     assert diag.phi_budget == pytest.approx(6.0)
     assert diag.telescoping_ok
-    assert not diag.asymptotics_exercised
+    assert diag.rho is None and diag.n0 is None
     assert diag.geometric_decay_ok is None
 
 
 def test_single_step_trace_not_exercised(problem):
     trace = picard_iterate(problem, problem.space.point_by_value(2))
     diag = ratio_diagnostics(trace)
-    assert not diag.asymptotics_exercised
+    assert diag.ratios == [0.0]
+    assert diag.rho is None and diag.n0 is None and diag.geometric_decay_ok is None
+
+
+def test_per_index_bound_counts_the_step_into_a_fixed_point():
+    # 2 -> 1 -> 0 -> 0: the step into the fixed point 0 has C_3/C_2 = 0 but
+    # phi rises from 3 to 4 along it, so the bound fails at n = 2
+    text = ("[space]\npoints = 0 1 2\nmetric = absolute-difference\ns = 1\n"
+            "[relation]\npairs = (2,1) (1,0) (0,0)\n[map]\n0 = 0\n1 = 0\n2 = 1\n"
+            "[potential]\n0 = 4\n1 = 3\n2 = 5\n[zeta]\nfamily = linear\nlambda = 0.5\n")
+    report, ok = run_command("solve", build_problem(parse_problem(text)), start=2)
+    assert ok
+    assert report["trace"].phi_values == [5.0, 3.0, 4.0, 4.0]
+    diag = report["ratio_diagnostics"]
+    assert diag.ratios == [1.0, 0.0]
+    assert not diag.per_index_bound_ok
+    assert diag.per_index_witnesses == [{"n": 2, "ratio": 0.0, "phi_drop": -1.0}]
 
 
 def test_ratio_diagnostics_requires_steps(problem):
@@ -287,9 +303,8 @@ def test_synthetic_chain_exercises_asymptotics():
     problem = bundle.problem
     trace = picard_iterate(problem, problem.space.points[0])
     assert trace.terminated_by == "exact-fixed-point"
-    assert len(trace.positive_steps) == 19
+    assert sum(c > 0 for c in trace.steps) == 19
     diag = ratio_diagnostics(trace, tol=1e-9)
-    assert diag.asymptotics_exercised
     assert diag.per_index_bound_ok
     assert diag.telescoping_ok
     assert 0 < diag.rho < 1
@@ -316,6 +331,87 @@ step = st.one_of(st.integers(0, 8).map(float), st.floats(min_value=0, allow_infi
 @given(st.lists(step, max_size=40))
 def test_estimate_rho_matches_rescan(steps):
     assert _estimate_rho(steps) == estimate_rho_by_rescan(steps)
+
+
+def reference_ratio_diagnostics(steps, phi, tol):
+    """ratio_diagnostics as computed when the trace carried its ratios, phi
+    limit estimate, rho and n0: each quantity the way that code built it."""
+    # picard_iterate's ratio list and estimates
+    ratios = [steps[n + 1] / steps[n] for n in range(len(steps) - 1) if steps[n] > 0]
+    phi_limit_estimate = phi[-1]
+    rho, n0 = estimate_rho_by_rescan(steps)
+    # ratio_diagnostics
+    witnesses = []
+    ratio_sum = 0.0
+    for n in range(len(steps) - 1):
+        if steps[n] <= 0:
+            continue
+        ratio = steps[n + 1] / steps[n]
+        ratio_sum += ratio
+        drop = phi[n] - phi[n + 1]
+        if ratio > drop + tol:
+            witnesses.append({"n": n + 1, "ratio": ratio, "phi_drop": drop})
+    budget = phi[0] - phi_limit_estimate
+    decay_ok = None
+    if rho is not None:
+        decay_ok = rho < 1
+        for n in range(n0 - 1, len(steps) - 1):
+            if steps[n] > 0 and steps[n + 1] > rho * steps[n] + tol:
+                decay_ok = False
+    return {"ratios": ratios, "per_index_bound_ok": not witnesses,
+            "per_index_witnesses": witnesses, "telescoping_ok": ratio_sum <= budget + tol,
+            "ratio_sum": ratio_sum, "phi_budget": budget, "rho": rho, "n0": n0,
+            "geometric_decay_ok": decay_ok}
+
+
+def trace_of(steps, phi) -> IterationTrace:
+    """A hand-built trace with these steps and potentials; ratio_diagnostics reads nothing else."""
+    ids = list(range(len(phi)))
+    return IterationTrace(orbit=[float(i) for i in ids], orbit_ids=ids, steps=steps,
+                          phi_values=phi, residual=0.0, terminated_by="cycle")
+
+
+def test_ratio_diagnostics_reports_each_failure():
+    # rho = max(4/2, 8/4) = 2 from n0 = 1; the potential never drops
+    diag = ratio_diagnostics(trace_of([1.0, 2.0, 4.0, 8.0, 0.0], [0.0] * 6))
+    assert diag.ratios == [2.0, 2.0, 2.0, 0.0]
+    assert (diag.rho, diag.n0) == (2.0, 1)
+    assert not diag.per_index_bound_ok and len(diag.per_index_witnesses) == 3
+    assert not diag.telescoping_ok and diag.ratio_sum == 6.0 and diag.phi_budget == 0.0
+    assert diag.geometric_decay_ok is False
+
+
+# zero and equal steps, and a subnormal step after a large one, whose ratio
+# is 0.0 although both steps are positive
+diag_step = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.sampled_from([5e-324, 1e300]),
+                      st.floats(min_value=0, allow_infinity=False))
+potential = st.one_of(st.integers(-8, 8).map(float),
+                      st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
+
+
+@given(st.lists(diag_step, min_size=1, max_size=30).flatmap(
+           lambda steps: st.tuples(st.just(steps),
+                                   st.lists(potential, min_size=len(steps) + 1,
+                                            max_size=len(steps) + 1))),
+       st.sampled_from([0.0, 1e-9]))
+@example(([1.0, 2.0, 4.0, 8.0, 0.0], [0.0] * 6), 0.0)
+@example(([1e300, 5e-324, 1.0, 1.0, 1.0, 0.0], [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 4.0]), 1e-9)
+@example(([1.0, 1.0, 1.0, 1.0, 0.0], [5.0, 4.0, 3.0, 2.0, 1.0, 1.0]), 0.0)
+# rho = 0.7 but 0.7 * 700 rounds below 490: the decay check fails at tol 0 only
+@example(([1000.0, 700.0, 490.0, 343.0, 0.0], [9.0] * 6), 0.0)
+@example(([1000.0, 700.0, 490.0, 343.0, 0.0], [9.0] * 6), 1e-9)
+def test_ratio_diagnostics_matches_reference(trace, tol):
+    steps, phi = trace
+    diag = ratio_diagnostics(trace_of(steps, phi), tol)
+    assert {name: getattr(diag, name) for name in type(diag)._report_fields} == \
+        reference_ratio_diagnostics(steps, phi, tol)
+
+
+def test_picard_iterate_estimates_no_rho(problem, monkeypatch):
+    def refuse(steps):
+        raise AssertionError("picard_iterate estimated rho")
+    monkeypatch.setattr(solver, "_estimate_rho", refuse)
+    assert picard_iterate(problem, problem.space.point_by_value(3)).steps == [1.0, 1.0, 0.0]
 
 
 def test_certify_does_not_scan_transitivity(monkeypatch):
@@ -395,9 +491,8 @@ def fixed_start_trace(problem) -> IterationTrace:
     start = problem.space.points[0]
     assert problem.map(start) == 0
     phi = problem.potential(start)
-    return IterationTrace(orbit=[start.value] * 2, orbit_ids=[0, 0], steps=[0.0], ratios=[],
-                          phi_values=[phi, phi], phi_limit_estimate=phi, residual=0.0,
-                          terminated_by="exact-fixed-point")
+    return IterationTrace(orbit=[start.value] * 2, orbit_ids=[0, 0], steps=[0.0],
+                          phi_values=[phi, phi], residual=0.0, terminated_by="exact-fixed-point")
 
 
 def complete_even_fixed(n):
