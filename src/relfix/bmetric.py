@@ -12,7 +12,32 @@ from .records import fresh, record
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
-WITNESS_CAP = 256  # each axiom witness list keeps its first entries; the counts stay exact
+WITNESS_CAP = 256  # each witness list keeps its first entries; the counts stay exact
+
+
+class Witnesses:
+    """A scan's exact witness ``count`` and, in ``kept``, the first WITNESS_CAP
+    witnesses in the order found: every capped list in relfix, and the only
+    reader of the cap.  ``add(found, batch)`` counts ``found`` more witnesses;
+    ``batch`` yields exactly those, in order, and is an iterable advanced only
+    while the list has room, or a callable returning one, called only then,
+    so no witness the list would drop need be built.  ``Witnesses(found,
+    batch)`` starts with that batch added."""
+
+    __slots__ = ("count", "kept")
+
+    def __init__(self, found: int = 0, batch=()):
+        self.count, self.kept = 0, []
+        if found:
+            self.add(found, batch)
+
+    def add(self, found: int, batch) -> None:
+        self.count += found
+        room = WITNESS_CAP - len(self.kept)
+        if found and room > 0:
+            if callable(batch):
+                batch = batch()
+            self.kept += batch if found <= room else islice(batch, room)
 
 
 class UnknownPointError(KeyError):
@@ -180,7 +205,7 @@ def default_axiom_tol(space: BMetricSpace) -> float:
 
 @record
 class AxiomReport:
-    """Axiom verdicts; each witness list holds the first WITNESS_CAP of its exact count."""
+    """Axiom verdicts; each witness list and its exact count come from one Witnesses."""
 
     identity_ok: bool
     symmetry_ok: bool
@@ -304,9 +329,8 @@ def _last_hit(hit, guess: float, k_max: int) -> int:
     return lo
 
 
-def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float,
-                    witnesses: list) -> int:
-    """_triangle_scan's count and first witnesses, on an exact grid, in O(n**2 log n).
+def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float) -> Witnesses:
+    """_triangle_scan's witnesses, on an exact grid, in O(n**2 log n).
 
     ``xs`` are the point values on their grid, by id, and ``scale`` is the
     grid's scale (see _exact_scale), so d(a, b) = K(a, b) * scale and each sum
@@ -326,7 +350,7 @@ def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float,
     2y, and N(a, w) = N(w, a), so the pairs a <= w suffice.  Witnesses are
     listed a-block by a-block, in the scan's (a, b, w) order, from the same
     intervals: only blocks with a nonzero count, and only until the list is
-    full.
+    full, since the blocks are built as the list reads them.
     """
     pts, s, n = space.points, space.s, len(space.points)
     squared = space.metric == "squared-difference"
@@ -363,12 +387,9 @@ def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float,
                 if w != a:
                     rows[w] += found
     vals = [p.value for p in pts]
-    for a in range(n):
-        room = WITNESS_CAP - len(witnesses)
-        if room <= 0:
-            break
-        if not rows[a]:
-            continue
+
+    def block(a):
+        # a's witnesses in the scan's (b, w) order
         xa = xs[a]
         by_b = [[] for _ in range(n)]
         for w in range(n):
@@ -379,23 +400,22 @@ def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float,
                 for b in order[bisect_left(keys, m - r):bisect_right(keys, m + r)]:
                     by_b[b].append(w)
         va = vals[a]
-        witnesses.extend(islice(((va, vals[w], vals[b]) for b in range(n) for w in by_b[b]),
-                                room))
-    return sum(rows)
+        return ((va, vals[w], vals[b]) for b in range(n) for w in by_b[b])
+
+    return Witnesses(sum(rows), chain.from_iterable(map(block, compress(range(n), rows))))
 
 
-def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> tuple[int, float]:
-    """Count the triangle witnesses and append the first WITNESS_CAP of them.
+def _triangle_scan(space: BMetricSpace, tol: float) -> tuple[Witnesses, float]:
+    """The triangle witnesses and, for a table only, the float max ratio.
 
-    Returns (count, float max ratio); the ratio is computed for a table only.
     Row-wise over w for each (a, b): lhs = d[a][w] against the threshold
     s * (d[a][b] + d[b][w]) + tol.  A row is counted in one C-level pass and
-    enumerated only while the list is short of the cap.
+    enumerated only while the list has room.
     """
     pts, d, s = space.points, space._d, space.s
     n = len(d)
     ratios = space.metric == "table"
-    count, worst = 0, 0.0
+    witnesses, worst = Witnesses(), 0.0
     for a in range(n):
         row_a = d[a]
         for b in range(n):
@@ -412,16 +432,11 @@ def _triangle_scan(space: BMetricSpace, tol: float, witnesses: list) -> tuple[in
                             worst = max(worst, lhs / r)
             thr = [s * (dab + x) + tol for x in d[b]]
             found = sum(map(gt, row_a, thr))
-            if not found:
-                continue
-            count += found
-            room = WITNESS_CAP - len(witnesses)
-            if room > 0:
-                bv = pts[b].value
-                witnesses.extend(islice(
-                    ((pts[a].value, pts[w].value, bv)
-                     for w in compress(range(n), map(gt, row_a, thr))), room))
-    return count, worst
+            if found:
+                witnesses.add(found, lambda: (
+                    (pts[a].value, pts[w].value, pts[b].value)
+                    for w in compress(range(n), map(gt, row_a, thr))))
+    return witnesses, worst
 
 
 def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> AxiomReport:
@@ -489,36 +504,27 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         tol = default_axiom_tol(space)
     pts, d, s = space.points, space._d, space.s
     n = len(d)
-    # the identity and symmetry witnesses are counted while scanning, and
-    # only the first WITNESS_CAP of each kept
-    counts = {"identity": 0, "symmetry": 0}
-    identity, symmetry, triangle = [], [], []
-
-    def found(kind, kept, a, b):
-        counts[kind] += 1
-        if len(kept) < WITNESS_CAP:
-            kept.append((pts[a].value, pts[b].value))
-
+    vals = [p.value for p in pts]
+    identity, symmetry, triangle = Witnesses(), Witnesses(), Witnesses()
     for a in range(n):
         if d[a][a] > tol:
-            found("identity", identity, a, a)
+            identity.add(1, [(vals[a], vals[a])])
     for a in range(n):
         for b in range(a + 1, n):
             dab, dba = d[a][b], d[b][a]
             if dab <= tol:
-                found("identity", identity, a, b)
+                identity.add(1, [(vals[a], vals[b])])
             if abs(dab - dba) > tol:
-                found("symmetry", symmetry, a, b)
+                symmetry.add(1, [(vals[a], vals[b])])
 
-    triangle_count = 0
     if space.metric == "table":
-        triangle_count, worst = _triangle_scan(space, tol, triangle)
+        triangle, worst = _triangle_scan(space, tol)
         min_feasible_s = max(worst, 1.0)
     else:
         # the value grid is built only where it is read: S* for squared-difference, the exact pass
         grid, (num, den) = None, (1, 1)
         if space.metric == "squared-difference":
-            grid = _value_grid([p.value for p in pts])
+            grid = _value_grid(vals)
             num, den = _squared_sup(sorted(set(grid[0])))
         min_feasible_s = num / den
         s_num, s_den = s.as_integer_ratio()
@@ -526,23 +532,23 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         covered = s_num * den >= num * s_den
         # cheapest first: the exact comparison, the bound, then one O(n**2) pass
         if not (covered and tol > bound):
-            xs, q = grid or _value_grid([p.value for p in pts])
+            xs, q = grid or _value_grid(vals)
             scale = None if math.isnan(tol) else _exact_scale(space, xs, q)
             if scale is None:
-                triangle_count, _ = _triangle_scan(space, tol, triangle)
+                triangle, _ = _triangle_scan(space, tol)
             elif not (covered and tol >= 0):
-                triangle_count = _triangle_count(space, xs, scale, tol, triangle)
+                triangle = _triangle_count(space, xs, scale, tol)
     return AxiomReport(
-        identity_ok=not counts["identity"],
-        symmetry_ok=not counts["symmetry"],
-        triangle_ok=triangle_count == 0,
+        identity_ok=not identity.count,
+        symmetry_ok=not symmetry.count,
+        triangle_ok=not triangle.count,
         min_feasible_s=min_feasible_s,
         s=s,
         tol=tol,
-        identity_witness_count=counts["identity"],
-        identity_witnesses=identity,
-        symmetry_witness_count=counts["symmetry"],
-        symmetry_witnesses=symmetry,
-        triangle_witness_count=triangle_count,
-        triangle_witnesses=triangle,
+        identity_witness_count=identity.count,
+        identity_witnesses=identity.kept,
+        symmetry_witness_count=symmetry.count,
+        symmetry_witnesses=symmetry.kept,
+        triangle_witness_count=triangle.count,
+        triangle_witnesses=triangle.kept,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bmetric import WITNESS_CAP, BMetricSpace, FORMULA_METRICS, _int_id, _pid
+from .bmetric import BMetricSpace, FORMULA_METRICS, Witnesses, _int_id, _pid
 from .records import IN_MEMORY, record
 from .relation import (
     BinaryRelation,
@@ -145,8 +145,8 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
     fmap, phi = problem.map.mapping, problem.potential.values
     # simulation.evaluate's expression, inline; the guard is its domain check
     lam, mu, floor = zeta.lam, zeta.t_coeff, -tol
-    lo, zeta_min, spans, head = 0.0, math.inf, [], []
-    start = failing = 0
+    lo, zeta_min, spans, failing = 0.0, math.inf, [], Witnesses()
+    start = 0
     # the rows' bits, walked in id order, are the pairs in sorted_pairs() order
     for a, mask in enumerate(problem.relation._rows):
         fa, row = fmap[a], d[a]
@@ -173,17 +173,18 @@ def verify_contraction(problem: ContractionProblem, tol: float | None = None) ->
                     continue
             else:
                 z = None
-            failing += 1
-            if len(head) < WITNESS_CAP:
-                head.append((i, values[a], values[b], d_self, row[b], image[fmap[b]], sa, z))
+            # i, b, sa and z change on every row: as defaults, not closure
+            # cells, they stay fast locals of the loop
+            failing.add(1, lambda i=i, b=b, sa=sa, z=z: [
+                (i, values[a], values[b], d_self, row[b], image[fmap[b]], sa, z)])
         spans.append((start, start + len(bs)))
         start += len(bs)
     keys = ("row", "sigma", "rho", "d_sigma_fsigma", "d_pair", "d_image_pair", "s_arg",
             "zeta_value")
-    failing_rows = dict(zip(keys, map(list, zip(*head)))) if head else {k: [] for k in keys}
+    failing_rows = dict(zip(keys, map(list, zip(*failing.kept)))) or {k: [] for k in keys}
     return ContractionVerdict(
-        ok=not failing, s=s, tol=tol, active_count=sum(b - a for a, b in spans),
-        failing_count=failing, failing_rows=failing_rows, lambda_threshold=lo,
+        ok=not failing.count, s=s, tol=tol, active_count=sum(b - a for a, b in spans),
+        failing_count=failing.count, failing_rows=failing_rows, lambda_threshold=lo,
         zeta_min=zeta_min, active_spans=spans,
     )
 

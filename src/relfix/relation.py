@@ -7,8 +7,9 @@ built with them: ``_cols[b]`` is the int whose bit a is.  Both span ids
 each row's bits in id order yields the pairs in ``sorted(pairs)`` order.
 Closure, transitivity, completeness, F-closedness and the diagnostics are
 word operations on the rows.  Each predicate and the diagnostics count their
-witnesses exactly, with ``bit_count`` where a row gives them, and build only
-the first WITNESS_CAP of each kind, so no witness list grows with R.  A bit
+witnesses exactly, with ``bit_count`` where a row gives them, into a
+``bmetric.Witnesses``, which keeps the first WITNESS_CAP of each kind and
+lists no pair past them, so no witness list grows with R.  A bit
 position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
 read-only function; what it memoises (say, a result per distinct row value)
 lives only for that call, so concurrent use is safe.
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from functools import reduce
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice, repeat
 from operator import or_
 
-from .bmetric import WITNESS_CAP, BMetricSpace, _pid
+from .bmetric import BMetricSpace, Witnesses, _pid
 from .records import fresh, record
 
 # a space of 2**16 points already has a 2**32-entry distance matrix, so no
@@ -45,6 +46,18 @@ def _bits(mask: int) -> tuple:
         return tuple(range(low.bit_length() - 1, mask.bit_length()))
     # the binary digits, least significant first, as 0/1 bytes
     return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
+
+
+def _pairs(masks: list):
+    """The pairs (a, b) with bit b of masks[a] set, in (a, b) order."""
+    for a, mask in enumerate(masks):
+        for b in _bits(mask):
+            yield a, b
+
+
+def _pair_witnesses(masks: list) -> Witnesses:
+    """``_pairs(masks)``, counted by ``bit_count``; no row after the list fills is read."""
+    return Witnesses(sum(map(int.bit_count, masks)), _pairs(masks))
 
 
 class BinaryRelation:
@@ -178,19 +191,16 @@ def is_transitive(R: BinaryRelation):
     leaves row a, which depends on the row's value alone, so each distinct
     row is tested once; only failing rows are scanned pair by pair, in id order.
     """
-    rows, total, witnesses = R._rows, 0, []
+    rows, found = R._rows, Witnesses()
     failing = {row for row in set(rows)
                if reduce(or_, map(rows.__getitem__, _bits(row)), 0) & ~row}
     for a, row_a in enumerate(rows):
         if row_a in failing:
-            for b in _bits(row_a):
-                missing = rows[b] & ~row_a
-                if missing:
-                    room = WITNESS_CAP - total
-                    if room > 0:
-                        witnesses += [(a, b, c) for c in _bits(missing)[:room]]
-                    total += missing.bit_count()
-    return not total, total, witnesses
+            bs = _bits(row_a)
+            missing = [rows[b] & ~row_a for b in bs]
+            found.add(sum(map(int.bit_count, missing)),
+                      ((a, b, c) for b, mask in zip(bs, missing) for c in _bits(mask)))
+    return not found.count, found.count, found.kept
 
 
 def is_complete(R: BinaryRelation, space: BMetricSpace):
@@ -201,18 +211,11 @@ def is_complete(R: BinaryRelation, space: BMetricSpace):
     The distinct-pair reading is deliberate: quantifying over equal pairs
     would force reflexivity, which the worked instances do not have.
     """
-    n, rows, cols = len(space), R._rows, R._cols
-    total, witnesses = 0, []
-    for a in range(n):
-        linked = rows[a] | cols[a] if a < len(rows) else 0
-        # the ids b with a < b < n that neither (a, b) nor (b, a) relates
-        missing = ~linked & ((1 << n) - (2 << a))
-        if missing:
-            room = WITNESS_CAP - total
-            if room > 0:
-                witnesses += [(a, b) for b in _bits(missing)[:room]]
-            total += missing.bit_count()
-    return not total, total, witnesses
+    n, top = len(space), 1 << len(space)
+    linked = islice(chain(map(or_, R._rows, R._cols), repeat(0)), n)
+    # row a: the ids b with a < b < n that neither (a, b) nor (b, a) relates
+    found = _pair_witnesses([~row & (top - (2 << a)) for a, row in enumerate(linked)])
+    return not found.count, found.count, found.kept
 
 
 def is_f_closed(R: BinaryRelation, mapping: dict):
@@ -224,23 +227,21 @@ def is_f_closed(R: BinaryRelation, mapping: dict):
     one, has an empty row.  Row a passes when the bits of its successors'
     images lie in F a's row; only failing rows are scanned pair by pair.
     """
-    rows, total, witnesses = R._rows, 0, []
+    rows = R._rows
     size = len(rows)
     # id b -> the bit of F b; -1, which no row contains, when F b has no row
     # (or no image), so its row takes the pair-by-pair path
     image_bit = [1 << fb if 0 <= (fb := mapping.get(b, -1)) < size else -1 for b in range(size)]
     # the bits of a row's images depend on the row's value alone
     images = {row: reduce(or_, map(image_bit.__getitem__, _bits(row)), 0) for row in set(rows)}
+    failing = [0] * size  # row a: the ids b whose pair (a, b) violates
     for a, row in enumerate(rows):
         fa = mapping.get(a, -1)
         image = rows[fa] if 0 <= fa < size else 0
         if images[row] & ~image:
-            failing = [b for b in _bits(row) if image_bit[b] & ~image]
-            room = WITNESS_CAP - total
-            if room > 0:
-                witnesses += [(a, b) for b in failing[:room]]
-            total += len(failing)
-    return not total, total, witnesses
+            failing[a] = sum([1 << b for b in _bits(row) if image_bit[b] & ~image])
+    found = _pair_witnesses(failing)
+    return not found.count, found.count, found.kept
 
 
 class Path(namedtuple("Path", "nodes")):
@@ -316,42 +317,28 @@ class RelationDiagnostics:
     witnesses: dict = fresh(dict)
 
 
-def _capped_ids(mask: int) -> tuple[int, list]:
-    """How many bits an id mask has, and its first WITNESS_CAP ids."""
-    return mask.bit_count(), list(_bits(mask)[:WITNESS_CAP])
-
-
 def relation_diagnostics(R: BinaryRelation, space: BMetricSpace) -> RelationDiagnostics:
     """Order-theoretic diagnostics (reflexivity, symmetry, antisymmetry).
 
     Each kind of witness is counted from the rows with ``bit_count`` and
-    listed only while its list is short of WITNESS_CAP, so the lists stay
-    bounded however large R is.
+    listed only while its Witnesses has room, so the lists stay bounded
+    however large R is.
     """
     rows, cols = R._rows, R._cols
     loops = sum(1 << a for a, row in enumerate(rows) if row >> a & 1)
+    missing = ~loops & ((1 << len(space)) - 1)
     found = {
-        "reflexive": _capped_ids(~loops & ((1 << len(space)) - 1)),
-        "irreflexive": _capped_ids(loops),
-        "symmetric": [0, []],      # (a, b) in R, (b, a) not
-        "antisymmetric": [0, []],  # (a, b) and (b, a) in R, a != b
+        "reflexive": Witnesses(missing.bit_count(), _bits(missing)),
+        "irreflexive": Witnesses(loops.bit_count(), _bits(loops)),
+        # (a, b) in R, (b, a) not
+        "symmetric": _pair_witnesses([row & ~col for row, col in zip(rows, cols)]),
+        # (a, b) and (b, a) in R, a != b
+        "antisymmetric": _pair_witnesses([row & col & ~(1 << a)
+                                          for a, (row, col) in enumerate(zip(rows, cols))]),
     }
-    one_way, two_way = found["symmetric"], found["antisymmetric"]
-    for a, (row, col) in enumerate(zip(rows, cols)):
-        for tally, mask in ((one_way, row & ~col), (two_way, row & col & ~(1 << a))):
-            if mask:
-                room = WITNESS_CAP - tally[0]
-                if room > 0:
-                    tally[1] += [(a, b) for b in _bits(mask)[:room]]
-                tally[0] += mask.bit_count()
-    return RelationDiagnostics(
-        reflexive=not found["reflexive"][0],
-        irreflexive=not found["irreflexive"][0],
-        symmetric=not one_way[0],
-        antisymmetric=not two_way[0],
-        witness_counts={kind: n for kind, (n, _) in found.items()},
-        witnesses={kind: kept for kind, (_, kept) in found.items()},
-    )
+    return RelationDiagnostics(**{kind: not w.count for kind, w in found.items()},
+                               witness_counts={kind: w.count for kind, w in found.items()},
+                               witnesses={kind: w.kept for kind, w in found.items()})
 
 
 @record

@@ -2,10 +2,10 @@
 order, encoded once with ``json.dumps(report, default=_plain)``.
 
 The body caps each witness list of the axioms, relation, ledger and
-certificate records at its first WITNESS_CAP entries next to an exact count;
-the per-point and per-step lists grow linearly in n.  A field declared
-IN_MEMORY (such as the contraction verdict's lambda threshold) stays on the
-object only."""
+certificate records at its first WITNESS_CAP entries next to an exact count,
+both filled through ``bmetric.Witnesses``; the per-point and per-step lists
+grow linearly in n.  A field declared IN_MEMORY (such as the contraction
+verdict's lambda threshold) stays on the object only."""
 
 from __future__ import annotations
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .bmetric import WITNESS_CAP, BMetricSpace, Point
+from .bmetric import BMetricSpace, Point, Witnesses
 from .records import fresh, record
 from .relation import RelationReport, reach_rows
 from .contraction import (
@@ -236,11 +236,7 @@ def certify(
         raise CertificationError("exact termination with positive residual")
 
     values = [p.value for p in space.points]
-    cert = FixedPointCertificate(
-        fixed_points=sorted(p.value for p in fps),
-        solver_result=values[terminal],
-        unique=len(fps) == 1,
-    )
+    contradictions, unconnected = Witnesses(), Witnesses()
     if len(fps) >= 2:
         if verdict is None:
             verdict = verify_contraction(problem)
@@ -260,6 +256,17 @@ def certify(
             reach = rows  # a transitive R is its own closure
         else:
             reach = reach_rows(problem.relation) + pad
+
+        def contradiction(a, b, src, dst):
+            """The pair's one witness, built when the list reads it."""
+            # find_path's first case: a related pair is its own path
+            if rows[src] >> dst & 1:
+                path = (src, dst)
+            else:
+                path = verify_uniqueness_condition(problem, src, dst).path.nodes
+            yield {"pair": (values[a], values[b]), "path": [values[k] for k in path],
+                   "note": note}
+
         ids = sorted(fp_ids)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
@@ -268,23 +275,16 @@ def certify(
                 elif reach[b] >> a & 1:
                     src, dst = b, a
                 else:
-                    cert.unconnected_count += 1
-                    if len(cert.unconnected_pairs) < WITNESS_CAP:
-                        cert.unconnected_pairs.append((values[a], values[b]))
+                    unconnected.add(1, [(values[a], values[b])])
                     continue
                 if contraction_ok:
-                    cert.contradiction_count += 1
-                    if len(cert.contradictions) < WITNESS_CAP:
-                        # find_path's first case: a related pair is its own path
-                        if rows[src] >> dst & 1:
-                            path = (src, dst)
-                        else:
-                            path = verify_uniqueness_condition(problem, src, dst).path.nodes
-                        cert.contradictions.append(
-                            {
-                                "pair": (values[a], values[b]),
-                                "path": [values[k] for k in path],
-                                "note": note,
-                            }
-                        )
-    return cert
+                    contradictions.add(1, contradiction(a, b, src, dst))
+    return FixedPointCertificate(
+        fixed_points=sorted(p.value for p in fps),
+        solver_result=values[terminal],
+        unique=len(fps) == 1,
+        contradiction_count=contradictions.count,
+        contradictions=contradictions.kept,
+        unconnected_count=unconnected.count,
+        unconnected_pairs=unconnected.kept,
+    )

@@ -480,6 +480,11 @@ def blocks(n, k):
 # 552 transitivity and 552 antisymmetry witnesses, 552 F-closedness witnesses
 @example((24, BinaryRelation({(a, b) for a in range(24) for b in range(24) if a != b}),
           dict.fromkeys(range(24), 0)))
+# a strict order: 276 one-way pairs, past the cap of the symmetric diagnostics
+@example((24, BinaryRelation({(a, b) for a in range(24) for b in range(a + 1, 24)}),
+          {a: a for a in range(24)}))
+# a loop at each of 300 points: 300 irreflexive witnesses, past their cap
+@example((300, BinaryRelation({(a, a) for a in range(300)}), {a: a for a in range(300)}))
 # rows wider than 256 bits: 44,847 completeness and 299 reflexivity witnesses
 @example((300, BinaryRelation({(0, 299), (299, 5), (5, 0), (7, 7)}), {a: a for a in range(300)}))
 # 81 transitivity triples per failing row, so the cap of 256 falls inside the fourth
