@@ -5,14 +5,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import chain, compress, islice
-from operator import attrgetter, gt, sub, truediv
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import attrgetter, gt, sub, truediv, xor
 
 from .records import fresh, record
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
 VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
 WITNESS_CAP = 256  # each witness list keeps its first entries; the counts stay exact
+_FLUSH = 2  # _triangle_count holds at most about _FLUSH * n * ceil(log2 n) windows at once
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # bin() digits as 0/1 bytes
 
 
 class Witnesses:
@@ -271,10 +273,17 @@ def _exact_scale(space: BMetricSpace, xs: list, q: int) -> float | None:
     In grid units an entry is the integer K(a, b) = (Xa - Xb)**2, scaled by
     2**-2e, or |Xa - Xb|, scaled by 2**-e.  When 2 * max K < 2**53 and that
     scale is at least 2**-1022, every K * scale and every sum of two is a
-    float, so comparing each entry with K * scale in floats is exact.
-    Otherwise (a span too wide, or a grid so fine the scale underflows) the
-    answer is None.  The entries are read, not assumed: the matrix is built
-    with a subtraction and a libm pow.
+    float.  Otherwise (a span too wide, or a grid so fine the scale
+    underflows) the answer is None.
+
+    Each upper-triangle entry is then compared with its prediction from the
+    point values in floats, (va - vb) * (va - vb) or abs(va - vb), and that
+    prediction is K * scale bit for bit: va - vb is (Xa - Xb) * 2**-e, an
+    integer below 2**52 in magnitude times a power of two no smaller than
+    2**-1022, so it is a float and the subtraction returns it exactly; the
+    square (Xa - Xb)**2 * 2**-2e is such a float too, so the product is exact.
+    The entries are read, not assumed: the matrix is built with a libm pow,
+    and an entry it rounded differs from its prediction.
     """
     e = q.bit_length() - 1
     k_max = max(xs) - min(xs)
@@ -287,14 +296,14 @@ def _exact_scale(space: BMetricSpace, xs: list, q: int) -> float | None:
     # K is symmetric: check the matrix is, in C, then only its upper triangle
     if d != tuple(zip(*d)):
         return None
-    scale = math.ldexp(1.0, -e)
+    vals = [p.value for p in space.points]
     if squared:
-        exact = all(row[i:] == tuple([(xa - xb) * (xa - xb) * scale for xb in xs[i:]])
-                    for i, (xa, row) in enumerate(zip(xs, d)))
+        exact = all(row[i:] == tuple([(va - vb) * (va - vb) for vb in vals[i:]])
+                    for i, (va, row) in enumerate(zip(vals, d)))
     else:
-        exact = all(row[i:] == tuple([abs(xa - xb) * scale for xb in xs[i:]])
-                    for i, (xa, row) in enumerate(zip(xs, d)))
-    return scale if exact else None
+        exact = all(row[i:] == tuple([abs(va - vb) for vb in vals[i:]])
+                    for i, (va, row) in enumerate(zip(vals, d)))
+    return math.ldexp(1.0, -e) if exact else None
 
 
 def _last_hit(hit, guess: float, k_max: int) -> int:
@@ -330,7 +339,7 @@ def _last_hit(hit, guess: float, k_max: int) -> int:
 
 
 def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float) -> Witnesses:
-    """_triangle_scan's witnesses, on an exact grid, in O(n**2 log n).
+    """_triangle_scan's witnesses, on an exact grid, counted by middle point.
 
     ``xs`` are the point values on their grid, by id, and ``scale`` is the
     grid's scale (see _exact_scale), so d(a, b) = K(a, b) * scale and each sum
@@ -339,24 +348,38 @@ def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float) -> 
     once s * sum overflows it stays inf (inf - inf is NaN, which fails the
     test too), so (a, b, w) is a witness iff K(a, b) + K(b, w) <= lam, the
     largest integer k <= sum_max, the largest possible sum, that passes the
-    scan's test with k * scale in place of the sum (_last_hit; -1 if none).  lam depends on a and w only through
-    L = |Xa - Xw|, and is found once per distinct L.
+    scan's test with k * scale in place of the sum (_last_hit; -1 if none).
+    lam depends on a and w only through L = |Xa - Xw|, and is found once per
+    distinct L.
 
     With y = Xb and m = Xa + Xw, K(a, b) + K(b, w) is ((2y - m)**2 + L**2) / 2
     for squared-difference and max(L, |2y - m|) for absolute-difference, so
-    the witnesses' b are the points with |2y - m| <= r, one interval of grid
-    values, where r = isqrt(2 lam - L**2) or lam (none when 2 lam < L**2 or
-    lam < L).  N(a, w), the number of such b, is two bisections on the sorted
-    2y, and N(a, w) = N(w, a), so the pairs a <= w suffice.  Witnesses are
-    listed a-block by a-block, in the scan's (a, b, w) order, from the same
-    intervals: only blocks with a nonzero count, and only until the list is
-    full, since the blocks are built as the list reads them.
+    the witnesses' b are the points whose 2y lies in the window [m - r, m + r],
+    where r = isqrt(2 lam - L**2) or lam (no window when 2 lam < L**2 or
+    lam < L).  The pairs (a, w) and (w, a) share a window, so the pairs
+    a < w are walked once, in value order, appending each window's ends to
+    two lists.  Once both are sorted, the windows holding a point's 2y number
+    #(lows <= 2y) - #(ups < 2y): two bisections per point, not per pair.
+    Twice that sum over the points, plus the a = w windows (L = 0, one
+    radius), is the count.  Whenever the lists hold more than _FLUSH * n *
+    ceil(log2 n) windows they are counted and cleared, so they stay
+    O(n log n) long and the 2n bisections per flush cost O(n**2) in all.
+
+    Witnesses are listed a-block by a-block, in the scan's (a, b, w) order,
+    from the same windows, and only as the list reads them.  A block's
+    windows are intervals of the sorted points; one XOR sweep over them
+    gives, for each point b, the bit row of the w whose window holds it.
+    Blocks are built in id order, and block a bisects the window it shares
+    with an earlier w only if block w found a point in it, so each window
+    is bisected once unless it holds a point.  The listing stops after
+    exactly ``count`` witnesses, so no block past the last witness is built.
     """
-    pts, s, n = space.points, space.s, len(space.points)
+    s, n = space.s, len(xs)
     squared = space.metric == "squared-difference"
     sum_max = 2 * (max(xs) - min(xs)) ** (2 if squared else 1)
     order = sorted(range(n), key=xs.__getitem__)
-    keys = [2 * xs[b] for b in order]
+    values = [xs[b] for b in order]
+    keys = [2 * x for x in values]
     radii = {}  # L -> r, or -1 when no b qualifies
 
     def radius(L):
@@ -372,37 +395,66 @@ def _triangle_count(space: BMetricSpace, xs: list, scale: float, tol: float) -> 
             return math.isqrt(2 * lam - k) if 2 * lam >= k else -1
         return lam if lam >= L else -1
 
-    rows = [0] * n  # the a-block counts
-    for a, xa in enumerate(xs):
-        for w in range(a, n):
-            xw = xs[w]
-            L = abs(xa - xw)
+    def held(lows, ups):
+        # the windows holding each key: those with lo <= key, less those with up < key
+        lows.sort()
+        ups.sort()
+        return (sum(map(bisect_right, repeat(lows, n), keys))
+                - sum(map(bisect_left, repeat(ups, n), keys)))
+
+    flush = _FLUSH * n * (n - 1).bit_length()
+    found, lows, ups = 0, [], []
+    for i, xa in enumerate(values):
+        for xw in values[i + 1:]:
+            L = xw - xa
             r = radii.get(L)
             if r is None:
                 r = radii[L] = radius(L)
             if r >= 0:
                 m = xa + xw
-                found = bisect_right(keys, m + r) - bisect_left(keys, m - r)
-                rows[a] += found
-                if w != a:
-                    rows[w] += found
-    vals = [p.value for p in pts]
+                lows.append(m - r)
+                ups.append(m + r)
+        if len(lows) > flush:
+            found += held(lows, ups)
+            lows.clear()
+            ups.clear()
+    found = 2 * (found + held(lows, ups))
+    r = radii[0] = radius(0)
+    if r >= 0:
+        found += held([k - r for k in keys], [k + r for k in keys])
+
+    vals = [p.value for p in space.points]
+    pos = [0] * n  # pos[b]: b's place in value order
+    for p, b in enumerate(order):
+        pos[b] = p
+
+    # bit a of nonempty[w]: block a found a point in its window with w; block
+    # w > a then tests only those of its windows with an earlier point
+    nonempty = [0] * n
 
     def block(a):
         # a's witnesses in the scan's (b, w) order
-        xa = xs[a]
-        by_b = [[] for _ in range(n)]
-        for w in range(n):
+        xa, va = xs[a], vals[a]
+        toggles = [0] * (n + 1)  # w's bit: on at its window's first sorted point, off after
+        earlier = compress(range(a), bin(nonempty[a])[:1:-1].encode().translate(_BINARY_DIGITS))
+        for w in chain(earlier, range(a, n)):
             xw = xs[w]
             r = radii[abs(xa - xw)]
             if r >= 0:
                 m = xa + xw
-                for b in order[bisect_left(keys, m - r):bisect_right(keys, m + r)]:
-                    by_b[b].append(w)
-        va = vals[a]
-        return ((va, vals[w], vals[b]) for b in range(n) for w in by_b[b])
+                first, stop = bisect_left(keys, m - r), bisect_right(keys, m + r)
+                if first < stop:
+                    toggles[first] ^= 1 << w
+                    toggles[stop] ^= 1 << w
+                    nonempty[w] |= 1 << a
+        rows = list(accumulate(toggles, xor))  # sorted point -> the w whose window holds it
+        for b, p in enumerate(pos):
+            row = rows[p]
+            if row:
+                ws = compress(vals, bin(row)[:1:-1].encode().translate(_BINARY_DIGITS))
+                yield from zip(repeat(va), ws, repeat(vals[b]))
 
-    return Witnesses(sum(rows), chain.from_iterable(map(block, compress(range(n), rows))))
+    return Witnesses(found, islice(chain.from_iterable(map(block, range(n))), found))
 
 
 def _triangle_scan(space: BMetricSpace, tol: float) -> tuple[Witnesses, float]:
@@ -493,12 +545,16 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     exact, (K(a, b) + K(b, w)) * scale with integer grid distances K, and
     the scan's threshold fl(fl(s Sigma) + tol) is monotone in Sigma, so the
     scan's own test holds iff K(a, b) + K(b, w) is at most one integer
-    threshold per pair (a, w).  The b that meet it form one interval of grid
-    values, counted by two bisections: O(n**2 log n) in all, with the scan's
-    exact count and its first WITNESS_CAP witnesses in its order.  The scan
-    stays for tables, for inexact entries (a largest grid distance of 2**52
-    or more, a scale below 2**-1022, or an entry the pow rounded) and for a
-    NaN tol, which fails every comparison.
+    threshold per pair (a, w).  The b that meet it are the points whose
+    doubled grid value lies in one window per pair, and they are counted by
+    middle point: each pair appends its window's two ends to two lists,
+    sorted once, and each point counts the windows holding it with two
+    bisections.  That is O(n**2 log n) in all, with no search per pair and
+    lists O(n log n) long, and it gives the scan's exact count and its first
+    WITNESS_CAP witnesses in its order.  The scan stays for tables, for
+    inexact entries (a largest grid distance of 2**52 or more, a scale below
+    2**-1022, or an entry the pow rounded) and for a NaN tol, which fails
+    every comparison.
     """
     if tol is None:
         tol = default_axiom_tol(space)

@@ -22,14 +22,13 @@ from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from operator import or_
 
-from .bmetric import BMetricSpace, Witnesses, _pid
+from .bmetric import _BINARY_DIGITS, BMetricSpace, Witnesses, _pid
 from .records import fresh, record
 
 # a space of 2**16 points already has a 2**32-entry distance matrix, so no
 # space relfix can build holds a larger id, and no row asks for a huge int
 ID_LIMIT = 2 ** 16
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _BYTE_BITS = [()]  # _BYTE_BITS[mask] for mask < 256, built by doubling
 for _b in range(8):
     _BYTE_BITS += [bits + (_b,) for bits in _BYTE_BITS]

@@ -227,17 +227,18 @@ def certify(
     if trace.terminated_by != "exact-fixed-point":
         raise ValueError("trace did not end at a fixed point; cannot certify")
     space = problem.space
-    fps = enumerate_fixed_points(space, problem.map)
-    fp_ids = {p.id for p in fps}
+    # ContractionProblem validated the map: enumerate_fixed_points' oracle, read directly
+    fmap = problem.map.mapping
+    ids = [i for i in range(len(space)) if fmap[i] == i]
     terminal = trace.terminal_id
-    if trace.residual == 0 and terminal not in fp_ids:
+    if trace.residual == 0 and terminal not in ids:
         raise CertificationError("terminal point has zero residual but is not an oracle fixed point")
     if trace.residual > 0:
         raise CertificationError("exact termination with positive residual")
 
     values = [p.value for p in space.points]
     contradictions, unconnected = Witnesses(), Witnesses()
-    if len(fps) >= 2:
+    if len(ids) >= 2:
         if verdict is None:
             verdict = verify_contraction(problem)
         contraction_ok = verdict.ok and verdict.active_count > 0
@@ -267,7 +268,6 @@ def certify(
             yield {"pair": (values[a], values[b]), "path": [values[k] for k in path],
                    "note": note}
 
-        ids = sorted(fp_ids)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 if reach[a] >> b & 1:
@@ -280,9 +280,9 @@ def certify(
                 if contraction_ok:
                     contradictions.add(1, contradiction(a, b, src, dst))
     return FixedPointCertificate(
-        fixed_points=sorted(p.value for p in fps),
+        fixed_points=sorted([values[i] for i in ids]),
         solver_result=values[terminal],
-        unique=len(fps) == 1,
+        unique=len(ids) == 1,
         contradiction_count=contradictions.count,
         contradictions=contradictions.kept,
         unconnected_count=unconnected.count,

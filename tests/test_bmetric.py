@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,18 @@ def grid_spaces(draw):
     [197, 388, 215, 20, 132, 261, 248, 207, 155, 244, 183, 298, 111, 258, 71, 144, 386,
      48, 316, 128, 272, 361, 308, 75, 158, 50, 373, 37, 350, 169, 241, 286, 51, 181,
      222, 161, 312, 327, 104, 282], s=math.nextafter(2.0, 0.0)), 0.0)
+# 2 * C(9, 3) = 168 witnesses, below the cap: the listing ends in the last id's
+# block (value 5, an end of the triple (5, 3, 0)) and must stop at the count
+@example(BMetricSpace.from_values([4, 8, 1, 6, 0, 3, 7, 2, 5], s=1.0), None)
+# tol < 0: the a = w windows hold b = a, its repeated value and its neighbours
+@example(BMetricSpace.from_values([0, 1, 2, 1, 5], s=1.0), -3.0)
+# one and two points: S* is 1, so only a tol < 0 takes the count
+@example(BMetricSpace.from_values([7], s=1.0), -1.0)
+@example(BMetricSpace.from_values([0, 3], s=1.0), -10.0)
+@example(BMetricSpace.from_values([0, 3], metric="absolute-difference"), -1.0)
+# n = 64: about 2,000 windows against a flush size of 2 * 64 * 6 = 768, so the
+# window lists are counted and cleared twice before the last count
+@example(BMetricSpace.from_values([(k * 37) % 101 for k in range(64)], s=1.5), None)
 @given(st.one_of(formula_spaces(), extreme_formula_spaces(), table_spaces(),
                  tie_heavy_spaces(), grid_spaces()),
        st.sampled_from([None, 0.0, -0.0, 1e-15, 1e-12, -1e-12, 1e-9, 0.5, -0.5, -1e3,
@@ -476,6 +489,37 @@ def test_exact_scale_checks_the_lower_triangle_by_symmetry():
     d[0][2] = 10.0  # symmetric again, but both entries are wrong
     object.__setattr__(space, "_d", tuple(map(tuple, d)))
     assert bmetric._exact_scale(space, xs, q) is None
+
+
+@pytest.mark.parametrize("values", [range(0, 96, 4), [k / 8 for k in (3, -11, 0, 7, 20, 5, -2)]])
+@pytest.mark.parametrize("a, b", [(1, 5), (5, 1), (2, 2)])
+@pytest.mark.parametrize("toward", [math.inf, -math.inf])
+def test_exact_scale_rejects_an_entry_one_float_off(values, a, b, toward):
+    # the pass predicts each entry in floats; a pow that rounded leaves one
+    # entry a neighbouring float of its prediction, which must not pass
+    space = BMetricSpace.from_values(values)
+    xs, q = bmetric._value_grid([p.value for p in space.points])
+    assert bmetric._exact_scale(space, xs, q) is not None
+    d = [list(row) for row in space._d]
+    d[a][b] = math.nextafter(d[a][b], toward)
+    object.__setattr__(space, "_d", tuple(map(tuple, d)))
+    assert bmetric._exact_scale(space, xs, q) is None
+
+
+def test_the_triangle_count_keeps_its_window_lists_short():
+    # 320 points give about 51,000 windows, near 4 MB held at once; flushed,
+    # the lists and a listed block stay well under 1 MB
+    space = BMetricSpace.from_values(range(320), s=1.0)
+    xs, q = bmetric._value_grid([p.value for p in space.points])
+    scale = bmetric._exact_scale(space, xs, q)
+    tracemalloc.start()
+    try:
+        found = bmetric._triangle_count(space, xs, scale, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.count == 2 * math.comb(320, 3)
+    assert peak < 1_000_000
 
 
 # -- what a lookup table could silently change ----------------------------------
