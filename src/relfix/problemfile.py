@@ -48,9 +48,11 @@ class SpaceBlock(namedtuple("SpaceBlock", "points metric rows s",
     __slots__ = ()
 
 
-class RelationBlock(namedtuple("RelationBlock", "pairs transitive_closure symmetric_closure",
+class RelationBlock(namedtuple("RelationBlock",
+                               "sources targets values transitive_closure symmetric_closure",
                                defaults=(False, False))):
-    """``[relation]``: the (source, target) value pairs and the two closure flags."""
+    """``[relation]``: the pairs' source and target tokens in file order, the
+    float each distinct token converts to, and the two closure flags."""
 
     __slots__ = ()
 
@@ -191,38 +193,39 @@ def _parse_space(items) -> SpaceBlock:
 
 
 def _parse_relation(items) -> RelationBlock:
-    pairs, tc, sc, seen = [], False, False, {}
+    sources, targets, values, tc, sc, seen = [], [], {}, False, False, {}
     for key, value, line in items:
         if key in ("pairs", "pair"):
             # a well-formed line is the tokens ( a , b ) repeated: padding the
             # punctuation with spaces lets str.split, whose whitespace is the
-            # regex's \s, tokenise it, and float converts a and b
+            # regex's \s, tokenise it
             tokens = value.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
             k = len(tokens) // 5
             if (k and len(tokens) == 5 * k and tokens[::5] == ["("] * k
                     and tokens[2::5] == [","] * k and tokens[4::5] == [")"] * k):
-                try:
-                    # converted in full first, so a bad token adds no pair
-                    pairs += list(zip(map(float, tokens[1::5]), map(float, tokens[3::5])))
-                    continue
-                except ValueError:
-                    pass
-            # any other line, or a bad number, takes the regex split, which
-            # writes every pairs error: [text, a, b, text, a, b, ..., text],
-            # the two groups of each match between the texts around it
-            parts = _PAIR_RE.split(value)
-            if len(parts) == 1:
-                raise ProblemFileError("expected pairs like (1,2) (2,3)", line)
-            stray = " ".join(parts[::3]).split()
-            if stray:
-                raise ProblemFileError(f"stray text {stray[0]!r} between pairs", line)
-            sources, targets = parts[1::3], parts[2::3]
+                src, tgt = tokens[1::5], tokens[3::5]
+            else:
+                # any other line takes the regex split, which writes every
+                # pairs error: [text, a, b, text, a, b, ..., text], the two
+                # groups of each match between the texts around it
+                parts = _PAIR_RE.split(value)
+                if len(parts) == 1:
+                    raise ProblemFileError("expected pairs like (1,2) (2,3)", line)
+                stray = " ".join(parts[::3]).split()
+                if stray:
+                    raise ProblemFileError(f"stray text {stray[0]!r} between pairs", line)
+                src, tgt = parts[1::3], parts[2::3]
+            # each token new to the section is converted once, before the line
+            # adds a pair
+            new = set(src).union(tgt).difference(values)
             try:
-                pairs += zip(map(float, sources), map(float, targets))
+                values.update(zip(new, map(float, new)))
             except ValueError:  # name the first bad token in file order
-                for a, b in zip(sources, targets):
+                for a, b in zip(src, tgt):
                     _num(a, line), _num(b, line)
                 raise
+            sources += src
+            targets += tgt
         elif key == "transitive-closure":
             _once(seen, key, line)
             tc = _flag(value, line)
@@ -231,7 +234,8 @@ def _parse_relation(items) -> RelationBlock:
             sc = _flag(value, line)
         else:
             raise ProblemFileError(f"unknown key {key!r} in [relation]", line)
-    return RelationBlock(pairs=tuple(pairs), transitive_closure=tc, symmetric_closure=sc)
+    return RelationBlock(sources=tuple(sources), targets=tuple(targets), values=values,
+                         transitive_closure=tc, symmetric_closure=sc)
 
 
 def _parse_map(items) -> MapBlock:
@@ -347,7 +351,8 @@ def build_problem(pf: ProblemFile, s_override: float | None = None) -> ProblemBu
     # one handler for every point-valued field; `where` names the field read
     where = "relation endpoint"
     try:
-        relation = BinaryRelation.from_value_pairs(space, pf.relation.pairs)
+        rb = pf.relation
+        relation = BinaryRelation.from_tokens(space, rb.sources, rb.targets, rb.values)
 
         where = "map value"
         mapping = {}

@@ -22,7 +22,7 @@ from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from operator import or_
 
-from .bmetric import _BINARY_DIGITS, BMetricSpace, Witnesses, _pid
+from .bmetric import _BINARY_DIGITS, BMetricSpace, UnknownPointError, Witnesses, _pid
 from .records import fresh, record
 
 # a space of 2**16 points already has a 2**32-entry distance matrix, so no
@@ -109,19 +109,21 @@ class BinaryRelation:
         vars(self).update(_rows=tuple(rows), _cols=tuple(cols))
 
     @classmethod
-    def from_value_pairs(cls, space: BMetricSpace, value_pairs) -> "BinaryRelation":
-        """Pairs of point values, each value looked up once; the first unknown one raises."""
-        ids, rows = {}, [0] * len(space)
-        for a, b in value_pairs:
-            ia = ids.get(a)
-            if ia is None:
-                ia = ids[a] = space.point_by_value(a).id
-            ib = ids.get(b)
-            if ib is None:
-                ib = ids[b] = space.point_by_value(b).id
-            rows[ia] |= 1 << ib
+    def from_tokens(cls, space: BMetricSpace, sources, targets, values: dict) -> "BinaryRelation":
+        """The pairs (sources[k], targets[k]), where a token t names the point
+        ``space.point_by_value(values[t])``.  Each distinct token is looked up
+        once; an unknown one raises for the first unknown endpoint in pair order."""
+        find = space.point_by_value
+        try:
+            ids = {t: find(v).id for t, v in values.items()}
+        except UnknownPointError:
+            for t in chain.from_iterable(zip(sources, targets)):
+                find(values[t])
+            raise
         # rows span ids 0..max id, as every construction's do
-        del rows[max(ids.values(), default=-1) + 1:]
+        rows = [0] * (max(ids.values(), default=-1) + 1)
+        for a, b in zip(sources, targets):
+            rows[ids[a]] |= 1 << ids[b]
         return cls._of_rows(rows)
 
     @property

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .bmetric import BMetricSpace, Point, Witnesses
 from .records import fresh, record
-from .relation import RelationReport, reach_rows
+from .relation import BinaryRelation, RelationReport, _bits, reach_rows
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -214,11 +214,15 @@ def certify(
     d(sigma, F sigma) > 0) claims nothing either way and lists no
     contradiction.
 
-    Connectivity is read off one reachability closure of R (``reach_rows``),
-    so the counts cost no path search.  ``relation``, when given, is
-    ``build_relation_report`` of this problem's space, relation and map; when
-    it finds R transitive, R is its own closure and its rows are read as the
-    reach rows.  Each listed contradiction carries a
+    Connectivity is read off one reachability closure of R (``reach_rows``)
+    and its columns, so the counts cost no path search.  ``relation``, when
+    given, is ``build_relation_report`` of this problem's space, relation and
+    map; when it finds R transitive, R is its own closure and its rows and
+    columns are read.  The pairs are counted by bit rows, one step per fixed
+    point a: the fixed ids above a that lie in a's reach row or column are
+    joined to it, and the rest are unconnected.  Only the listed pairs, the
+    first WITNESS_CAP of each kind in (a, b) order, are built one by one.
+    Each listed contradiction carries a
     path, shortest from a to b when one exists and else from b to a: a
     related pair is its own path, read off R's row, and only the other
     pairs search one.  The "passes only by tolerance" test reads the
@@ -250,35 +254,36 @@ def certify(
         else:
             note = ("connected fixed points under a passing contraction verdict: "
                     "a counterexample to the paper's uniqueness clause")
-        # ContractionProblem keeps R's rows within the space; pad both to it
-        pad = [0] * (len(space) - len(problem.relation._rows))
-        rows = [*problem.relation._rows, *pad]
-        if relation is not None and relation.transitive:
-            reach = rows  # a transitive R is its own closure
-        else:
-            reach = reach_rows(problem.relation) + pad
+        # ContractionProblem keeps R's rows within the space; pad them to it
+        R = problem.relation
+        pad = [0] * (len(space) - len(R._rows))
+        # a transitive R is its own closure
+        closure = (R if relation is not None and relation.transitive
+                   else BinaryRelation._of_rows(reach_rows(R)))
+        # reach[a]: the ids a reaches; cols[a]: the ids that reach a
+        rows, reach, cols = [*R._rows, *pad], [*closure._rows, *pad], [*closure._cols, *pad]
 
-        def contradiction(a, b, src, dst):
-            """The pair's one witness, built when the list reads it."""
-            # find_path's first case: a related pair is its own path
-            if rows[src] >> dst & 1:
-                path = (src, dst)
-            else:
-                path = verify_uniqueness_condition(problem, src, dst).path.nodes
-            yield {"pair": (values[a], values[b]), "path": [values[k] for k in path],
-                   "note": note}
-
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if reach[a] >> b & 1:
-                    src, dst = a, b
-                elif reach[b] >> a & 1:
-                    src, dst = b, a
+        def witnesses(a, joined):
+            """The pairs (a, b), b in ``joined``, built as the list reads them."""
+            for b in _bits(joined):
+                src, dst = (a, b) if reach[a] >> b & 1 else (b, a)
+                # find_path's first case: a related pair is its own path
+                if rows[src] >> dst & 1:
+                    path = (src, dst)
                 else:
-                    unconnected.add(1, [(values[a], values[b])])
-                    continue
-                if contraction_ok:
-                    contradictions.add(1, contradiction(a, b, src, dst))
+                    path = verify_uniqueness_condition(problem, src, dst).path.nodes
+                yield {"pair": (values[a], values[b]), "path": [values[k] for k in path],
+                       "note": note}
+
+        above = sum(1 << a for a in ids)
+        for a in ids:
+            above &= above - 1  # drop a, the lowest fixed id left: the ones above it stay
+            joined = above & (reach[a] | cols[a])
+            rest = above & ~joined
+            unconnected.add(rest.bit_count(), lambda a=a, rest=rest: [
+                (values[a], values[b]) for b in _bits(rest)])
+            if contraction_ok:
+                contradictions.add(joined.bit_count(), witnesses(a, joined))
     return FixedPointCertificate(
         fixed_points=sorted([values[i] for i in ids]),
         solver_result=values[terminal],

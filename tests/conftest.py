@@ -24,8 +24,21 @@ def example_space(metric="squared-difference", s=2.0) -> BMetricSpace:
     return BMetricSpace.from_values(EX_VALUES, metric=metric, s=s)
 
 
+def value_relation(space, value_pairs) -> BinaryRelation:
+    """The relation of these (source value, target value) pairs, by definition:
+    each endpoint's ``point_by_value`` id, collected into a set of id pairs."""
+    return BinaryRelation({(space.point_by_value(a).id, space.point_by_value(b).id)
+                           for a, b in value_pairs})
+
+
+def float_pairs(block) -> tuple:
+    """A parsed ``RelationBlock``'s pairs as (source, target) floats, in file order."""
+    values = block.values
+    return tuple((values[a], values[b]) for a, b in zip(block.sources, block.targets))
+
+
 def example_relation(space) -> BinaryRelation:
-    return BinaryRelation.from_value_pairs(space, EX_PAIRS)
+    return value_relation(space, EX_PAIRS)
 
 
 def example_map(space) -> SelfMap:

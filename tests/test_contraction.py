@@ -19,7 +19,8 @@ from relfix.contraction import (
 )
 from relfix.simulation import SimulationFunction, evaluate
 
-from conftest import example_map, example_potential, example_problem, example_relation, example_space
+from conftest import (example_map, example_potential, example_problem, example_relation,
+                      example_space, value_relation)
 from instance_gen import random_problem
 from ledger_reference import (assert_verdict_matches, reference_active_rows,
                               reference_ledger as column_ledger, reference_row)
@@ -382,7 +383,7 @@ def test_definition_sensitive_flagging():
     # zero potential drop at a moving sigma: s_arg = 0 but t > 0 cannot pass
     # for any simulation function (zeta2 gives zeta(t, 0) < -t), so the row fails
     space = example_space()
-    R = BinaryRelation.from_value_pairs(space, [(3, 4)])
+    R = value_relation(space, [(3, 4)])
     problem = ContractionProblem(
         space=space,
         relation=R,
@@ -413,7 +414,7 @@ def test_hypotheses_fail_on_non_f_closed_relation():
     space = example_space()
     problem = ContractionProblem(
         space=space,
-        relation=BinaryRelation.from_value_pairs(space, [(3, 4)]),
+        relation=value_relation(space, [(3, 4)]),
         map=example_map(space),
         potential=example_potential(space),
         zeta=SimulationFunction(family="linear", lam=0.9),

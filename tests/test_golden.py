@@ -3,7 +3,8 @@
 ``tests/golden/`` holds the ``--json`` report of every fixture under
 ``report``, ``axioms --s 1``, ``verify``, ``solve`` and ``certify`` with the header
 removed, plus one SHA-256 digest per seeded sweep of acceptance criteria 7
-and 8.  The fixture reports and criterion 7's documents must also be strict
+and 8, and one over the ``report`` bodies of the problem files at scale in
+``scale_problems``.  The fixture reports and criterion 7's documents must also be strict
 JSON: no ``NaN`` or ``Infinity`` token.  A change to how a quantity is computed (distance matrix, relation
 index, scan order) must leave all of them byte-identical.  ``sweeps.json``
 also records the ``report.SCHEMA_VERSION`` the goldens were written at.
@@ -23,6 +24,7 @@ import itertools
 import json
 import pathlib
 import random
+import tempfile
 
 import pytest
 
@@ -36,6 +38,7 @@ from relfix.solver import RelationBroken, StartNotAdmissible
 from conftest import FIXTURES
 from instance_gen import random_problem, random_relation_and_map
 from ledger_reference import assert_verdict_matches, reference_ledger
+from scale_problems import SCALE_PROBLEMS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -60,15 +63,20 @@ def strict_loads(text: str):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-def fixture_report(stem: str, command: str) -> str:
-    """The CLI's --json report for one fixture and command, header removed."""
-    argv = COMMANDS[command][:1] + [str(FIXTURES / f"{stem}.problem")] + COMMANDS[command][1:]
+def cli_doc(argv: list) -> dict:
+    """The CLI's --json report for these arguments, header removed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         main(argv + ["--json"])
     doc = strict_loads(out.getvalue())
     del doc["header"]
-    return _dump(doc)
+    return doc
+
+
+def fixture_report(stem: str, command: str) -> str:
+    """The CLI's --json report for one fixture and command, header removed."""
+    argv = COMMANDS[command][:1] + [str(FIXTURES / f"{stem}.problem")] + COMMANDS[command][1:]
+    return _dump(cli_doc(argv))
 
 
 def _command_doc(command: str, bundle: ProblemBundle) -> dict:
@@ -116,7 +124,18 @@ def sweep_8_digest() -> str:
     return hashlib.sha256(_dump(docs).encode()).hexdigest()
 
 
-SWEEPS = {"criterion_7": sweep_7_digest, "criterion_8": sweep_8_digest}
+def scale_digest() -> str:
+    """``report`` bodies of the problem files in ``scale_problems``, read from disk."""
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in SCALE_PROBLEMS.items():
+            path = pathlib.Path(tmp) / f"{name}.problem"
+            path.write_text(text())
+            docs[name] = cli_doc(["report", str(path)])
+    return hashlib.sha256(_dump(docs).encode()).hexdigest()
+
+
+SWEEPS = {"criterion_7": sweep_7_digest, "criterion_8": sweep_8_digest, "scale": scale_digest}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

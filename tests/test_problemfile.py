@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relfix import problemfile
+from relfix.bmetric import BMetricSpace, UnknownPointError
 from relfix.cli import main
+from relfix.relation import BinaryRelation
 from relfix.problemfile import (
     _KNOWN_SECTIONS,
     _PAIR_RE,
@@ -17,7 +19,7 @@ from relfix.problemfile import (
     parse_problem,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, float_pairs
 
 
 def read(name):
@@ -28,7 +30,7 @@ def test_example_fixture_parses():
     pf = parse_problem(read("example-3-1.problem"))
     assert pf.space.points == (1.0, 2.0, 3.0, 4.0)
     assert pf.space.s == 2.0
-    assert len(pf.relation.pairs) == 12
+    assert len(float_pairs(pf.relation)) == 12
     assert pf.potential.linear_coeff == 3.0
     assert pf.zeta.lam == 0.9
     bundle = build_problem(pf)
@@ -175,6 +177,93 @@ def test_first_bad_relation_number_in_file_order_is_named():
         parse_problem(text)
 
 
+def test_a_bad_number_after_a_valid_repeat_is_named_in_file_order():
+    # '1' and '2' repeat a valid token of an earlier pair or line, so only the
+    # new tokens of the later line are converted; the first bad one is named
+    text = read("example-3-1.problem").replace(
+        "pairs = (1,1) (1,2) (1,3) (1,4) (2,1) (2,2) (2,3) (2,4) (3,1) (3,2) (3,3) (3,4)",
+        "pairs = (1,2) (2,1)\npair = (1,2) (2,y) (x,1) (1,z)")
+    with pytest.raises(ProblemFileError, match=re.escape("line 12: expected a number, got 'y'")):
+        parse_problem(text)
+
+
+def test_an_unknown_endpoint_after_a_valid_repeat_is_named_in_file_order():
+    # the unknown values are spelled after valid repeats of known tokens; 99
+    # comes first in file order whatever order the distinct tokens resolve in
+    for pairs in ("(1,2) (2,1)\npair = (1,2) (2,99) (98,1) (97,97)",
+                  "(1,2) (2,99)\npair = (1,98) (2,2)",
+                  "(1,2) (2,1.0)\npair = (1e0,2) (99.0,98) (2,97)"):
+        text = read("example-3-1.problem").replace(
+            "(1,1) (1,2) (1,3) (1,4) (2,1) (2,2) (2,3) (2,4) (3,1) (3,2) (3,3) (3,4)", pairs)
+        with pytest.raises(ProblemFileError, match=r"relation endpoint 99\.0 is not a point"):
+            build_problem(parse_problem(text))
+
+
+# tokens for the points 0, 1, 2.5 and 7.25, several spellings each, two
+# within VALUE_ATOL of a point, then values that are no point and bad numbers
+SPELLINGS = {
+    0.0: ["0", "0.0", "-0", "-0.0", "0e5"],
+    1.0: ["1", "1.0", "1e0", "+1", "1.", "10e-1", "1.0000000000005"],
+    2.5: ["2.5", "2.50", "25e-1", "2.4999999999999"],
+    7.25: ["7.25", "725e-2"],
+}
+UNKNOWN = ["3", "1.1", "nan", "inf", "1.000000001"]
+BAD = ["x", "1..2", "0x1"]
+RELATION_TEXT = ("[space]\npoints = 0 1 2.5 7.25\n[relation]\n{}\n[map]\n"
+                 "piece = [0,7.25] -> 0\n[potential]\nformula = linear 1\n"
+                 "[zeta]\nfamily = linear\nlambda = 0.5\n")
+FIRST_PAIRS_LINE = 4
+
+
+def tokens(rare: list):
+    """Mostly known tokens; ``rare`` ones (unknown or bad) now and then."""
+    known = st.sampled_from([t for spelled in SPELLINGS.values() for t in spelled])
+    return st.one_of(known, known, known, *([st.sampled_from(rare)] if rare else []))
+
+
+@st.composite
+def pairs_lines(draw, rare):
+    """Lines of the [relation] section: 'pairs' or 'pair', compact or spaced."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = draw(st.lists(st.tuples(tokens(rare), tokens(rare)), min_size=1, max_size=8))
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))  # repeated pairs
+        form = draw(st.sampled_from(["({},{})", "( {} , {} )", "({}, {})"]))
+        key = draw(st.sampled_from(["pairs", "pair"]))
+        lines.append((pairs, f"{key} = " + " ".join(form.format(a, b) for a, b in pairs)))
+    return lines
+
+
+def reference_relation(space, lines):
+    """The relation by definition: each token through float, then point_by_value,
+    into a set of id pairs; the first bad or unknown token in file order raises."""
+    for lineno, (pairs, _) in enumerate(lines, start=FIRST_PAIRS_LINE):
+        for a, b in pairs:
+            _num(a, lineno), _num(b, lineno)
+    find = space.point_by_value
+    try:
+        return BinaryRelation({(find(float(a)).id, find(float(b)).id)
+                               for pairs, _ in lines for a, b in pairs})
+    except UnknownPointError as exc:
+        raise ProblemFileError(f"relation endpoint {exc.args[0]} is not a point of the space")
+
+
+def built_or_error(build):
+    try:
+        return build()
+    except ProblemFileError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(pairs_lines([]), pairs_lines(UNKNOWN), pairs_lines(UNKNOWN + BAD)))
+def test_the_relation_block_builds_the_definitional_relation(lines):
+    text = RELATION_TEXT.format("\n".join(line for _, line in lines))
+    space = BMetricSpace.from_values([0, 1, 2.5, 7.25])
+    got = built_or_error(lambda: build_problem(parse_problem(text)).problem.relation)
+    assert got == built_or_error(lambda: reference_relation(space, lines))
+
+
 @pytest.mark.parametrize("pairs, stray", [
     ("(1,2) (2,3 (3,3)", "(2,3"),
     ("(1,2), (2,3)", ","),
@@ -249,7 +338,7 @@ FRAGMENT = st.one_of(PAIR, SPACES, st.sampled_from([
 @example("")
 def test_pairs_line_reads_as_the_regex_split_reads_it(value):
     line = 7
-    assert (parsed_pairs(lambda v: _parse_relation([("pairs", v, line)]).pairs, value)
+    assert (parsed_pairs(lambda v: float_pairs(_parse_relation([("pairs", v, line)])), value)
             == parsed_pairs(lambda v: reference_pairs(v, line), value))
 
 
@@ -272,17 +361,23 @@ def test_a_bad_third_number_is_named_and_keeps_no_pair(monkeypatch, tmp_path, ca
     path.write_text(text)
     assert main(["verify", str(path)]) == 2
     assert message in capsys.readouterr().err
-    # the regex split reads the failed line afresh: the tokeniser's (1, 2) is gone
+    # a well-formed line never reaches the regex split, which would read every
+    # line as (7, 8): the bad token is named from the tokens themselves
     monkeypatch.setattr(problemfile, "_PAIR_RE", OnePairSplit())
     items = [("pairs", "(1,2) (x,3) (3,4)", 11), ("pair", "(4,4)", 12)]
-    assert _parse_relation(items).pairs == ((7.0, 8.0), (4.0, 4.0))
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        _parse_relation(items)
+    assert float_pairs(_parse_relation(items[1:])) == ((4.0, 4.0),)
+    # a malformed line takes the split, and its pairs are the split's
+    items = [("pairs", "(1,2) (3,4", 11), ("pair", "(4,4)", 12)]
+    assert float_pairs(_parse_relation(items)) == ((7.0, 8.0), (4.0, 4.0))
 
 
 def test_pairs_tokens_convert_as_float():
     grid = " ".join(f"({a},{b})" for a in range(24) for b in range(24))
     for value in ("(-0.0,0.0)", "(1,1.0)", "(1e0,2)", "(-0.0, -0.0) (0.0,-0.0)", grid):
         tokens = [t for pair in _PAIR_RE.findall(value) for t in pair]
-        got = [x for pair in _parse_relation([("pairs", value, 1)]).pairs for x in pair]
+        got = [x for pair in float_pairs(_parse_relation([("pairs", value, 1)])) for x in pair]
         # repr tells -0.0 from 0.0
         assert list(map(repr, got)) == [repr(float(t)) for t in tokens]
     assert len(grid.split()) == 576

@@ -39,7 +39,8 @@ OLD_FIELDS = {
     UniquenessCheck: ("path_exists path", {}),
     Piece: ("lo hi lo_closed hi_closed image", {}),
     SpaceBlock: ("points metric rows s", {"metric": "squared-difference", "rows": (), "s": 1.0}),
-    RelationBlock: ("pairs transitive_closure symmetric_closure",
+    # the one declared change: tokens and their floats in place of float pairs
+    RelationBlock: ("sources targets values transitive_closure symmetric_closure",
                     {"transitive_closure": False, "symmetric_closure": False}),
     MapBlock: ("entries pieces", {"entries": (), "pieces": ()}),
     PotentialBlock: ("entries linear_coeff", {"entries": (), "linear_coeff": None}),

@@ -44,7 +44,12 @@ def ex():
 
 
 def vp(space, pairs):
-    return BinaryRelation.from_value_pairs(space, pairs)
+    """The relation of value pairs, built the way a problem file's is: each
+    distinct value stands as its own token."""
+    pairs = list(pairs)
+    tokens = dict.fromkeys(v for pair in pairs for v in pair)
+    return BinaryRelation.from_tokens(space, [a for a, _ in pairs], [b for _, b in pairs],
+                                      dict(zip(tokens, tokens)))
 
 
 def test_related(ex):

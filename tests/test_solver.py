@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from relfix import solver
 from relfix.bmetric import WITNESS_CAP, BMetricSpace, distance
-from relfix.relation import BinaryRelation, build_relation_report
+from relfix.relation import BinaryRelation, build_relation_report, find_path, reach_rows, related
 from relfix.contraction import (ContractionProblem, ContractionVerdict, Potential, SelfMap,
                                 compute_mfr, verify_contraction)
 from relfix.simulation import SimulationFunction
@@ -23,7 +23,7 @@ from relfix.solver import (
     ratio_diagnostics,
 )
 
-from conftest import FIXTURES, example_map, example_problem, example_space
+from conftest import FIXTURES, example_map, example_problem, example_space, value_relation
 from instance_gen import random_problem
 from ledger_reference import assert_verdict_matches, reference_ledger
 from pair_set_reference import reference_find_path
@@ -65,7 +65,7 @@ def test_inadmissible_start_rejected(problem):
 def test_orbit_leaving_relation_aborts():
     # only the admissibility pair present: the second step has no relation pair
     space = example_space()
-    R = BinaryRelation.from_value_pairs(space, [(3, 2)])
+    R = value_relation(space, [(3, 2)])
     problem = ContractionProblem(
         space=space,
         relation=R,
@@ -495,15 +495,21 @@ def fixed_start_trace(problem) -> IterationTrace:
                           phi_values=[phi, phi], residual=0.0, terminated_by="exact-fixed-point")
 
 
-def complete_even_fixed(n):
-    """The fixed-points shape: complete relation, every even point fixed."""
+def even_fixed(n, pairs):
+    """Points 0..n-1 with every even one fixed and each odd one mapped to its
+    left neighbour; the potential passes the verdict on the odd rows."""
     return ContractionProblem(
         space=BMetricSpace.from_values(range(n), s=2.0),
-        relation=BinaryRelation({(a, b) for a in range(n) for b in range(n)}),
+        relation=BinaryRelation(pairs),
         map=SelfMap({k: k - k % 2 for k in range(n)}),
         potential=Potential({k: 0.0 if k % 2 == 0 else 1e6 for k in range(n)}),
         zeta=SimulationFunction(family="linear", lam=0.5),
     )
+
+
+def complete_even_fixed(n):
+    """The fixed-points shape: complete relation, every even point fixed."""
+    return even_fixed(n, {(a, b) for a in range(n) for b in range(n)})
 
 
 def certify_both_ways(problem, trace, verdict):
@@ -534,6 +540,81 @@ def test_certify_matches_the_two_way_bfs_loop(problem, tol):
     assert [(c["pair"], c["path"]) for c in cert.contradictions] == connected[:WITNESS_CAP]
     assert cert.unconnected_count == len(unconnected)
     assert cert.unconnected_pairs == unconnected[:WITNESS_CAP]
+
+
+def pairwise_certificate(problem, trace, verdict):
+    """The pair loop certify ran before it counted by rows, uncapped: each pair
+    of fixed points a < b in turn, joined a to b when R's closure takes a to b,
+    else b to a, with a related pair as its own path and any other path found
+    by ``find_path``."""
+    fmap, R = problem.map.mapping, problem.relation
+    values = [p.value for p in problem.space.points]
+    ids = [a for a in range(len(values)) if fmap[a] == a]
+    reach = reach_rows(R) + [0] * (len(values) - len(R._rows))
+    contraction_ok = verdict.ok and verdict.active_count > 0
+    if contraction_ok and verdict.zeta_min < 0:
+        note = "connected fixed points under a verdict that " + INCONSISTENT
+    else:
+        note = "connected fixed points under a passing contraction verdict: " + COUNTEREXAMPLE
+    contradictions, unconnected = [], []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if reach[a] >> b & 1:
+                src, dst = a, b
+            elif reach[b] >> a & 1:
+                src, dst = b, a
+            else:
+                unconnected.append((values[a], values[b]))
+                continue
+            if contraction_ok:
+                path = (src, dst) if related(R, src, dst) else find_path(R, src, dst).nodes
+                contradictions.append((values[a], values[b], [values[k] for k in path], note))
+    return {"fixed_points": [values[a] for a in ids], "solver_result": values[trace.terminal_id],
+            "unique": len(ids) == 1, "contradiction_count": len(contradictions),
+            "contradictions": contradictions[:WITNESS_CAP],
+            "unconnected_count": len(unconnected), "unconnected_pairs": unconnected[:WITNESS_CAP]}
+
+
+def up_and_down(n):
+    """The lower half linked upward step by step, the upper half downward, each
+    fixed point with its loop: not transitive, and two fixed points of one half
+    are joined only through the odd points between them."""
+    half = n // 2
+    return ({(k, k + 1) for k in range(half - 1)} | {(k + 1, k) for k in range(half, n - 1)}
+            | {(k, k) for k in range(0, n, 2)})
+
+
+# 30 points fixed but 1 and 3; the one active row (1, 3) passes only by the
+# tolerance (as in the test above), and the fixed points are related upward
+TOLERANCE_ONLY = ContractionProblem(
+    space=BMetricSpace.from_values(range(30), s=2.0),
+    relation=BinaryRelation({(1, 3)} | {(a, b) for a in range(30) for b in range(a + 1, 30)
+                                        if a not in (1, 3) and b not in (1, 3)}),
+    map=SelfMap({k: {1: 0, 3: 2}.get(k, k) for k in range(30)}),
+    potential=Potential({k: 4.0 - 5e-13 if k == 1 else 0.0 for k in range(30)}),
+    zeta=SimulationFunction(family="linear", lam=0.5),
+)
+
+
+@pytest.mark.parametrize("problem, tol", [
+    # 24 fixed points, pairwise related: 276 contradictions
+    (complete_even_fixed(48), None),
+    # each odd point related to its image only: 435 unconnected pairs
+    (even_fixed(60, {(k, k - 1) for k in range(1, 60, 2)}), None),
+    # 380 pairs joined through other points, upward or downward, 400 unconnected
+    (even_fixed(80, up_and_down(80)), None),
+    (TOLERANCE_ONLY, 1e-9),
+], ids=["complete", "unconnected", "through-others", "tolerance-only"])
+def test_certify_counts_by_rows_as_the_pairwise_loop_did(problem, tol):
+    verdict = verify_contraction(problem, tol)
+    trace = fixed_start_trace(problem)
+    _, cert = certify_both_ways(problem, trace, verdict)
+    got = {**vars(cert), "contradictions": [(*c["pair"], c["path"], c["note"])
+                                             for c in cert.contradictions]}
+    assert got == pairwise_certificate(problem, trace, verdict)
+    assert max(cert.contradiction_count, cert.unconnected_count) > WITNESS_CAP
+    if tol is not None:
+        assert cert.contradictions[0]["note"].endswith(INCONSISTENT)
 
 
 def test_certify_reads_the_relation_report_on_the_criterion_7_sweep():
