@@ -6,13 +6,17 @@ built with them: ``_cols[b]`` is the int whose bit a is.  Both span ids
 0..max id, so relations with the same pairs have the same rows, and walking
 each row's bits in id order yields the pairs in ``sorted(pairs)`` order.
 Closure, transitivity, completeness, F-closedness and the diagnostics are
-word operations on the rows.  Each predicate and the diagnostics count their
+word operations on the rows.  ``transitive_closure`` marks the relation it
+returns transitive (``_transitive``, a class default of False that no other
+construction sets), so the transitivity verdict reads a closed relation's
+mark and none of its rows.  Each predicate and the diagnostics count their
 witnesses exactly, with ``bit_count`` where a row gives them, into a
 ``bmetric.Witnesses``, which keeps the first WITNESS_CAP of each kind and
 lists no pair past them, so no witness list grows with R.  A bit
 position is an id, so ids must lie in [0, ID_LIMIT).  Every query is a
 read-only function; what it memoises (say, a result per distinct row value)
-lives only for that call, so concurrent use is safe.
+lives only for that call, so concurrent use is safe.  The mark is set once,
+as the closure is built, and is no memo: it records how R was made.
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ class BinaryRelation:
     ``pairs``, the frozen set of (source id, target id) pairs, is built from
     the rows on each read.
     """
+
+    # transitive_closure sets this True in the vars() of what it returns
+    _transitive = False
 
     def __init__(self, pairs):
         ids = []
@@ -179,8 +186,24 @@ def reach_rows(R: BinaryRelation) -> list:
 
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
-    """Smallest transitive superset of R; idempotent."""
-    return BinaryRelation._of_rows(reach_rows(R))
+    """Smallest transitive superset of R; idempotent.  The result is marked
+    transitive, the one place a relation is."""
+    closed = BinaryRelation._of_rows(reach_rows(R))
+    vars(closed)["_transitive"] = True
+    return closed
+
+
+def _intransitive_rows(R: BinaryRelation) -> set:
+    """The distinct row values of R that break transitivity, the one verdict.
+
+    Row a fails when the union of its successors' rows leaves row a, which
+    depends on the row's value alone, so each distinct row is tested once.
+    A relation ``transitive_closure`` built has none, and no row is read.
+    """
+    if R._transitive:
+        return set()
+    rows = R._rows
+    return {row for row in set(rows) if reduce(or_, map(rows.__getitem__, _bits(row)), 0) & ~row}
 
 
 def is_transitive(R: BinaryRelation):
@@ -188,19 +211,18 @@ def is_transitive(R: BinaryRelation):
 
     ``count`` is the exact number of failing triples (a, b, c): (a, b) and
     (b, c) in R but (a, c) not.  ``witnesses`` holds the first WITNESS_CAP of
-    them in sorted order.  Row a fails when the union of its successors' rows
-    leaves row a, which depends on the row's value alone, so each distinct
-    row is tested once; only failing rows are scanned pair by pair, in id order.
+    them in sorted order.  Only the rows ``_intransitive_rows`` returns are
+    scanned pair by pair, in id order.
     """
-    rows, found = R._rows, Witnesses()
-    failing = {row for row in set(rows)
-               if reduce(or_, map(rows.__getitem__, _bits(row)), 0) & ~row}
-    for a, row_a in enumerate(rows):
-        if row_a in failing:
-            bs = _bits(row_a)
-            missing = [rows[b] & ~row_a for b in bs]
-            found.add(sum(map(int.bit_count, missing)),
-                      ((a, b, c) for b, mask in zip(bs, missing) for c in _bits(mask)))
+    found = Witnesses()
+    if failing := _intransitive_rows(R):
+        rows = R._rows
+        for a, row_a in enumerate(rows):
+            if row_a in failing:
+                bs = _bits(row_a)
+                missing = [rows[b] & ~row_a for b in bs]
+                found.add(sum(map(int.bit_count, missing)),
+                          ((a, b, c) for b, mask in zip(bs, missing) for c in _bits(mask)))
     return not found.count, found.count, found.kept
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .bmetric import BMetricSpace, Point, Witnesses
 from .records import fresh, record
-from .relation import BinaryRelation, RelationReport, _bits, reach_rows
+from .relation import RelationReport, _bits, _intransitive_rows, transitive_closure
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -214,15 +214,18 @@ def certify(
     d(sigma, F sigma) > 0) claims nothing either way and lists no
     contradiction.
 
-    Connectivity is read off one reachability closure of R (``reach_rows``)
-    and its columns, so the counts cost no path search.  ``relation``, when
-    given, is ``build_relation_report`` of this problem's space, relation and
-    map; when it finds R transitive, R is its own closure and its rows and
-    columns are read.  The pairs are counted by bit rows, one step per fixed
-    point a: the fixed ids above a that lie in a's reach row or column are
-    joined to it, and the rest are unconnected.  Only the listed pairs, the
-    first WITNESS_CAP of each kind in (a, b) order, are built one by one.
-    Each listed contradiction carries a
+    Connectivity is read off R's transitive closure and its columns, so the
+    counts cost no path search.  A transitive R is its own closure, and its
+    rows and columns are read; only a relation that is not transitive is
+    closed (``transitive_closure``).  ``relation``, when given, is
+    ``build_relation_report`` of this problem's space, relation and map, and
+    its transitivity verdict is read; without it the verdict is taken from
+    R's rows, or from the mark of a relation ``transitive_closure`` built,
+    and no witness is listed.  The pairs are counted by bit rows, one step
+    per fixed point a: the fixed ids above a that lie in a's reach row or
+    column are joined to it, and the rest are unconnected.  Only the listed
+    pairs, the first WITNESS_CAP of each kind in (a, b) order, are built one
+    by one.  Each listed contradiction carries a
     path, shortest from a to b when one exists and else from b to a: a
     related pair is its own path, read off R's row, and only the other
     pairs search one.  The "passes only by tolerance" test reads the
@@ -258,8 +261,8 @@ def certify(
         R = problem.relation
         pad = [0] * (len(space) - len(R._rows))
         # a transitive R is its own closure
-        closure = (R if relation is not None and relation.transitive
-                   else BinaryRelation._of_rows(reach_rows(R)))
+        transitive = relation.transitive if relation is not None else not _intransitive_rows(R)
+        closure = R if transitive else transitive_closure(R)
         # reach[a]: the ids a reaches; cols[a]: the ids that reach a
         rows, reach, cols = [*R._rows, *pad], [*closure._rows, *pad], [*closure._cols, *pad]
 

@@ -1,5 +1,8 @@
+import ast
 import copy
+import json
 import math
+import pathlib
 import pickle
 import random
 import tracemalloc
@@ -12,6 +15,7 @@ from relfix.relation import (
     ID_LIMIT,
     BinaryRelation,
     _bits,
+    build_relation_report,
     check_bd_self_closed,
     find_path,
     is_complete,
@@ -23,6 +27,7 @@ from relfix.relation import (
     symmetric_closure,
     transitive_closure,
 )
+from relfix.report import _plain
 
 from conftest import example_map, example_relation, example_space
 from instance_gen import random_problem, random_relation_and_map
@@ -250,10 +255,10 @@ def test_every_construction_of_one_pair_set_is_one_relation(pairs):
     R = BinaryRelation(pairs)
     closure = reference_closure(R)
     symmetric = frozenset(pairs) | {(b, a) for a, b in pairs}
+    closed = [transitive_closure(R), transitive_closure(BinaryRelation(closure))]
     built = {
         frozenset(pairs): [R, BinaryRelation(sorted(pairs, reverse=True)), vp(SPACE_41, pairs)],
-        closure: [transitive_closure(R), BinaryRelation(closure), vp(SPACE_41, closure),
-                  transitive_closure(BinaryRelation(closure))],
+        closure: [BinaryRelation(closure), vp(SPACE_41, closure), *closed],
         symmetric: [symmetric_closure(R), BinaryRelation(symmetric), vp(SPACE_41, symmetric),
                     symmetric_closure(BinaryRelation(symmetric))],
     }
@@ -264,7 +269,9 @@ def test_every_construction_of_one_pair_set_is_one_relation(pairs):
             assert type(got) is frozenset and got == expected
             assert all(type(a) is int and type(b) is int for a, b in got)
             assert S == first and hash(S) == hash(first) and repr(S) == repr(first)
-            assert vars(S) == vars(first) and len(S) == len(expected)
+            # only transitive_closure marks what it returns
+            mark = {"_transitive": True} if any(S is C for C in closed) else {}
+            assert vars(S) == vars(first) | mark and len(S) == len(expected)
             # the columns are the rows' transpose: the rows of the inverse
             assert S._cols == BinaryRelation({(b, a) for a, b in got})._rows
     for expected, relations in built.items():
@@ -283,6 +290,41 @@ def test_a_relation_is_immutable_and_copies_by_value():
     assert R != R.pairs and R.__eq__(R.pairs) is NotImplemented
     for twin in (copy.copy(R), copy.deepcopy(R), pickle.loads(pickle.dumps(R))):
         assert twin == R and hash(twin) == hash(R) and vars(twin) == vars(R)
+
+
+SPACE_8 = BMetricSpace.from_values(range(8))
+
+
+@settings(max_examples=150)
+@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+       st.lists(st.integers(0, 7), min_size=8, max_size=8))
+@example(set(), [0] * 8)
+@example({(0, 1), (1, 2), (2, 0)}, list(range(8)))  # a cycle: every loop joins the closure
+def test_the_closure_mark_answers_as_the_rows_do(pairs, images):
+    closed = transitive_closure(BinaryRelation(pairs))
+    rebuilt = BinaryRelation(closed.pairs)
+    assert closed._transitive and not rebuilt._transitive and closed == rebuilt
+    assert is_transitive(closed) == is_transitive(rebuilt) == (True, 0, [])
+    mapping = dict(enumerate(images))
+
+    def encoded(R):
+        return json.dumps(build_relation_report(SPACE_8, R, mapping), default=_plain, sort_keys=True)
+
+    assert encoded(closed) == encoded(rebuilt)
+
+
+def test_a_marked_relation_is_judged_without_reading_a_row(monkeypatch):
+    closed = transitive_closure(BinaryRelation({(k, k + 1) for k in range(40)}))
+    rebuilt = BinaryRelation(closed.pairs)
+    read = []
+    monkeypatch.setattr("relfix.relation._bits", lambda mask: read.append(mask) or _bits(mask))
+    assert is_transitive(closed) == (True, 0, []) and read == []
+    assert is_transitive(rebuilt) == (True, 0, []) and read
+    # the mark is state like the rows: it cannot be set, and copies keep it
+    with pytest.raises(AttributeError):
+        rebuilt._transitive = True
+    for twin in (copy.copy(closed), copy.deepcopy(closed), pickle.loads(pickle.dumps(closed))):
+        assert vars(twin) == vars(closed) and vars(twin)["_transitive"] is True
 
 
 def test_non_integral_ids_rejected():
@@ -540,3 +582,60 @@ def test_bitset_readers_match_the_pair_set_code_on_the_sweep_generator(seed):
 def test_find_path_is_the_plain_bfs_path(R, src, dst):
     path = find_path(R, src, dst)
     assert (path and path.nodes) == reference_find_path(R, src, dst)
+
+
+# -- only transitive_closure claims transitivity ----------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "relfix"
+
+
+def mark_writes(source: str) -> list:
+    """(scope, line) of each node that could set ``_transitive``: the name or
+    attribute bound or deleted, or spelled as a string or a keyword, as
+    ``vars(R)["_transitive"]``, ``setattr`` and ``update`` spell it.  The
+    scope is the innermost def or class, None at module level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        bound = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if (isinstance(node, ast.Attribute) and node.attr == "_transitive" and bound
+                or isinstance(node, ast.Name) and node.id == "_transitive" and bound
+                or isinstance(node, ast.keyword) and node.arg == "_transitive"
+                or isinstance(node, ast.Constant) and node.value == "_transitive"):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_flags_every_spelling_of_a_mark_write():
+    source = (
+        "class BinaryRelation:\n"
+        "    _transitive = False\n"
+        "def transitive_closure(R):\n"
+        "    vars(R)['_transitive'] = True\n"
+        "def claim(R):\n"
+        "    R._transitive = True\n"
+        "def claim_by_name(R):\n"
+        "    setattr(R, '_transitive', True)\n"
+        "    vars(R).update(_transitive=True)\n"
+        "def read(R):\n"
+        "    return R._transitive\n"
+    )
+    assert mark_writes(source) == [("BinaryRelation", 2), ("transitive_closure", 4), ("claim", 6),
+                                   ("claim_by_name", 8), ("claim_by_name", 9)]
+
+
+def test_only_transitive_closure_sets_the_mark():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        scopes = sorted({scope for scope, _ in mark_writes(path.read_text())})
+        if scopes:
+            found[path.name] = scopes
+    # the class default and the closure's mark, and nothing else
+    assert found == {"relation.py": ["BinaryRelation", "transitive_closure"]}
+    assert BinaryRelation._transitive is False

@@ -635,20 +635,26 @@ def test_certify_reads_the_relation_report_on_the_criterion_7_sweep():
 def test_a_report_on_a_transitive_relation_builds_no_reach_rows(monkeypatch):
     # the complete relation is transitive, and its 12 fixed points are pairwise related
     calls = Counter()
-    reach = solver.reach_rows
+    reach = reach_rows
 
     def counting_reach(R):
         calls["reach_rows"] += 1
         return reach(R)
 
-    monkeypatch.setattr(solver, "reach_rows", counting_reach)
+    monkeypatch.setattr("relfix.relation.reach_rows", counting_reach)
     bundle = ProblemBundle(problem=complete_even_fixed(24), solver=SolverBlock())
     report, _ = run_command("report", bundle)
     assert report["relation"].transitive and report["certificate"].contradiction_count == 66
     assert calls == {}
-    # the certify command prints no relation report, so it builds the closure
+    # the certify command prints no relation report; R's rows still show it transitive
     report, _ = run_command("certify", bundle)
     assert report["certificate"].contradiction_count == 66
+    assert calls == {}
+    # a relation that is not transitive is closed, once
+    bundle = ProblemBundle(problem=even_fixed(80, up_and_down(80)), solver=SolverBlock())
+    report, _ = run_command("certify", bundle)
+    cert = report["certificate"]
+    assert (cert.contradiction_count, cert.unconnected_count) == (380, 400)
     assert calls == {"reach_rows": 1}
 
 
