@@ -187,7 +187,7 @@ def reach_rows(R: BinaryRelation) -> list:
 
 def transitive_closure(R: BinaryRelation) -> BinaryRelation:
     """Smallest transitive superset of R; idempotent.  The result is marked
-    transitive, the one place a relation is."""
+    transitive; no other function marks a relation."""
     closed = BinaryRelation._of_rows(reach_rows(R))
     vars(closed)["_transitive"] = True
     return closed
