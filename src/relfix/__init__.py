@@ -6,7 +6,6 @@ from .bmetric import BMetricSpace, Point, distance, verify_bmetric_axioms
 from .relation import (
     BinaryRelation,
     Path,
-    check_bd_self_closed,
     find_path,
     is_complete,
     is_f_closed,

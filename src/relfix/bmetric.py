@@ -11,7 +11,7 @@ from operator import attrgetter, gt, sub, truediv, xor
 from .records import fresh, record
 
 FORMULA_METRICS = ("squared-difference", "absolute-difference")
-VALUE_ATOL = 1e-12  # point_by_value's default: values this close name one point
+VALUE_ATOL = 1e-12  # point_by_value's tolerance: values this close name one point
 WITNESS_CAP = 256  # each witness list keeps its first entries; the counts stay exact
 _FLUSH = 2  # _triangle_count holds at most about _FLUSH * n * ceil(log2 n) windows at once
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # bin() digits as 0/1 bytes
@@ -109,8 +109,8 @@ class BMetricSpace:
         by_value = sorted(self.points, key=attrgetter("value"))
         keys = [p.value for p in by_value]
         object.__setattr__(self, "_by_value", (keys, by_value))
-        # with every gap above VALUE_ATOL a value names at most one point at
-        # the default tolerance, so an exact hit is the bisect path's answer
+        # with every gap above VALUE_ATOL a value names at most one point, so
+        # an exact hit is the bisect path's answer
         spread = min(map(sub, keys[1:], keys), default=math.inf) > VALUE_ATOL
         object.__setattr__(self, "_exact", dict(zip(keys, by_value)) if spread else None)
 
@@ -132,42 +132,28 @@ class BMetricSpace:
             raise UnknownPointError(pid)
         return self.points[pid]
 
-    def point_by_value(self, value: float, atol: float = VALUE_ATOL) -> Point:
-        """The lowest-id point with abs(point value - value) <= atol.
+    def point_by_value(self, value: float) -> Point:
+        """The lowest-id point with abs(point value - value) <= VALUE_ATOL.
 
         A value equal to a point's is looked up in ``_exact`` when the space
-        has that index and atol is the default.  Otherwise the sorted values
-        are bisected: those before ``value``'s insertion point differ from it
-        by <= 0, the rest by >= 0, and rounding is monotone, so the matches
-        are one run there.
+        has that index.  Otherwise the sorted values are bisected: those
+        before ``value``'s insertion point differ from it by <= 0, the rest
+        by >= 0, and rounding is monotone, so the matches are one run there.
         """
         exact = self._exact
-        if exact is not None and atol == VALUE_ATOL:
+        if exact is not None:
             p = exact.get(value)
             if p is not None:
                 return p
         keys, pts = self._by_value
         lo = hi = bisect_left(keys, value)
-        while lo > 0 and abs(keys[lo - 1] - value) <= atol:
+        while lo > 0 and abs(keys[lo - 1] - value) <= VALUE_ATOL:
             lo -= 1
-        while hi < len(keys) and abs(keys[hi] - value) <= atol:
+        while hi < len(keys) and abs(keys[hi] - value) <= VALUE_ATOL:
             hi += 1
         if lo == hi:
             raise UnknownPointError(value)
         return pts[lo] if hi - lo == 1 else min(pts[lo:hi], key=attrgetter("id"))
-
-    def min_nonzero_distance(self) -> float:
-        """Smallest positive off-diagonal distance; +inf on a single-point space.
-
-        A formula matrix is symmetric, so its upper triangle suffices; a table
-        may not be, so both of its triangles are read.
-        """
-        if self.metric == "table":
-            rows = [row[:i] + row[i + 1:] for i, row in enumerate(self._d)]
-        else:
-            rows = [row[i + 1:] for i, row in enumerate(self._d)]
-        # every entry is finite and >= 0, so filter(None) keeps the positive ones
-        return min(filter(None, chain.from_iterable(rows)), default=math.inf)
 
     def __len__(self):
         return len(self.points)

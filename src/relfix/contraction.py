@@ -205,8 +205,11 @@ def linear_lambda_threshold(verdict: ContractionVerdict) -> float:
 class HypothesisReport:
     """The existence theorem's hypotheses.  F-closedness and transitivity are
     verdicts only: their witnesses are the relation report's counterexamples.
-    Condition (iii) holds on every finite space; the relation report's
-    ``bd_justification`` says why."""
+    Condition (iii), a b-d-self-closed R, holds on every finite space and is
+    not reported: the least nonzero distance is positive, so every convergent
+    sequence is eventually constant, and the constant tail of an R-preserving
+    one is a subsequence whose pairs (limit, limit) lie in R.  The same tails
+    make the space complete and every self-map R-continuous."""
 
     mfr: list                      # admissible start point values, in point-id order
     mfr_points: list = IN_MEMORY  # compute_mfr's points, read for the start

@@ -198,11 +198,13 @@ def _parse_relation(items) -> RelationBlock:
         if key in ("pairs", "pair"):
             # a well-formed line is the tokens ( a , b ) repeated: padding the
             # punctuation with spaces lets str.split, whose whitespace is the
-            # regex's \s, tokenise it
+            # regex's \s, tokenise it; a and b hold no punctuation, so the
+            # line holds k of each punctuation character
             tokens = value.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
             k = len(tokens) // 5
             if (k and len(tokens) == 5 * k and tokens[::5] == ["("] * k
-                    and tokens[2::5] == [","] * k and tokens[4::5] == [")"] * k):
+                    and tokens[2::5] == [","] * k and tokens[4::5] == [")"] * k
+                    and value.count("(") == value.count(")") == value.count(",") == k):
                 src, tgt = tokens[1::5], tokens[3::5]
             else:
                 # any other line takes the regex split, which writes every

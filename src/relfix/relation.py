@@ -310,23 +310,6 @@ def find_path(R: BinaryRelation, source, target) -> Path | None:
     return None
 
 
-def check_bd_self_closed(space: BMetricSpace) -> str:
-    """Why every finite space is b-d-self-closed, as the justification string.
-
-    The minimal nonzero distance is positive, so every convergent sequence is
-    eventually constant, and any relation-preserving convergent sequence has
-    a constant tail whose pairs are (limit, limit) in R; the constant tail is
-    the required subsequence, related to the limit in either direction.  The
-    same tails make the space complete and every self-map R-continuous.
-    """
-    gap = space.min_nonzero_distance()
-    return (
-        "eventually-constant tails: minimal nonzero distance "
-        f"{gap:g} > 0 forces convergent sequences to stabilize; tail pairs "
-        "(limit, limit) lie in the relation by preservation"
-    )
-
-
 @record
 class RelationDiagnostics:
     """Each list in ``witnesses`` keeps its first WITNESS_CAP entries; ``witness_counts``
@@ -375,7 +358,6 @@ class RelationReport:
     counterexample_counts: dict
     counterexamples: dict
     diagnostics: RelationDiagnostics
-    bd_justification: str = ""  # condition (iii) holds on every finite space; this says why
 
 
 def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict) -> RelationReport:
@@ -388,5 +370,4 @@ def build_relation_report(space: BMetricSpace, R: BinaryRelation, mapping: dict)
         counterexample_counts={k: total for k, (_, total, _) in found.items()},
         counterexamples={k: kept for k, (_, _, kept) in found.items()},
         diagnostics=relation_diagnostics(R, space),
-        bd_justification=check_bd_self_closed(space),
     )

@@ -30,7 +30,7 @@ from .relation import build_relation_report
 from .simulation import check_zeta_axioms
 from .solver import CertificationError, certify, picard_iterate, ratio_diagnostics
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 COMMANDS = ("axioms", "verify", "solve", "certify", "report")
 
 
@@ -92,8 +92,8 @@ def run_command(
     """Run one CLI command; returns (report, pass) with pass driving the exit code.
 
     ``report`` runs every other command's checks and judges its certificate on
-    the ledger its hypotheses printed and the relation report it printed.  The
-    report holds records; encode it with ``json.dumps(report, default=_plain)``."""
+    the ledger its hypotheses printed.  The report holds records; encode it
+    with ``json.dumps(report, default=_plain)``."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     problem = bundle.problem
@@ -102,7 +102,7 @@ def run_command(
     if command in ("axioms", "report"):
         report["bmetric_axioms"] = verify_bmetric_axioms(problem.space, tol)
         report["zeta_axioms"] = check_zeta_axioms(problem.zeta)
-        ok = report["bmetric_axioms"].all_ok and report["zeta_axioms"].all_ok
+        ok = report["bmetric_axioms"].all_ok and report["zeta_axioms"].zeta2_ok
     verdict = mfr = None
     if command in ("verify", "report"):
         # the hypotheses read F-closedness and transitivity off the relation report
@@ -126,7 +126,7 @@ def run_command(
             if verdict is None:
                 verdict = verify_contraction(problem, tol)
             try:
-                cert = certify(problem, trace, verdict, report.get("relation"))
+                cert = certify(problem, trace, verdict)
             except CertificationError as exc:
                 report["certificate_error"] = str(exc)
                 ok = False

@@ -1,4 +1,4 @@
-"""Simulation-function catalog and the exact verdicts on its defining axioms.
+"""Simulation-function catalog and the exact verdict on zeta2.
 
 Both families are affine, zeta(t, s) = lam*s - mu*t with mu = 1 for linear,
 so each axiom of Khojasteh, Shukla and Radenović (Filomat 29, 2015) has a
@@ -8,6 +8,8 @@ closed-form verdict:
     zeta2  zeta(t, s) < s - t for all t, s > 0           iff lam <= 1 <= mu
     zeta3  limsup zeta(t_n, s_n) < 0 when t_n, s_n -> L > 0
            (the limit is (lam - mu) L)                   iff lam < mu, always
+
+Only zeta2 is reported; ``check_zeta_axioms`` says why.
 """
 
 from __future__ import annotations
@@ -57,14 +59,8 @@ def evaluate(zeta: SimulationFunction, t: float, s_arg: float) -> float:
 
 @record
 class ZetaAxiomReport:
-    zeta1_ok: bool
     zeta2_ok: bool
-    zeta3_ok: bool
     zeta2_witnesses: list = fresh(list)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.zeta1_ok and self.zeta2_ok and self.zeta3_ok
 
 
 def _zeta2_witness(lam: float, mu: float) -> tuple[float, float]:
@@ -90,13 +86,15 @@ def _zeta2_witness(lam: float, mu: float) -> tuple[float, float]:
 
 
 def check_zeta_axioms(zeta: SimulationFunction) -> ZetaAxiomReport:
-    """Decide the three axioms exactly; a failing zeta2 carries one witness.
+    """Decide zeta2 exactly; a failing zeta2 carries one witness.
 
     The witness is (t, s, zeta(t, s)) with finite positive t and s at which
-    zeta(t, s) >= s - t holds over the reals.
+    zeta(t, s) >= s - t holds over the reals.  zeta1 and zeta3 need no
+    verdict: the constructor admits only 0 < lam < mu < inf (mu = 1 for
+    linear), which gives zeta(0, 0) = 0 and a zeta3 limit of (lam - mu) L < 0.
     """
     lam, mu = zeta.lam, zeta.t_coeff
-    report = ZetaAxiomReport(zeta1_ok=True, zeta2_ok=lam <= 1.0 <= mu, zeta3_ok=True)
+    report = ZetaAxiomReport(zeta2_ok=lam <= 1.0 <= mu)
     if not report.zeta2_ok:
         t, s_arg = _zeta2_witness(lam, mu)
         report.zeta2_witnesses.append((t, s_arg, evaluate(zeta, t, s_arg)))

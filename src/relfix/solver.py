@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .bmetric import BMetricSpace, Point, Witnesses
 from .records import fresh, record
-from .relation import RelationReport, _bits, _intransitive_rows, transitive_closure
+from .relation import _bits, _intransitive_rows, transitive_closure
 from .contraction import (
     ContractionProblem,
     ContractionVerdict,
@@ -195,7 +195,6 @@ def certify(
     problem: ContractionProblem,
     trace: IterationTrace,
     verdict: ContractionVerdict | None = None,
-    relation: RelationReport | None = None,
 ) -> FixedPointCertificate:
     """Cross-check a terminated trace against the exhaustive fixed-point oracle.
 
@@ -217,9 +216,7 @@ def certify(
     Connectivity is read off R's transitive closure and its columns, so the
     counts cost no path search.  A transitive R is its own closure, and its
     rows and columns are read; only a relation that is not transitive is
-    closed (``transitive_closure``).  ``relation``, when given, is
-    ``build_relation_report`` of this problem's space, relation and map, and
-    its transitivity verdict is read; without it the verdict is taken from
+    closed (``transitive_closure``).  The transitivity verdict is taken from
     R's rows, or from the mark of a relation ``transitive_closure`` built,
     and no witness is listed.  The pairs are counted by bit rows, one step
     per fixed point a: the fixed ids above a that lie in a's reach row or
@@ -261,8 +258,7 @@ def certify(
         R = problem.relation
         pad = [0] * (len(space) - len(R._rows))
         # a transitive R is its own closure
-        transitive = relation.transitive if relation is not None else not _intransitive_rows(R)
-        closure = R if transitive else transitive_closure(R)
+        closure = transitive_closure(R) if _intransitive_rows(R) else R
         # reach[a]: the ids a reaches; cols[a]: the ids that reach a
         rows, reach, cols = [*R._rows, *pad], [*closure._rows, *pad], [*closure._cols, *pad]
 

@@ -212,11 +212,6 @@ def test_triangle_monotone_in_s(values, s_big):
         assert verify_bmetric_axioms(bigger).triangle_ok
 
 
-def test_min_nonzero_distance():
-    assert example_space().min_nonzero_distance() == 1.0
-    assert BMetricSpace.from_values([5]).min_nonzero_distance() == math.inf
-
-
 # -- equivalence with the per-triple scan the distance matrix replaced ----------
 
 def formula_distance(space, a, b):
@@ -456,17 +451,6 @@ def test_last_hit_finds_the_prefix_end_from_any_guess(k_max, data, guess):
     assert len(calls) <= 2 * math.log2(k_max + 2) + 2
 
 
-# an asymmetric table: d(1, 0) = 1 lies below the diagonal
-@example(BMetricSpace.from_values([0, 1], metric="table", table=((0.0, 5.0), (1.0, 0.0))))
-@given(st.one_of(formula_spaces(), table_spaces()))
-def test_min_nonzero_distance_matches_pair_scan(space):
-    best = math.inf
-    for a, b in itertools.permutations(range(len(space)), 2):
-        if 0 < formula_distance(space, a, b) < best:
-            best = formula_distance(space, a, b)
-    assert space.min_nonzero_distance() == best
-
-
 def test_identity_and_symmetry_witnesses_are_counted_while_scanning():
     # zero above the diagonal, one below: every pair a < b is an identity and a
     # symmetry witness
@@ -571,22 +555,18 @@ def test_point_by_value_keeps_its_tolerance():
     assert space.point_by_value(2).id == 1
     with pytest.raises(UnknownPointError):
         space.point_by_value(2.0 + 1e-9)
-    with pytest.raises(UnknownPointError):
-        space.point_by_value(2.0, atol=-1.0)
 
 
 def test_point_by_value_near_duplicates_resolve_to_first_id():
     space = BMetricSpace.from_values([5.0, 1.0, 1.0 + 5e-13, 1.0])
-    # both 1.0 and 1.0 + 5e-13 lie within atol of each other: id order wins
+    # both 1.0 and 1.0 + 5e-13 lie within VALUE_ATOL of each other: id order wins
     assert space.point_by_value(1.0 + 5e-13).id == 1
     assert space.point_by_value(1.0).id == 1
-    # with a tolerance below the gap the exact value is the only match
-    assert space.point_by_value(1.0 + 5e-13, atol=0.0).id == 2
 
 
-def point_by_value_scan(space, value, atol):
+def point_by_value_scan(space, value):
     """Reference: the linear scan over ids that the sorted index replaced."""
-    return next((p for p in space.points if abs(p.value - value) <= atol), None)
+    return next((p for p in space.points if abs(p.value - value) <= bmetric.VALUE_ATOL), None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -604,18 +584,17 @@ def test_point_by_value_matches_the_linear_scan(steps, base, spacing):
             v = p.value + offset
             queries += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
     for value in queries:
-        for atol in (bmetric.VALUE_ATOL, 0.0, 2e-12, -1.0, math.nan):
-            expected = point_by_value_scan(space, value, atol)
-            if expected is None:
-                with pytest.raises(UnknownPointError):
-                    space.point_by_value(value, atol)
-            else:
-                assert space.point_by_value(value, atol) == expected
+        expected = point_by_value_scan(space, value)
+        if expected is None:
+            with pytest.raises(UnknownPointError):
+                space.point_by_value(value)
+        else:
+            assert space.point_by_value(value) == expected
 
 
-def point_by_value_bisect(space, value, atol):
+def point_by_value_bisect(space, value):
     """Reference: the bisect over the sorted values, with no exact-value index."""
-    keys, pts = space._by_value
+    keys, pts, atol = *space._by_value, bmetric.VALUE_ATOL
     lo = hi = bisect.bisect_left(keys, value)
     while lo > 0 and abs(keys[lo - 1] - value) <= atol:
         lo -= 1
@@ -643,13 +622,12 @@ def test_value_index_agrees_with_the_bisect_path(values):
             q = v + offset
             queries += [q, -q, math.nextafter(q, math.inf), math.nextafter(q, -math.inf)]
     for value in queries:
-        for atol in (0.0, bmetric.VALUE_ATOL, 1e-6, -1.0, math.nan):
-            expected = point_by_value_bisect(space, value, atol)
-            if expected is None:
-                with pytest.raises(UnknownPointError):
-                    space.point_by_value(value, atol)
-            else:
-                assert space.point_by_value(value, atol) is expected
+        expected = point_by_value_bisect(space, value)
+        if expected is None:
+            with pytest.raises(UnknownPointError):
+                space.point_by_value(value)
+        else:
+            assert space.point_by_value(value) is expected
 
 
 def test_caches_are_not_fields():

@@ -404,10 +404,6 @@ def test_verify_all_hypotheses_example(problem):
     rep = verify_all_hypotheses(problem)
     assert rep.all_hypotheses_ok
     assert rep.mfr == [1.0, 2.0, 3.0]
-    # condition (iii) is justified once, on the relation report
-    rel = build_relation_report(problem.space, problem.relation, problem.map.mapping)
-    assert rel.bd_justification.startswith(
-        "eventually-constant tails: minimal nonzero distance 1 > 0")
 
 
 def test_hypotheses_fail_on_non_f_closed_relation():

@@ -14,7 +14,8 @@ Regenerate only when a report is meant to change, from the root of a checkout:
 
 Regeneration writes nothing if a golden's key set changed while
 ``SCHEMA_VERSION`` is still the recorded one: a report whose fields change
-bumps the schema.
+bumps the schema.  At a bumped schema it prints, per changed golden, the key
+paths it lost (-) and gained (+).
 """
 
 import contextlib
@@ -173,17 +174,33 @@ def key_paths(doc, prefix: str = "") -> set:
     return set()
 
 
+def key_changes(goldens: dict, golden_dir: pathlib.Path) -> dict:
+    """name -> (lost, gained): the sorted key paths that a new golden (name ->
+    text) drops from, and adds to, the committed one, for each whose set differs."""
+    changes = {}
+    for name, text in sorted(goldens.items()):
+        if (golden_dir / name).exists():
+            old = key_paths(json.loads((golden_dir / name).read_text()))
+            new = key_paths(json.loads(text))
+            if old != new:
+                changes[name] = (sorted(old - new), sorted(new - old))
+    return changes
+
+
 def check_regeneration(goldens: dict, golden_dir: pathlib.Path = GOLDEN) -> None:
     """Exit, naming the files, when a new golden (name -> text) has another key
-    set than the committed one while SCHEMA_VERSION is the recorded one."""
+    set than the committed one while SCHEMA_VERSION is the recorded one.  At a
+    new SCHEMA_VERSION, print each changed golden's lost (-) and gained (+)
+    key paths instead."""
     recorded = golden_dir / "sweeps.json"
-    if not recorded.exists() or json.loads(recorded.read_text()).get("schema_version") != SCHEMA_VERSION:
+    if not recorded.exists():
         return
-    changed = [name for name, text in sorted(goldens.items())
-               if (golden_dir / name).exists()
-               and key_paths(json.loads((golden_dir / name).read_text())) != key_paths(json.loads(text))]
-    if changed:
-        raise SystemExit(f"key sets changed in {', '.join(changed)} while SCHEMA_VERSION is still "
+    changes = key_changes(goldens, golden_dir)
+    if json.loads(recorded.read_text()).get("schema_version") != SCHEMA_VERSION:
+        for name, (lost, gained) in changes.items():
+            print(name, *[f"  - {p}" for p in lost], *[f"  + {p}" for p in gained], sep="\n")
+    elif changes:
+        raise SystemExit(f"key sets changed in {', '.join(changes)} while SCHEMA_VERSION is still "
                          f"{SCHEMA_VERSION}: bump relfix.report.SCHEMA_VERSION first; nothing written")
 
 
@@ -196,6 +213,15 @@ def test_regeneration_refuses_a_key_change_without_a_schema_bump(tmp_path):
             check_regeneration({"a.json": changed}, tmp_path)
     (tmp_path / "sweeps.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION - 1}))
     check_regeneration({"a.json": '{"z": 1}'}, tmp_path)
+
+
+def test_regeneration_at_a_schema_bump_lists_the_moved_key_paths(tmp_path, capsys):
+    (tmp_path / "a.json").write_text('{"x": [{"y": 1}], "v": 0}')
+    (tmp_path / "b.json").write_text('{"u": 0}')
+    (tmp_path / "sweeps.json").write_text(json.dumps({"schema_version": SCHEMA_VERSION - 1}))
+    check_regeneration({"a.json": '{"x": [{"z": 1}], "v": 0, "w": 2}', "b.json": '{"u": 1}',
+                        "new.json": "{}"}, tmp_path)
+    assert capsys.readouterr().out == "a.json\n  - .x[].y\n  + .w\n  + .x[].z\n"
 
 
 if __name__ == "__main__":

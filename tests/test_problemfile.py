@@ -335,6 +335,7 @@ FRAGMENT = st.one_of(PAIR, SPACES, st.sampled_from([
 @example("(1,2)(3,\u200b4)")
 @example("(1 2 3)")
 @example("(1,2 3")
+@example("((,0)")
 @example("")
 def test_pairs_line_reads_as_the_regex_split_reads_it(value):
     line = 7

@@ -114,11 +114,11 @@ OLD_DECLARATIONS = {
                           "tol", ("identity_witness_count", 0), ("identity_witnesses", LIST),
                           ("symmetry_witness_count", 0), ("symmetry_witnesses", LIST),
                           ("triangle_witness_count", 0), ("triangle_witnesses", LIST)]),
-    ZetaAxiomReport: (False, ["zeta1_ok", "zeta2_ok", "zeta3_ok", ("zeta2_witnesses", LIST)]),
+    ZetaAxiomReport: (False, ["zeta2_ok", ("zeta2_witnesses", LIST)]),
     RelationDiagnostics: (False, ["reflexive", "irreflexive", "symmetric", "antisymmetric",
                                   ("witness_counts", DICT), ("witnesses", DICT)]),
     RelationReport: (False, ["transitive", "complete", "f_closed", "counterexample_counts",
-                             "counterexamples", "diagnostics", ("bd_justification", "")]),
+                             "counterexamples", "diagnostics"]),
     ContractionVerdict: (False, ["ok", "s", "tol", "active_count", "failing_count",
                                  "failing_rows", ("lambda_threshold", MEMORY),
                                  ("zeta_min", MEMORY), ("active_spans", MEMORY)]),

@@ -16,7 +16,6 @@ from relfix.relation import (
     BinaryRelation,
     _bits,
     build_relation_report,
-    check_bd_self_closed,
     find_path,
     is_complete,
     is_f_closed,
@@ -129,14 +128,6 @@ def test_find_path_tie_breaking():
     # two shortest 2-step routes 0->x->3; the smaller intermediate wins
     R = BinaryRelation({(0, 2), (0, 1), (1, 3), (2, 3)})
     assert find_path(R, 0, 3).nodes == (0, 1, 3)
-
-
-def test_bd_self_closed(ex):
-    space, R = ex
-    assert "eventually-constant" in check_bd_self_closed(space)
-
-    single = BMetricSpace.from_values([1])
-    assert "minimal nonzero distance inf > 0" in check_bd_self_closed(single)
 
 
 def test_relation_diagnostics(ex):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from relfix.simulation import SimulationFunction, check_zeta_axioms, evaluate
+from relfix.simulation import FAMILIES, SimulationFunction, check_zeta_axioms, evaluate
 
 
 def linear(lam):
@@ -37,7 +37,7 @@ def test_scaled_family():
 
 def test_linear_axioms_all_pass():
     rep = check_zeta_axioms(linear(0.9))
-    assert rep.all_ok
+    assert rep.zeta2_ok
     assert rep.zeta2_witnesses == []
 
 
@@ -45,7 +45,6 @@ def test_scaled_mu_below_one_violates_zeta2():
     # lam*s - mu*t >= s - t once t >= (1 - lam) / (1 - mu) * s = 1.8 s
     zeta = SimulationFunction(family="scaled", lam=0.1, mu=0.5)
     rep = check_zeta_axioms(zeta)
-    assert rep.zeta1_ok and rep.zeta3_ok
     assert not rep.zeta2_ok
     assert rep.zeta2_witnesses == [(2.0, 1.0, evaluate(zeta, 2.0, 1.0))]
 
@@ -61,7 +60,6 @@ def zeta2_fails_exactly(lam, mu) -> bool:
 
 def assert_exact_verdict(zeta, mu):
     rep = check_zeta_axioms(zeta)
-    assert rep.zeta1_ok and rep.zeta3_ok
     assert rep.zeta2_ok is not zeta2_fails_exactly(zeta.lam, mu)
     if rep.zeta2_ok:
         assert rep.zeta2_witnesses == []
@@ -91,6 +89,38 @@ def test_scaled_zeta2_verdict_is_exact(a, b):
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
 def test_linear_zeta_passes_every_axiom(lam):
     assert_exact_verdict(linear(lam), 1.0)
+
+
+ZETA_PARAMETERS = st.one_of(
+    st.tuples(st.just("linear"), st.floats(0.0, 1.0), st.none()),
+    st.tuples(st.just("scaled"), st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    st.tuples(st.sampled_from(FAMILIES), st.none() | st.floats(), st.none() | st.floats()),
+)
+
+
+@given(ZETA_PARAMETERS)
+@example(("linear", 2.0 ** -1074, None))
+@example(("scaled", 1.0, 1.0 + 2.0 ** -52))
+def test_every_admitted_zeta_meets_zeta1_and_zeta3(params):
+    """zeta1 and zeta3 hold by construction, so no report states them: every
+    zeta the constructor admits has zeta(0, 0) = 0 and lam < mu, which makes
+    the zeta3 limit (lam - mu) L negative."""
+    family, lam, mu = params
+    try:
+        zeta = SimulationFunction(family=family, lam=lam, mu=mu)
+    except ValueError:
+        return
+    assert evaluate(zeta, 0.0, 0.0) == 0
+    assert zeta.lam < zeta.t_coeff
+
+
+@given(st.floats(allow_nan=False), st.floats(min_value=1.0))
+@example(0.5, 1.0)
+def test_a_zeta_without_a_zeta3_margin_is_refused(both, lam):
+    with pytest.raises(ValueError):
+        SimulationFunction(family="scaled", lam=both, mu=both)
+    with pytest.raises(ValueError):
+        linear(lam)
 
 
 def test_scaled_rejects_infinite_mu():

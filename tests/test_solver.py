@@ -512,14 +512,6 @@ def complete_even_fixed(n):
     return even_fixed(n, {(a, b) for a in range(n) for b in range(n)})
 
 
-def certify_both_ways(problem, trace, verdict):
-    """certify with and without the relation report; the two must agree field for field."""
-    relation = build_relation_report(problem.space, problem.relation, problem.map.mapping)
-    cert = certify(problem, trace, verdict, relation=relation)
-    assert vars(cert) == vars(certify(problem, trace, verdict))
-    return relation, cert
-
-
 @settings(max_examples=100, deadline=None)
 @given(fixed_point_problems(), st.sampled_from([None, 1e12]))
 # 276 connected pairs of 24 fixed points: the kept list stops at the cap
@@ -534,7 +526,7 @@ def certify_both_ways(problem, trace, verdict):
 def test_certify_matches_the_two_way_bfs_loop(problem, tol):
     verdict = verify_contraction(problem, tol)
     trace = fixed_start_trace(problem)
-    _, cert = certify_both_ways(problem, trace, verdict)
+    cert = certify(problem, trace, verdict)
     connected, unconnected = reference_certificate(problem, verdict)
     assert cert.contradiction_count == len(connected)
     assert [(c["pair"], c["path"]) for c in cert.contradictions] == connected[:WITNESS_CAP]
@@ -575,6 +567,12 @@ def pairwise_certificate(problem, trace, verdict):
             "unconnected_count": len(unconnected), "unconnected_pairs": unconnected[:WITNESS_CAP]}
 
 
+def certificate_fields(cert) -> dict:
+    """A certificate's fields as ``pairwise_certificate`` writes them."""
+    return {**vars(cert), "contradictions": [(*c["pair"], c["path"], c["note"])
+                                             for c in cert.contradictions]}
+
+
 def up_and_down(n):
     """The lower half linked upward step by step, the upper half downward, each
     fixed point with its loop: not transitive, and two fixed points of one half
@@ -608,26 +606,30 @@ TOLERANCE_ONLY = ContractionProblem(
 def test_certify_counts_by_rows_as_the_pairwise_loop_did(problem, tol):
     verdict = verify_contraction(problem, tol)
     trace = fixed_start_trace(problem)
-    _, cert = certify_both_ways(problem, trace, verdict)
-    got = {**vars(cert), "contradictions": [(*c["pair"], c["path"], c["note"])
-                                             for c in cert.contradictions]}
-    assert got == pairwise_certificate(problem, trace, verdict)
+    cert = certify(problem, trace, verdict)
+    assert certificate_fields(cert) == pairwise_certificate(problem, trace, verdict)
     assert max(cert.contradiction_count, cert.unconnected_count) > WITNESS_CAP
     if tol is not None:
         assert cert.contradictions[0]["note"].endswith(INCONSISTENT)
 
 
 def test_certify_reads_the_relation_report_on_the_criterion_7_sweep():
-    # criterion 7's instances, verified or not, from every admissible start
+    # criterion 7's instances, verified or not, from every admissible start:
+    # certify takes R's transitivity from its rows, and its certificate is the
+    # pairwise loop's whatever the relation report says
     rng = random.Random(20260823)
     transitive_multi = 0
     for _ in range(200):
         problem = random_problem(rng)
         verdict = verify_contraction(problem)
+        relation = build_relation_report(problem.space, problem.relation, problem.map.mapping)
         for start in compute_mfr(problem.space, problem.relation, problem.map):
             trace = picard_iterate(problem, start)
             if trace.terminated_by == "exact-fixed-point":
-                relation, cert = certify_both_ways(problem, trace, verdict)
+                cert = certify(problem, trace, verdict)
+                want = pairwise_certificate(problem, trace, verdict)
+                assert certificate_fields(cert) == {**want,
+                                                    "fixed_points": sorted(want["fixed_points"])}
                 transitive_multi += relation.transitive and not cert.unique
     assert transitive_multi, "the sweep never read a transitive R's rows as its reach rows"
 
