@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import attrgetter, gt, sub, truediv, xor
+from itertools import accumulate, chain, combinations, compress, islice, repeat
+from operator import attrgetter, gt, le, sub, truediv, xor
 
 from .records import fresh, record
 
@@ -61,7 +61,9 @@ class BMetricSpace:
     indexed by point id.
 
     Construction materialises the n x n distance matrix that every
-    distance read goes through.  Every distance must be a finite float.  The
+    distance read goes through.  A squared-difference entry is the product
+    (va - vb) * (va - vb), which IEEE 754 rounds correctly, so the matrix has
+    the same bits on every platform.  Every distance must be a finite float.  The
     matrix and its largest entry ``_dmax`` are plain instance attributes, so
     equality, hashing and ``_fields`` see only the declared fields.
     """
@@ -96,12 +98,10 @@ class BMetricSpace:
                         raise ValueError("metric table entries must be finite and nonnegative")
         elif self.metric not in FORMULA_METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
-        try:
-            d = self._distance_matrix()
-        except OverflowError:
-            d = None
-        # finite values can still be too far apart for a float distance
-        dmax = math.inf if d is None else max(map(max, d))
+        d = self._distance_matrix()
+        # finite values can still be too far apart for a float distance: a
+        # difference or its square then overflows to inf
+        dmax = max(map(max, d))
         if not math.isfinite(dmax):
             raise ValueError("point values too far apart: a distance is not a finite float")
         object.__setattr__(self, "_d", d)
@@ -117,7 +117,7 @@ class BMetricSpace:
     def _distance_matrix(self) -> tuple:
         vals = [p.value for p in self.points]
         if self.metric == "squared-difference":
-            return tuple([tuple([(va - vb) ** 2 for vb in vals]) for va in vals])
+            return tuple([tuple([(t := va - vb) * t for vb in vals]) for va in vals])
         if self.metric == "absolute-difference":
             return tuple([tuple([abs(va - vb) for vb in vals]) for va in vals])
         return tuple([tuple(row) for row in self.table])
@@ -262,34 +262,20 @@ def _exact_scale(space: BMetricSpace, xs: list, q: int) -> float | None:
     float.  Otherwise (a span too wide, or a grid so fine the scale
     underflows) the answer is None.
 
-    Each upper-triangle entry is then compared with its prediction from the
-    point values in floats, (va - vb) * (va - vb) or abs(va - vb), and that
-    prediction is K * scale bit for bit: va - vb is (Xa - Xb) * 2**-e, an
+    In range, the entries need not be read: va - vb is (Xa - Xb) * 2**-e, an
     integer below 2**52 in magnitude times a power of two no smaller than
-    2**-1022, so it is a float and the subtraction returns it exactly; the
-    square (Xa - Xb)**2 * 2**-2e is such a float too, so the product is exact.
-    The entries are read, not assumed: the matrix is built with a libm pow,
-    and an entry it rounded differs from its prediction.
+    2**-1022, so it is a float and the subtraction returns it exactly; its
+    square (Xa - Xb)**2 * 2**-2e is such a float too, and the matrix builds
+    it as a product, which IEEE 754 rounds correctly, so the entry is exact.
+    Off the grid a product entry is D (1 + t) + h with |t| <= 3u + O(u**2)
+    and |h| <= 2**-1075, u = 2**-53: the error terms verify_bmetric_axioms's
+    rounding bound assumes.
     """
     e = q.bit_length() - 1
     k_max = max(xs) - min(xs)
-    squared = space.metric == "squared-difference"
-    if squared:
+    if space.metric == "squared-difference":
         e, k_max = 2 * e, k_max * k_max
-    if e > 1022 or 2 * k_max >= 2 ** 53:
-        return None
-    d = space._d
-    # K is symmetric: check the matrix is, in C, then only its upper triangle
-    if d != tuple(zip(*d)):
-        return None
-    vals = [p.value for p in space.points]
-    if squared:
-        exact = all(row[i:] == tuple([(va - vb) * (va - vb) for vb in vals[i:]])
-                    for i, (va, row) in enumerate(zip(vals, d)))
-    else:
-        exact = all(row[i:] == tuple([abs(va - vb) for vb in vals[i:]])
-                    for i, (va, row) in enumerate(zip(vals, d)))
-    return math.ldexp(1.0, -e) if exact else None
+    return math.ldexp(1.0, -e) if e <= 1022 and 2 * k_max < 2 ** 53 else None
 
 
 def _last_hit(hit, guess: float, k_max: int) -> int:
@@ -486,6 +472,12 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     Each ``*_witness_count`` is exact, and each list keeps the first
     WITNESS_CAP witnesses in scan order: identity the diagonal, then pairs
     a < b; symmetry pairs a < b; triangle triples ordered by (a, b, w).
+    Identity takes one C-level min of each row's upper part and reads a row
+    in Python only when that min is at most tol.  A formula matrix is
+    symmetric by construction: va - vb = -(vb - va) exactly, (-t) * (-t) =
+    t * t and abs is even, so every pair a < b is a symmetry witness exactly
+    when 0.0 > tol (a NaN or -0.0 tol gives none), and only a table is
+    checked pair by pair.
 
     min_feasible_s is reported even when the declared s already suffices.
     For a formula metric it is S*, the exact supremum of D(a, w) / (D(a, b)
@@ -502,9 +494,10 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
 
     because then the float test finds no witness.  With u = 2**-53, every
     entry is d = D (1 + t) + h with |t| <= E and |h| <= H: E = u, H = 0 for
-    abs(a - b), one rounded subtraction; E < 4.01 u, H = 2**-1074 for
-    (a - b)**2, a subtraction and a pow within one ulp, where h covers a
-    square that falls below 2**-1022.  Let Sigma = D(a, b) + D(b, w).  The
+    abs(a - b), one rounded subtraction; E <= 3u + O(u**2) < 4.01 u,
+    H <= 2**-1075 for (a - b) * (a - b), a rounded subtraction and a
+    correctly rounded product, where h covers a product that falls below
+    2**-1022.  Let Sigma = D(a, b) + D(b, w).  The
     sum, the product by s and the addition of tol each round by a factor
     (1 + t), |t| <= u, and the product may underflow by 2**-1075, so the
     right side is at least (1 - u) ((1 - G) s Sigma - 2 s H - 2**-1075 + tol)
@@ -512,14 +505,14 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     raises it.  That bound grows with s Sigma >= S* Sigma >= D(a, w), and
     the left side is at most (1 + E) D(a, w) + H with D(a, w) <= (M + H) /
     (1 - E).  So a witness needs (1 - u) tol < (2E + 3u) D(a, w) + (2s + 1) H
-    + 2**-1075, hence tol < 11.1 u M + (s + 0.8) 2**-1073.  The bound above,
+    + 2**-1075, hence tol < 11.1 u M + (s + 0.6) 2**-1073.  The bound above,
     evaluated in floats, is at least (1 - u)**2 (16 u M + (s + 1) 2**-1072)
     - 2**-1074, which exceeds that.
 
     That bound fails once M is above about 2,250 at tol = 1e-12, so the scan
     is also skipped when s >= S*, tol >= 0 and the distances are exact: every
     entry equals D(a, b) and every sum of two entries is a float
-    (_exact_scale, one O(n**2) pass on the values' dyadic grid).  Then
+    (_exact_scale, a range test on the values' dyadic grid).  Then
     D(a, w) <= S* Sigma <= s Sigma is an inequality between the floats
     themselves, with Sigma = d(a, b) + d(b, w) computed without rounding.
     Rounding to nearest is monotone and d(a, w) is a float, so fl(s Sigma)
@@ -538,9 +531,8 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     bisections.  That is O(n**2 log n) in all, with no search per pair and
     lists O(n log n) long, and it gives the scan's exact count and its first
     WITNESS_CAP witnesses in its order.  The scan stays for tables, for
-    inexact entries (a largest grid distance of 2**52 or more, a scale below
-    2**-1022, or an entry the pow rounded) and for a NaN tol, which fails
-    every comparison.
+    inexact entries (a largest grid distance of 2**52 or more, or a scale
+    below 2**-1022) and for a NaN tol, which fails every comparison.
     """
     if tol is None:
         tol = default_axiom_tol(space)
@@ -548,21 +540,27 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     n = len(d)
     vals = [p.value for p in pts]
     identity, symmetry, triangle = Witnesses(), Witnesses(), Witnesses()
-    for a in range(n):
-        if d[a][a] > tol:
+    for a, row in enumerate(d):
+        if row[a] > tol:
             identity.add(1, [(vals[a], vals[a])])
-    for a in range(n):
-        for b in range(a + 1, n):
-            dab, dba = d[a][b], d[b][a]
-            if dab <= tol:
-                identity.add(1, [(vals[a], vals[b])])
-            if abs(dab - dba) > tol:
-                symmetry.add(1, [(vals[a], vals[b])])
+    for a, row in enumerate(d):
+        upper = row[a + 1:]
+        # a row is read in Python only when its smallest entry is a witness
+        if upper and min(upper) <= tol:
+            hits = list(compress(vals[a + 1:], map(le, upper, repeat(tol))))
+            identity.add(len(hits), zip(repeat(vals[a]), hits))
 
     if space.metric == "table":
+        for a in range(n):
+            for b in range(a + 1, n):
+                if abs(d[a][b] - d[b][a]) > tol:
+                    symmetry.add(1, [(vals[a], vals[b])])
         triangle, worst = _triangle_scan(space, tol)
         min_feasible_s = max(worst, 1.0)
     else:
+        # the matrix is symmetric bit for bit, so every pair a < b is a
+        # symmetry witness exactly when 0.0 > tol
+        symmetry = Witnesses(n * (n - 1) // 2 if tol < 0 else 0, combinations(vals, 2))
         # the value grid is built only where it is read: S* for squared-difference, the exact pass
         grid, (num, den) = None, (1, 1)
         if space.metric == "squared-difference":
@@ -572,7 +570,7 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         s_num, s_den = s.as_integer_ratio()
         bound = math.ldexp(space._dmax, -49) + math.ldexp(s + 1, -1072)
         covered = s_num * den >= num * s_den
-        # cheapest first: the exact comparison, the bound, then one O(n**2) pass
+        # cheapest first: the exact comparison, the bound, then the grid's range test
         if not (covered and tol > bound):
             xs, q = grid or _value_grid(vals)
             scale = None if math.isnan(tol) else _exact_scale(space, xs, q)

@@ -152,18 +152,6 @@ def test_tables_and_inexact_grids_keep_the_triangle_scan(monkeypatch, space, tol
     assert len(exact_counts) == 0
 
 
-@pytest.mark.parametrize("a, b", [(0, 0), (5, 5), (3, 17)])
-def test_the_exact_entry_test_reads_every_matrix_entry(monkeypatch, a, b):
-    # an entry one ulp off the formula, as an inexact pow would leave it
-    space = BMetricSpace.from_values(range(0, 96, 4), s=2.0)
-    d = [list(row) for row in space._d]
-    d[a][b] = math.nextafter(d[a][b], math.inf)
-    object.__setattr__(space, "_d", tuple(map(tuple, d)))
-    calls = count_calls(monkeypatch, "_triangle_scan")
-    verify_bmetric_axioms(space)
-    assert len(calls) == 1
-
-
 def test_table_metric_report_carries_failures():
     # asymmetric, nonzero-diagonal table: the verifier reports, not raises
     table = ((0.0, 1.0), (2.0, 3.0))
@@ -181,9 +169,16 @@ def test_bad_table_shapes_rejected():
         BMetricSpace.from_values([0, 1], metric="table", table=((0.0, -1.0), (-1.0, 0.0)))
 
 
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True),
-       st.sampled_from(["squared-difference", "absolute-difference"]))
-def test_symmetry_and_zero_diagonal(values, metric):
+# point values up to this magnitude keep every distance finite; past it a
+# difference or its square can overflow
+FINITE_BOUND = {"squared-difference": 6e153, "absolute-difference": 8e307}
+
+
+@given(st.sampled_from(["squared-difference", "absolute-difference"]), st.data())
+def test_symmetry_and_zero_diagonal(metric, data):
+    # verify_bmetric_axioms reads a formula metric's symmetry off this property
+    bound = FINITE_BOUND[metric]
+    values = data.draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=8))
     space = BMetricSpace.from_values(values, metric=metric, s=4.0)
     for a in space.points:
         assert distance(space, a, a) == 0.0
@@ -217,7 +212,7 @@ def test_triangle_monotone_in_s(values, s_big):
 def formula_distance(space, a, b):
     # d(a, b) evaluated from the space's definition on every call
     if space.metric == "squared-difference":
-        return (space.points[a].value - space.points[b].value) ** 2
+        return (t := space.points[a].value - space.points[b].value) * t
     if space.metric == "absolute-difference":
         return abs(space.points[a].value - space.points[b].value)
     return space.table[a][b]
@@ -275,7 +270,7 @@ def formula_spaces(draw):
 def extreme_formula_spaces(draw):
     # distances stay finite but d(a, b) + d(b, w) may overflow to inf
     metric = draw(st.sampled_from(["squared-difference", "absolute-difference"]))
-    bound = 6e153 if metric == "squared-difference" else 8e307
+    bound = FINITE_BOUND[metric]
     values = draw(st.lists(st.one_of(st.sampled_from([-bound, 0.0, bound]),
                                      st.floats(min_value=-bound, max_value=bound)),
                            min_size=1, max_size=6))
@@ -391,6 +386,11 @@ def grid_spaces(draw):
 @example(BMetricSpace.from_values([7], s=1.0), -1.0)
 @example(BMetricSpace.from_values([0, 3], s=1.0), -10.0)
 @example(BMetricSpace.from_values([0, 3], metric="absolute-difference"), -1.0)
+# a formula metric at tol < 0: all 276 pairs a < b are symmetry witnesses, listed
+# in (a, b) order up to the cap
+@example(BMetricSpace.from_values([k / 10 for k in range(24)], s=1.0), -1e-12)
+# off-diagonal identity witnesses at tol >= 0: two points 1e-7 apart, 1e-14 squared
+@example(BMetricSpace.from_values([3.0, 0.5, 2.0, 0.5 + 1e-7, 0.5 - 1e-7], s=2.0), None)
 # n = 64: about 2,000 windows against a flush size of 2 * 64 * 6 = 768, so the
 # window lists are counted and cleared twice before the last count
 @example(BMetricSpace.from_values([(k * 37) % 101 for k in range(64)], s=1.5), None)
@@ -462,32 +462,66 @@ def test_identity_and_symmetry_witnesses_are_counted_while_scanning():
     assert not rep.identity_ok and not rep.symmetry_ok
 
 
-def test_exact_scale_checks_the_lower_triangle_by_symmetry():
-    space = BMetricSpace.from_values([0, 1, 3])
-    xs, q = bmetric._value_grid([p.value for p in space.points])
-    assert bmetric._exact_scale(space, xs, q) == 1.0
-    d = [list(row) for row in space._d]
-    d[2][0] = 10.0  # d(2, 0) is 9: only the lower triangle is wrong
-    object.__setattr__(space, "_d", tuple(map(tuple, d)))
-    assert bmetric._exact_scale(space, xs, q) is None
-    d[0][2] = 10.0  # symmetric again, but both entries are wrong
-    object.__setattr__(space, "_d", tuple(map(tuple, d)))
-    assert bmetric._exact_scale(space, xs, q) is None
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+# pow gives 576.000000048 on some libms; the correctly rounded square is 576.0000000480001
+@example([24.000000001, 0.0])
+def test_formula_entries_are_correctly_rounded(values):
+    def exact_square(t):
+        return float(Fraction(t) ** 2)  # raises OverflowError past the float range
+
+    for metric, entry in (("squared-difference", exact_square), ("absolute-difference", abs)):
+        try:
+            want = [[entry(va - vb) for vb in values] for va in values]
+        except OverflowError:
+            want = None
+        if want is None or not all(map(math.isfinite, itertools.chain(*want))):
+            with pytest.raises(ValueError, match="not a finite float"):
+                BMetricSpace.from_values(values, metric=metric)
+        else:
+            assert BMetricSpace.from_values(values, metric=metric)._d == tuple(map(tuple, want))
 
 
-@pytest.mark.parametrize("values", [range(0, 96, 4), [k / 8 for k in (3, -11, 0, 7, 20, 5, -2)]])
-@pytest.mark.parametrize("a, b", [(1, 5), (5, 1), (2, 2)])
-@pytest.mark.parametrize("toward", [math.inf, -math.inf])
-def test_exact_scale_rejects_an_entry_one_float_off(values, a, b, toward):
-    # the pass predicts each entry in floats; a pow that rounded leaves one
-    # entry a neighbouring float of its prediction, which must not pass
-    space = BMetricSpace.from_values(values)
+@pytest.mark.parametrize("metric, values, scale", [
+    # 2 * (largest entry) must stay below 2**53 grid units
+    ("absolute-difference", [0, 2 ** 52 - 1], 1.0),
+    ("absolute-difference", [0, 2 ** 52], None),
+    ("absolute-difference", [-1, 2 ** 53], None),
+    ("squared-difference", [0, 2 ** 26 - 1], 1.0),
+    ("squared-difference", [0, 2 ** 26], None),
+    # the scale must be at least 2**-1022
+    ("absolute-difference", [0, 2.0 ** -1022], 2.0 ** -1022),
+    ("absolute-difference", [0, 2.0 ** -1023], None),
+    ("absolute-difference", [0, 3, 2.0 ** -1074], None),
+    ("squared-difference", [0, 2.0 ** -511], 2.0 ** -1022),
+    ("squared-difference", [0, 2.0 ** -512], None),
+    ("squared-difference", [0.5, 2.0 ** -600], None),
+])
+def test_exact_scale_is_a_range_test(metric, values, scale):
+    space = BMetricSpace.from_values(values, metric=metric)
     xs, q = bmetric._value_grid([p.value for p in space.points])
-    assert bmetric._exact_scale(space, xs, q) is not None
-    d = [list(row) for row in space._d]
-    d[a][b] = math.nextafter(d[a][b], toward)
-    object.__setattr__(space, "_d", tuple(map(tuple, d)))
-    assert bmetric._exact_scale(space, xs, q) is None
+    assert bmetric._exact_scale(space, xs, q) == scale
+
+
+@given(st.sampled_from(["squared-difference", "absolute-difference"]), st.data())
+def test_every_entry_on_an_exact_grid_is_k_times_the_scale(metric, data):
+    # grid values X / 2**m with spans just inside the range test, on coarse
+    # grids and on the finest ones it admits
+    squared = metric == "squared-difference"
+    half = 2 ** (25 if squared else 51) - 1
+    finest = 511 if squared else 1022
+    m = data.draw(st.one_of(st.integers(0, 8), st.integers(finest - 8, finest)))
+    grid = data.draw(st.lists(st.one_of(st.integers(-half, half), st.sampled_from([-half, half])),
+                              min_size=1, max_size=7))
+    space = BMetricSpace.from_values([math.ldexp(x, -m) for x in grid], metric=metric)
+    xs, q = bmetric._value_grid([p.value for p in space.points])
+    scale = bmetric._exact_scale(space, xs, q)
+    assert scale is not None
+    d = space._d
+    for a, b in itertools.product(range(len(xs)), repeat=2):
+        k = (xs[a] - xs[b]) ** 2 if squared else abs(xs[a] - xs[b])
+        assert Fraction(d[a][b]) == k * Fraction(scale)
+        for w in range(len(xs)):
+            assert Fraction(d[a][b] + d[b][w]) == Fraction(d[a][b]) + Fraction(d[b][w])
 
 
 def test_the_triangle_count_keeps_its_window_lists_short():

@@ -29,12 +29,16 @@ from ledger_reference import (assert_verdict_matches, reference_active_rows,
 def brute_force_ledger(problem):
     """Independent oracle: recompute every active pair's arguments from raw formulas."""
     space, R, F, phi = problem.space, problem.relation, problem.map, problem.potential
+
+    def square(x):
+        return x * x  # the correctly rounded square, as the space squares
+
     out = {}
     for a, b in sorted(R.pairs):
         pa, pb = space.point(a), space.point(b)
-        if (pa.value - space.point(F(pa)).value) ** 2 > 0:
-            t = space.s * (space.point(F(pa)).value - space.point(F(pb)).value) ** 2
-            s_arg = (phi(pa) - phi(F(pa))) * (pa.value - pb.value) ** 2
+        if square(pa.value - space.point(F(pa)).value) > 0:
+            t = space.s * square(space.point(F(pa)).value - space.point(F(pb)).value)
+            s_arg = (phi(pa) - phi(F(pa))) * square(pa.value - pb.value)
             out[(pa.value, pb.value)] = (t, s_arg)
     return out
 
