@@ -496,12 +496,12 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
     entry is d = D (1 + t) + h with |t| <= E and |h| <= H: E = u, H = 0 for
     abs(a - b), one rounded subtraction; E <= 3u + O(u**2) < 4.01 u,
     H <= 2**-1075 for (a - b) * (a - b), a rounded subtraction and a
-    correctly rounded product, where h covers a product that falls below
-    2**-1022.  Let Sigma = D(a, b) + D(b, w).  The
-    sum, the product by s and the addition of tol each round by a factor
-    (1 + t), |t| <= u, and the product may underflow by 2**-1075, so the
-    right side is at least (1 - u) ((1 - G) s Sigma - 2 s H - 2**-1075 + tol)
-    with G = 1 - (1 - u)**2 (1 - E) <= E + 2u, and an overflow to inf only
+    correctly rounded product, where h covers a product below 2**-1022.  Let
+    Sigma = D(a, b) + D(b, w).  The sum, the product by s and the addition
+    of tol each round by a factor (1 + t), |t| <= u, and the product may
+    underflow by 2**-1075, so the right side is at least
+    (1 - u) ((1 - G) s Sigma - 2 s H - 2**-1075 + tol) with
+    G = 1 - (1 - u)**2 (1 - E) <= E + 2u, and an overflow to inf only
     raises it.  That bound grows with s Sigma >= S* Sigma >= D(a, w), and
     the left side is at most (1 + E) D(a, w) + H with D(a, w) <= (M + H) /
     (1 - E).  So a witness needs (1 - u) tol < (2E + 3u) D(a, w) + (2s + 1) H
@@ -561,7 +561,7 @@ def verify_bmetric_axioms(space: BMetricSpace, tol: float | None = None) -> Axio
         # the matrix is symmetric bit for bit, so every pair a < b is a
         # symmetry witness exactly when 0.0 > tol
         symmetry = Witnesses(n * (n - 1) // 2 if tol < 0 else 0, combinations(vals, 2))
-        # the value grid is built only where it is read: S* for squared-difference, the exact pass
+        # the value grid is built only where it is read: S* for squared-difference, the range test
         grid, (num, den) = None, (1, 1)
         if space.metric == "squared-difference":
             grid = _value_grid(vals)
