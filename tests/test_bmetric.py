@@ -481,6 +481,21 @@ def test_formula_entries_are_correctly_rounded(values):
             assert BMetricSpace.from_values(values, metric=metric)._d == tuple(map(tuple, want))
 
 
+def test_exact_scale_checks_the_lower_triangle_by_symmetry():
+    # _exact_scale reads no entry: the lower triangle is K * scale because each
+    # entry there is the upper one, bit for bit ((-t) * (-t) = t * t, abs is even)
+    for metric in ("squared-difference", "absolute-difference"):
+        space = BMetricSpace.from_values([0, 1, 3, 0.5, -2.25], metric=metric)
+        xs, q = bmetric._value_grid([p.value for p in space.points])
+        scale = bmetric._exact_scale(space, xs, q)
+        assert scale == (0.0625 if metric == "squared-difference" else 0.25)
+        d = space._d
+        for a, b in itertools.combinations(range(len(xs)), 2):
+            assert d[b][a].hex() == d[a][b].hex()
+            k = (xs[b] - xs[a]) ** 2 if metric == "squared-difference" else abs(xs[b] - xs[a])
+            assert Fraction(d[b][a]) == k * Fraction(scale)
+
+
 @pytest.mark.parametrize("metric, values, scale", [
     # 2 * (largest entry) must stay below 2**53 grid units
     ("absolute-difference", [0, 2 ** 52 - 1], 1.0),
